@@ -156,6 +156,24 @@ def _build_candidates(expression):
     return candidates
 
 
+def _predicate_mask(path):
+    """(observes attributes, observes text) over every step's predicates."""
+    observes_attributes = False
+    observes_text = False
+    for step in path.steps:
+        for predicate in step.predicates:
+            if isinstance(predicate, (AttributeEquals, AttributeExists)):
+                observes_attributes = True
+            elif isinstance(predicate, TextEquals):
+                observes_text = True
+            elif isinstance(predicate, ContainsPredicate):
+                if predicate.target == "text()":
+                    observes_text = True
+                else:
+                    observes_attributes = True
+    return observes_attributes, observes_text
+
+
 class RelaxationEngine:
     """Resolves a recorded XPath against a live document."""
 
@@ -252,19 +270,11 @@ class RelaxationEngine:
             else context.owner_document
         if not isinstance(document, Document):
             return None
-        observes_attributes = False
-        observes_text = False
-        for step in parse_xpath(expression).steps:
-            for predicate in step.predicates:
-                if isinstance(predicate, (AttributeEquals, AttributeExists)):
-                    observes_attributes = True
-                elif isinstance(predicate, TextEquals):
-                    observes_text = True
-                elif isinstance(predicate, ContainsPredicate):
-                    if predicate.target == "text()":
-                        observes_text = True
-                    else:
-                        observes_attributes = True
+        path = parse_xpath(expression)
+        mask = path._observed_mask
+        if mask is None:
+            mask = path._observed_mask = _predicate_mask(path)
+        observes_attributes, observes_text = mask
         return (
             document.structure_generation,
             document.attribute_generation if observes_attributes else -1,
@@ -274,3 +284,4 @@ class RelaxationEngine:
     def relaxed_count(self):
         """How many resolutions needed a non-original candidate."""
         return sum(1 for _, used in self.resolutions if used != "original")
+

@@ -92,6 +92,9 @@ class Node:
 
     def _adopt(self, document):
         self.owner_document = document
+        if document is not None and self._listeners:
+            document._listened_types.update(
+                event_type for event_type, _ in self._listeners)
         for child in self.children:
             child._adopt(document)
 
@@ -162,14 +165,30 @@ class Node:
     # -- event listeners (storage only; dispatch in repro.events) --------
 
     def add_event_listener(self, event_type, handler, capture=False):
-        """Register ``handler`` for ``event_type`` on this node."""
+        """Register ``handler`` for ``event_type`` on this node.
+
+        The type is also noted on the owning document (a Document owns
+        itself), whose dispatch skips types no node listens for; a
+        detached, unowned node's types are noted when it is adopted.
+        """
         self._listeners.setdefault((event_type, bool(capture)), []).append(handler)
+        document = self.owner_document
+        if document is not None:
+            document._listened_types.add(event_type)
 
     def remove_event_listener(self, event_type, handler, capture=False):
-        """Unregister a previously added handler (no-op if absent)."""
-        handlers = self._listeners.get((event_type, bool(capture)), [])
-        if handler in handlers:
+        """Unregister a previously added handler (no-op if absent).
+
+        An emptied ``(type, capture)`` entry is dropped, so a node whose
+        listeners are all gone reads as listener-free to dispatch. The
+        document's listened types are left alone: they are a superset.
+        """
+        key = (event_type, bool(capture))
+        handlers = self._listeners.get(key)
+        if handlers and handler in handlers:
             handlers.remove(handler)
+            if not handlers:
+                del self._listeners[key]
 
     def listeners_for(self, event_type, capture):
         """Handlers registered for a given type and phase (a copy)."""
@@ -386,6 +405,11 @@ class Document(Node):
     character-data changes. Result caches key on the counters their
     expressions can actually observe, so e.g. a memoized id-locator
     survives a burst of keystrokes that only touches text.
+
+    ``_listened_types`` holds every event type any node owned by this
+    document has ever listened for. It only grows (removing a listener
+    leaves its type in place), so it is a superset of the types present,
+    and dispatch skips the propagation walk for any type outside it.
     """
 
     def __init__(self, url=""):
@@ -397,6 +421,7 @@ class Document(Node):
         self._attribute_generation = 0
         self._text_generation = 0
         self._indexes = None
+        self._listened_types = set()
 
     # -- mutation tracking ----------------------------------------------
 

@@ -11,9 +11,16 @@ When tracing is enabled (:mod:`repro.telemetry`), each dispatch emits a
 span on the dispatching renderer's track with per-phase child spans, so
 slow handlers show up attributed to their propagation phase. With
 tracing off the only cost is one guard check per dispatch.
+
+Untraced dispatch of a type no node of the target's document has ever
+listened for (see ``Document._listened_types``) returns at once: no
+handler could run, so walking the propagation path would observe
+nothing. Detached targets without an owning document, traced dispatch
+and a disabled fast path (:func:`repro.perf.fast_path`) take the full
+walk.
 """
 
-from repro import telemetry
+from repro import perf, telemetry
 from repro.events.event import CAPTURING_PHASE, AT_TARGET, BUBBLING_PHASE
 from repro.util.errors import ScriptError
 
@@ -49,6 +56,10 @@ def dispatch_event(target, event, on_error=None, track=None):
 
 def _dispatch(target, event, on_error):
     event.target = target
+    document = target.owner_document
+    if (document is not None and event.type not in document._listened_types
+            and perf.fast_path_enabled()):
+        return not event.default_prevented
     ancestors = _propagation_path(target)
     _capture_phase(ancestors, event, on_error)
     _target_phase(target, event, on_error)

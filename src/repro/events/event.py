@@ -113,13 +113,16 @@ class KeyboardEvent(Event):
 
     def __init__(self, event_type, key="", key_code=0, shift_key=False,
                  ctrl_key=False, alt_key=False, timestamp=0.0):
-        # Assign protected fields before freezing.
+        # The event is not frozen yet, so the protected fields go
+        # straight into their descriptor slots: the per-keystroke hot
+        # path skips five ``__set__`` freeze checks that cannot fail.
         super().__init__(event_type, timestamp=timestamp)
-        self.key = key
-        self.key_code = key_code
-        self.shift_key = shift_key
-        self.ctrl_key = ctrl_key
-        self.alt_key = alt_key
+        slots = self.__dict__
+        slots["_key"] = key
+        slots["_key_code"] = key_code
+        slots["_shift_key"] = shift_key
+        slots["_ctrl_key"] = ctrl_key
+        slots["_alt_key"] = alt_key
 
     @classmethod
     def trusted(cls, event_type, key, key_code, shift_key=False,

@@ -47,6 +47,19 @@ class SessionEvent:
         return "SessionEvent(%s%s)" % (self.kind, target)
 
 
+def _hook_name(kind):
+    """The ``on_*`` hook name for an event kind."""
+    return "on_" + kind.replace("-", "_")
+
+
+#: Hook names of the engine's kinds, built once instead of per event.
+_HOOK_NAMES = {
+    kind: _hook_name(kind)
+    for name, kind in vars(SessionEvent).items()
+    if name.isupper() and isinstance(kind, str)
+}
+
+
 class SessionObserver:
     """Base observer: dispatches events to per-kind ``on_*`` hooks.
 
@@ -56,7 +69,8 @@ class SessionObserver:
     """
 
     def on_event(self, event):
-        handler = getattr(self, "on_" + event.kind.replace("-", "_"), None)
+        kind = event.kind
+        handler = getattr(self, _HOOK_NAMES.get(kind) or _hook_name(kind), None)
         if handler is not None:
             handler(event)
 
@@ -110,19 +124,58 @@ class SessionObserver:
         pass
 
 
+_NO_HOOK = object()
+
+
+def _handler_for(observer, kind):
+    """The callable ``observer`` needs for ``kind`` events, or None.
+
+    A :class:`SessionObserver` that keeps the base ``on_event`` is
+    reached through its per-kind hook directly, and skipped where that
+    hook is still the inherited no-op. Observers overriding
+    ``on_event``, and duck-typed ones, get every event through it.
+    """
+    if not isinstance(observer, SessionObserver) \
+            or type(observer).on_event is not SessionObserver.on_event:
+        return observer.on_event
+    name = _hook_name(kind)
+    hook = getattr(observer, name, None)
+    if hook is None or (getattr(hook, "__func__", None)
+                        is SessionObserver.__dict__.get(name, _NO_HOOK)):
+        return None
+    return hook
+
+
 class EventStream:
-    """Broadcasts events to subscribed observers, in subscription order."""
+    """Broadcasts events to subscribed observers, in subscription order.
+
+    ``emit`` runs a per-kind list of handlers, built on first use of
+    each kind and dropped on :meth:`subscribe`, so an event costs one
+    call per observer that actually handles its kind. Hooks are looked
+    up when a kind's list is built, not per event.
+    """
 
     def __init__(self, observers=None):
         self.observers = list(observers or [])
+        self._handlers = {}
 
     def subscribe(self, observer):
         self.observers.append(observer)
+        self._handlers.clear()
         return observer
 
     def emit(self, event):
-        for observer in self.observers:
-            observer.on_event(event)
+        kind = event.kind
+        handlers = self._handlers.get(kind)
+        if handlers is None:
+            handlers = []
+            for observer in self.observers:
+                handler = _handler_for(observer, kind)
+                if handler is not None:
+                    handlers.append(handler)
+            self._handlers[kind] = handlers
+        for handler in handlers:
+            handler(event)
         return event
 
     def __repr__(self):

@@ -150,7 +150,15 @@ class Step:
 
 
 class Path:
-    """A full XPath expression: a sequence of steps from the root."""
+    """A full XPath expression: a sequence of steps from the root.
+
+    Paths are not mutated once built (the compile cache shares them),
+    so derived facts can be cached on the instance.
+    """
+
+    #: Relaxation's (observes attributes, observes text) predicate mask,
+    #: filled in on first use; bounded by the compile cache's LRU.
+    _observed_mask = None
 
     def __init__(self, steps):
         if not steps:

@@ -17,6 +17,7 @@ from repro.core.replayer import TimingMode, WarrReplayer
 from repro.dom.parser import parse_html
 from repro.layout.engine import LayoutEngine
 from repro.xpath.evaluator import evaluate
+from repro.xpath.parser import parse_xpath
 
 HTML = """
 <html><body>
@@ -189,6 +190,18 @@ class TestRelaxationMemo:
         element, _ = engine.resolve('//li[@id="one"]', doc)
         assert element is doc.get_element_by_id("one")
         assert resolve_hits() == hits + 1
+
+    def test_memo_hit_reads_the_mask_cached_on_the_compiled_path(self, doc):
+        expression = '//li[text()="two"]'
+        engine = RelaxationEngine()
+        engine.resolve(expression, doc)
+        path = parse_xpath(expression)
+        assert path._observed_mask == (False, True)
+        compiles = sum(perf.stats.counter("xpath.compile"))
+        engine.resolve(expression, doc)
+        # The memo hit still compiles through the cache, once.
+        assert sum(perf.stats.counter("xpath.compile")) == compiles + 1
+        assert parse_xpath(expression) is path
 
 
 EXPRESSIONS = [

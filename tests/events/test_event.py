@@ -90,6 +90,43 @@ class TestKeyboardEventSynthetic:
         assert trusted.key_code == synthetic.key_code
 
 
+_KEY_FIELDS = {"key": "x", "key_code": 88, "shift_key": True,
+               "ctrl_key": True, "alt_key": True}
+
+
+class TestKeyboardEventConstruction:
+    """The constructor fills the protected fields without their
+    descriptor; reads and the freeze must behave as before."""
+
+    @pytest.mark.parametrize("modifier", ["shift_key", "ctrl_key", "alt_key"])
+    def test_developer_synthetic_carries_every_key_field(self, modifier):
+        event = KeyboardEvent.synthetic("keydown", "H", 72,
+                                        developer_mode=True, **{modifier: True})
+        assert (event.key, event.key_code) == ("H", 72)
+        for name in ("shift_key", "ctrl_key", "alt_key"):
+            assert getattr(event, name) is (name == modifier)
+
+    @pytest.mark.parametrize("make", [
+        lambda: KeyboardEvent.trusted("keydown", "H", 72),
+        lambda: KeyboardEvent.synthetic("keydown", "H", 72,
+                                        developer_mode=True),
+        lambda: KeyboardEvent.synthetic("keydown", "H", 72),
+    ], ids=["trusted", "synthetic-developer", "synthetic-user"])
+    @pytest.mark.parametrize("field", sorted(_KEY_FIELDS))
+    def test_every_key_field_is_read_only_after_construction(self, make,
+                                                             field):
+        event = make()
+        before = getattr(event, field)
+        with pytest.raises(ReadOnlyPropertyError):
+            setattr(event, field, _KEY_FIELDS[field])
+        assert getattr(event, field) == before
+
+    def test_unfrozen_event_accepts_key_writes(self):
+        event = KeyboardEvent("keydown", "H", 72)
+        event.key_code = 13
+        assert event.key_code == 13
+
+
 class TestInputEvent:
     def test_not_cancelable(self):
         event = InputEvent(data="x")

@@ -49,6 +49,108 @@ class TestSessionObserverDispatch:
         assert order == ["first", "second"]
 
 
+class TestEventStreamTable:
+    """The per-kind handler table behind ``EventStream.emit``."""
+
+    def test_subscribe_after_emit_invalidates_the_table(self):
+        early, late = EventLogObserver(), EventLogObserver()
+        stream = EventStream([early])
+        stream.emit(SessionEvent(SessionEvent.ACTED))
+        stream.subscribe(late)
+        stream.emit(SessionEvent(SessionEvent.ACTED))
+        assert early.kinds_seen() == [SessionEvent.ACTED] * 2
+        assert late.kinds_seen() == [SessionEvent.ACTED]
+
+    def test_on_event_override_receives_every_kind(self):
+        log = EventLogObserver()
+        stream = EventStream([log])
+        kinds = [SessionEvent.SESSION_STARTED, SessionEvent.LOCATED,
+                 SessionEvent.PERF_DELTA, "brand-new-kind"]
+        for kind in kinds:
+            stream.emit(SessionEvent(kind))
+        assert log.kinds_seen() == kinds
+
+    def test_hook_on_grandchild_class_is_found(self):
+        class Child(SessionObserver):
+            pass
+
+        class Grandchild(Child):
+            def __init__(self):
+                self.acted = []
+
+            def on_acted(self, event):
+                self.acted.append(event)
+
+        spy = Grandchild()
+        stream = EventStream([spy])
+        event = stream.emit(SessionEvent(SessionEvent.ACTED))
+        stream.emit(SessionEvent(SessionEvent.LOCATED))
+        assert spy.acted == [event]
+
+    def test_hook_for_a_kind_outside_the_engine_set_is_found(self):
+        class Spy(SessionObserver):
+            def __init__(self):
+                self.seen = []
+
+            def on_brand_new_kind(self, event):
+                self.seen.append(event)
+
+        spy = Spy()
+        event = EventStream([spy]).emit(SessionEvent("brand-new-kind"))
+        assert spy.seen == [event]
+
+    def test_duck_typed_observer_receives_events(self):
+        class Duck:
+            def __init__(self):
+                self.kinds = []
+
+            def on_event(self, event):
+                self.kinds.append(event.kind)
+
+        duck = Duck()
+        stream = EventStream([duck])
+        stream.emit(SessionEvent(SessionEvent.ACTED))
+        stream.emit(SessionEvent(SessionEvent.FAILED))
+        assert duck.kinds == [SessionEvent.ACTED, SessionEvent.FAILED]
+
+    def test_subscription_order_is_kept_across_kinds(self):
+        order = []
+
+        class Hooked(SessionObserver):
+            def __init__(self, tag):
+                self.tag = tag
+
+            def on_acted(self, event):
+                order.append((self.tag, event.kind))
+
+            def on_failed(self, event):
+                order.append((self.tag, event.kind))
+
+        class CatchAll(SessionObserver):
+            def on_event(self, event):
+                order.append(("all", event.kind))
+
+        class Duck:
+            def on_event(self, event):
+                order.append(("duck", event.kind))
+
+        stream = EventStream([Hooked("first"), CatchAll(), Duck(),
+                              Hooked("last")])
+        for kind in (SessionEvent.ACTED, SessionEvent.LOCATED,
+                     SessionEvent.FAILED):
+            del order[:]
+            stream.emit(SessionEvent(kind))
+            expected = [("all", kind), ("duck", kind)]
+            if kind != SessionEvent.LOCATED:
+                expected = [("first", kind)] + expected + [("last", kind)]
+            assert order == expected
+
+    def test_inherited_no_op_hooks_are_left_out(self):
+        stream = EventStream([SessionObserver(), EventLogObserver()])
+        stream.emit(SessionEvent(SessionEvent.ACTED))
+        assert len(stream._handlers[SessionEvent.ACTED]) == 1
+
+
 class TestEventLogObserver:
     def test_filtering_by_kind(self):
         log = EventLogObserver(kinds=[SessionEvent.FAILED])
