@@ -127,7 +127,7 @@ def measure_modes(trace):
                           timing=TimingPolicy.no_wait()).start()
         # Warm off the clock: every worker imports the stack, builds
         # its factory, and replays once before timing starts.
-        pool.run([("warmup-%d" % i, trace.to_text())
+        pool.run([("warmup-%d" % i, trace)
                   for i in range(2 * workers)])
         pools[workers] = pool
         modes.append(("pool-%d" % workers,

@@ -5,7 +5,7 @@ bench pins the three numbers that make the promise honest and writes
 ``BENCH_resilience.json``:
 
 1. **Journal overhead** — a journaled serial batch (every start and
-   outcome fsync'd to WJ1) vs. the same batch without a journal. The
+   outcome fsync'd to WJ2) vs. the same batch without a journal. The
    relative gap is the price of durability on the happy path.
 2. **Resume cost** — re-running a batch whose journal is already
    complete. Every trace replays *from the journal* instead of the
@@ -85,7 +85,7 @@ def measure(traces, labels, tmpdir):
         assert batch.complete
         plain = seconds if plain is None else min(plain, seconds)
 
-        path = os.path.join(tmpdir, "round-%d.wj1" % round_index)
+        path = os.path.join(tmpdir, "round-%d.wj2" % round_index)
         start = time.perf_counter()
         batch = _runner(journal=path).run(traces, labels=labels)
         seconds = time.perf_counter() - start
@@ -128,7 +128,7 @@ def test_resilience(benchmark, reporter, json_reporter, tmp_path):
         % (TRACES, commands, REPEATS),
         "  %-34s %.4fs" % ("no journal", plain_s),
         "  %-34s %.4fs  (%+.1f%%)"
-        % ("journaled (WJ1, fsync)", journaled_s, journal_cost * 100.0),
+        % ("journaled (WJ2, fsync)", journaled_s, journal_cost * 100.0),
         "  %-34s %.4fs  (%.1f%% of cold, budget < %.0f%%)"
         % ("resume of complete journal", resume_s, resume_cost * 100.0,
            MAX_RESUME_COST * 100.0),
@@ -170,7 +170,7 @@ def test_resilience(benchmark, reporter, json_reporter, tmp_path):
             % (resume_cost * 100.0, MAX_RESUME_COST * 100.0))
 
     # pytest-benchmark number: one resume-from-journal pass.
-    path = os.path.join(tmpdir, "bench.wj1")
+    path = os.path.join(tmpdir, "bench.wj2")
     _runner(journal=path).run(traces, labels=labels)
 
     def resume_run():

@@ -465,7 +465,7 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
             if scenario == "kill-worker" and mode_name != "pooled":
                 continue
             journal = os.path.join(
-                workdir, "%s-%s.wj1" % (scenario, mode_name))
+                workdir, "%s-%s.wj2" % (scenario, mode_name))
             if progress is not None:
                 progress("soak %s/%s ..." % (scenario, mode_name))
             if scenario == "drain":

@@ -9,9 +9,9 @@ The workflows a downstream user runs from a shell::
     python -m repro batch   a.warr b.warr c.warr d.warr --app sites
                             [--workers 4 | --shards 4] [--trace-timeout 30]
                             [--trace-dir traces/]
-                            [--journal run.wj1 [--resume]]
+                            [--journal run.wj2 [--resume]]
                             [--chaos farm --chaos-seed 7]
-    python -m repro journal run.wj1
+    python -m repro journal run.wj2
     python -m repro soak    [--mode pooled] [--scenario kill-worker]
                             [--out soak.json]
     python -m repro trace   session.warr --app sites --out trace.json
@@ -292,7 +292,7 @@ def cmd_batch(args, out):
 
 
 def cmd_journal(args, out):
-    """Inspect a WJ1 run journal and verify exactly-once accounting."""
+    """Inspect a WJ2 run journal and verify exactly-once accounting."""
     from repro.session import journal as run_journal
 
     snapshot = run_journal.read_journal(args.journal)
@@ -605,7 +605,7 @@ def build_parser():
                             "playback when --tape is given)")
     batch.add_argument("--journal", default=None, metavar="PATH",
                        help="append every trace's start and outcome to a "
-                            "crash-safe WJ1 run journal at PATH")
+                            "crash-safe WJ2 run journal at PATH")
     batch.add_argument("--resume", action="store_true",
                        help="with --journal: replay completed traces from "
                             "the journal and run only the remainder")
@@ -621,7 +621,7 @@ def build_parser():
         "journal",
         help="inspect a batch run journal and verify exactly-once "
              "accounting")
-    journal.add_argument("journal", help="WJ1 journal file (see "
+    journal.add_argument("journal", help="WJ2 journal file (see "
                                          "batch --journal)")
     journal.set_defaults(func=cmd_journal)
 

@@ -18,7 +18,7 @@ A tape also carries provenance:
   (app, timing mode, session seed, ...) documenting what produced the
   recording.
 
-On disk a tape is a compact ``WT1`` binary (same toolbox as the WR1
+On disk a tape is a compact ``WT1`` binary (same toolbox as the WR3
 result wire format: LEB128 varints + a 1-based interned string table,
 with blob bodies in a raw byte section so large payloads never bloat
 the intern table), plus a JSON export for human inspection via

@@ -28,6 +28,7 @@ import time
 
 from repro import telemetry
 from repro.session import journal as run_journal
+from repro.session import wire
 from repro.session.supervisor import throttle_seconds
 from repro.session.engine import SessionEngine
 from repro.session.observers import PerfCountersObserver
@@ -161,9 +162,12 @@ class _RunHooks:
     def index(self, position):
         return position if self.positions is None else self.positions[position]
 
-    def on_start(self, position, label, attempt=1):
+    def on_start(self, positions, labels):
+        """Traces were admitted: one journal commit for all of them."""
         if self.journal is not None:
-            self.journal.start(self.index(position), label, attempt=attempt)
+            self.journal.start([(self.index(position), label)
+                                for position, label in zip(positions,
+                                                           labels)])
 
     def on_report(self, position, label, report):
         """A trace finished with a ReplayReport (serial/sharded path)."""
@@ -176,7 +180,7 @@ class _RunHooks:
                        if report.halted and report.halt_error is not None
                        else None)
         self.journal.finish(self.index(position), label, status,
-                            report=report.to_dict(), error=error,
+                            blob=wire.encode_report(report), error=error,
                             error_class=error_class)
 
     def on_outcome(self, outcome):
@@ -184,11 +188,8 @@ class _RunHooks:
         if self.journal is None or outcome.cancelled:
             return
         if outcome.report is not None:
-            complete = (not outcome.report.get("halted")
-                        and all(result.get("status") != "failed"
-                                for result in outcome.report.get(
-                                    "results", ())))
-            status = run_journal.REPLAYED if complete else run_journal.FAILED
+            status = run_journal.REPLAYED if outcome.report.complete \
+                else run_journal.FAILED
         elif outcome.quarantined is not None:
             status = run_journal.QUARANTINED
         else:
@@ -196,7 +197,7 @@ class _RunHooks:
         self.journal.finish(
             self.index(outcome.index), outcome.label, status,
             attempts=outcome.attempts, worker_id=outcome.worker_id,
-            report=outcome.report, error=outcome.error,
+            blob=outcome.blob, error=outcome.error,
             error_class=outcome.error_class,
             diagnosis=outcome.quarantined)
 
@@ -236,8 +237,8 @@ class BatchRunner:
     re-queued once before being reported failed.
 
     ``journal`` (a file path) makes the run durable: every trace's
-    start and final outcome is appended, fsync'd, to a WJ1 run journal
-    (:mod:`repro.session.journal`), reports included. With
+    start and final outcome is appended, fsync'd, to a WJ2 run journal
+    (:mod:`repro.session.journal`), reports included as WR3 blobs. With
     ``resume=True`` and an existing journal, completed traces are
     replayed *from the journal* (marked ``resumed`` on their TraceRun)
     and only the remainder executes — the recovery path after a crash,
@@ -284,7 +285,7 @@ class BatchRunner:
         self.pool = pool
         if pool is not None:
             self.workers = max(self.workers, pool.workers)
-        #: Run-journal path (WJ1); None disables journaling.
+        #: Run-journal path (WJ2); None disables journaling.
         self.journal = journal
         self.resume = bool(resume)
         if resume and journal is None:
@@ -325,27 +326,31 @@ class BatchRunner:
 
     def _run_journaled(self, traces, labels, trace_dir, drain):
         """The durable path: journal every outcome; resume skips done."""
-        # One trace object fanned out across many labels (the common
-        # stress-batch shape) hashes once, not once per label.
-        digest_memo = {}
+        # Each trace is serialized once per run: its digest and the
+        # pool's task text share the string. One trace object fanned
+        # out across many labels (the common stress-batch shape)
+        # serializes and hashes once, not once per label.
+        memo = {}
+        texts = []
         digests = []
         for trace in traces:
-            digest = digest_memo.get(id(trace))
-            if digest is None:
-                digest = run_journal.trace_digest(trace.to_text())
-                digest_memo[id(trace)] = digest
-            digests.append(digest)
+            known = memo.get(id(trace))
+            if known is None:
+                text = trace.to_text()
+                known = memo[id(trace)] = (text,
+                                           run_journal.trace_digest(text))
+            texts.append(known[0])
+            digests.append(known[1])
+        config = run_journal.batch_config(labels, digests, self.mode)
         finished = {}
         if self.resume and os.path.exists(self.journal):
             journal, snapshot = run_journal.RunJournal.resume(
-                self.journal, labels, digests)
+                self.journal, labels, digests, config=config)
             finished = {index: record for index, record
                         in snapshot.finish_by_index().items()
                         if index < len(traces)}
         else:
-            journal = run_journal.RunJournal.create(
-                self.journal,
-                run_journal.batch_config(labels, digests, self.mode))
+            journal = run_journal.RunJournal.create(self.journal, config)
         remaining = [index for index in range(len(traces))
                      if index not in finished]
         hooks = _RunHooks(journal=journal, positions=remaining, drain=drain)
@@ -353,7 +358,8 @@ class BatchRunner:
             if remaining:
                 fresh = self._execute([traces[i] for i in remaining],
                                       [labels[i] for i in remaining],
-                                      trace_dir, hooks)
+                                      trace_dir, hooks,
+                                      [texts[i] for i in remaining])
             else:
                 fresh = BatchReport()
         finally:
@@ -368,7 +374,8 @@ class BatchRunner:
         batch.drained = fresh.drained or hooks.drain_seen
         for index, (label, trace) in enumerate(zip(labels, traces)):
             if index in finished:
-                run = self._run_from_record(label, trace, finished[index])
+                run = self._run_from_record(index, label, trace,
+                                            finished[index])
                 batch.add(run)
                 if finished[index].diagnosis is not None:
                     batch.quarantined.append(finished[index].diagnosis)
@@ -379,10 +386,19 @@ class BatchRunner:
         return batch
 
     @staticmethod
-    def _run_from_record(label, trace, record):
-        """Reconstruct a TraceRun from a journal finish record."""
-        if record.report is not None:
-            report = ReplayReport.from_dict(record.report, trace=trace)
+    def _run_from_record(index, label, trace, record):
+        """Reconstruct a TraceRun from a journal finish record.
+
+        The record's blob is decoded here, against the trace whose
+        digest resume has just verified.
+        """
+        if record.blob is not None:
+            try:
+                report = wire.decode_report(record.blob, trace)
+            except wire.WireError as exc:
+                raise run_journal.JournalError(
+                    "finish record of trace %d (%r) holds a malformed "
+                    "report: %s" % (index, label, exc))
         else:
             report = ReplayReport(trace)
             report.halted = True
@@ -393,10 +409,14 @@ class BatchRunner:
                 type_name=record.error_class or "WorkerError")
         return TraceRun(label, trace, report, resumed=True)
 
-    def _execute(self, traces, labels, trace_dir, hooks):
-        """Dispatch to the serial/sharded/pooled backend."""
+    def _execute(self, traces, labels, trace_dir, hooks, texts=None):
+        """Dispatch to the serial/sharded/pooled backend.
+
+        ``texts`` (pooled only) are the traces' serialized texts when
+        the caller already made them.
+        """
         if self.workers > 1 or self.pool is not None:
-            return self._run_pooled(traces, labels, trace_dir, hooks)
+            return self._run_pooled(traces, labels, trace_dir, hooks, texts)
         execute = self._run_sharded if self.shards > 1 else self._run
         if trace_dir is None:
             return execute(traces, labels, tracer=None, trace_dir=None,
@@ -428,7 +448,7 @@ class BatchRunner:
                 # finished is journaled, the rest resumes later.
                 batch.drained = True
                 break
-            hooks.on_start(position, label)
+            hooks.on_start((position,), (label,))
             if throttle:
                 time.sleep(throttle)
             browser = self.browser_factory()
@@ -500,7 +520,7 @@ class BatchRunner:
 
     # -- pooled (multiprocess) execution -------------------------------------
 
-    def _run_pooled(self, traces, labels, trace_dir, hooks=None):
+    def _run_pooled(self, traces, labels, trace_dir, hooks=None, texts=None):
         from repro.session.pool import WorkerPool, WorkerSpec
         from repro.telemetry.merge import TraceMerger
 
@@ -531,23 +551,21 @@ class BatchRunner:
         tracing_on = trace_dir is not None
         if tracing_on:
             os.makedirs(trace_dir, exist_ok=True)
-        tasks = [(label, trace.to_text())
-                 for label, trace in zip(labels, traces)]
-        # Journal every admission up front: the pool schedules chunks
-        # dynamically, so "started" means "handed to the farm".
-        for position, label in enumerate(labels):
-            hooks.on_start(position, label)
+        # Journal every admission up front, in one commit, before any
+        # dispatch: the pool schedules chunks dynamically, so "started"
+        # means "handed to the farm".
+        hooks.on_start(range(len(labels)), labels)
         try:
             # A borrowed pool keeps its workers warm for the caller's
             # next batch; its chunks run under *this* runner's policies.
             outcomes, dropped = pool.run(
-                tasks,
+                list(zip(labels, traces)),
                 tracing=(self.trace_categories or True) if tracing_on
                 else False,
                 engine_config=engine_config, tape=self.tape,
                 on_outcome=hooks.on_outcome,
                 drain=hooks.drain_requested if hooks.drain is not None
-                else None)
+                else None, texts=texts)
         finally:
             if owned:
                 pool.close()
@@ -564,9 +582,8 @@ class BatchRunner:
                 # no journal finish — it re-runs on resume.
                 drained = True
                 continue
-            if outcome.report is not None:
-                report = ReplayReport.from_dict(outcome.report, trace=trace)
-            else:
+            report = outcome.report
+            if report is None:
                 # Containment outcome: the worker died or the trace was
                 # killed on timeout — report it failed, keep the batch.
                 # halt_error's type_name discriminates deadline kills

@@ -1,4 +1,4 @@
-"""WJ1: the append-only, fsync'd batch run journal.
+"""WJ2: the append-only, fsync'd batch run journal.
 
 A batch run is only as durable as its book-keeping. Before this module,
 the farm's unit of durability was the whole process: a parent crash, an
@@ -6,12 +6,11 @@ orchestrator's SIGTERM, or one poisonous trace threw away every result
 the run had already paid for. The run journal makes the *trace* the
 unit of durability instead: every batch writes an append-only journal
 of per-trace ``start``/``finish`` records (each finish carrying the
-full wire-encoded :class:`~repro.session.report.ReplayReport`), fsync'd
-record by record, so a resumed run (``python -m repro batch --journal
-PATH --resume``) replays completed entries *from the journal* and
-re-runs only the remainder.
+trace's WR3 report blob), fsync'd record by record, so a resumed run
+(``python -m repro batch --journal PATH --resume``) replays completed
+entries *from the journal* and re-runs only the remainder.
 
-Format (version tag ``WJ1`` — same idiom as WR2/WT1):
+Format (version tag ``WJ2`` — same idiom as WR3/WT1):
 
 - **framing** — every record is ``varint(length) + body + crc32``; the
   length covers body+crc, so the reader can skip records it cannot
@@ -24,9 +23,17 @@ Format (version tag ``WJ1`` — same idiom as WR2/WT1):
   (0 = None). Intern records always precede the record that first
   references them, so truncation can strand an intern record (harmless)
   but never a dangling reference.
-- **reports ride as WR2 blobs** — a finish record embeds the worker's
-  wire-encoded report verbatim; resume decodes it with
-  :func:`repro.session.wire.decode_report` instead of re-replaying.
+- **reports ride as WR3 blobs, verbatim** — a finish record embeds the
+  worker's blob byte for byte, and :func:`read_journal` hands it back
+  undecoded (:attr:`FinishRecord.blob`). Only resume decodes it, with
+  :func:`repro.session.wire.decode_report` against the trace whose
+  digest it has just verified; the exactly-once audit and ``repro
+  journal`` never decode a report.
+- **one admission commit** — the ``CONFIG`` record is not written on its
+  own: it goes out with the first batch of ``START`` records (a pooled
+  run's whole admission wave) in one write and one fsync. A crash
+  before that commit leaves a file with no ``CONFIG`` (at most a prefix
+  of one), which resume treats as a run that never started.
 
 The first record is always ``CONFIG``: a JSON description of the batch
 (mode, per-trace labels and SHA-256 trace digests). Resume verifies the
@@ -47,11 +54,10 @@ import json
 import os
 import zlib
 
-from repro.session import wire
-from repro.session.wire import _read_varint, _write_varint
+from repro.session.wire import WireError, _read_varint, _write_varint
 
 #: Format tag; bump when the layout changes incompatibly.
-MAGIC = b"WJ1"
+MAGIC = b"WJ2"
 
 #: Journal record types.
 _CONFIG = 1
@@ -141,18 +147,19 @@ class FinishRecord:
     """One trace's final outcome, report included when one exists."""
 
     __slots__ = ("index", "label", "status", "attempts", "worker_id",
-                 "report", "error", "error_class", "diagnosis")
+                 "blob", "error", "error_class", "diagnosis")
 
     def __init__(self, index, label, status, attempts=1, worker_id=None,
-                 report=None, error=None, error_class=None, diagnosis=None):
+                 blob=None, error=None, error_class=None, diagnosis=None):
         self.index = index
         self.label = label
         self.status = status
         self.attempts = attempts
         self.worker_id = worker_id
-        #: Decoded :meth:`ReplayReport.to_dict` payload, or None when
-        #: the trace never produced a report (containment failure).
-        self.report = report
+        #: The report's WR3 blob, undecoded (decode it against the
+        #: trace with :func:`repro.session.wire.decode_report`), or None
+        #: when the trace never produced a report (containment failure).
+        self.blob = blob
         self.error = error
         self.error_class = error_class
         #: Quarantine diagnosis bundle (dict), or None.
@@ -240,6 +247,8 @@ class _BodyReader:
         return value
 
     def byte(self):
+        if self.pos >= len(self.body):
+            raise JournalError("record body truncated")
         value = self.body[self.pos]
         self.pos += 1
         return value
@@ -279,19 +288,31 @@ def read_journal(path):
     notes the dropped byte count. Corruption *before* the tail (a CRC
     mismatch followed by further intact records) is indistinguishable
     from a tail tear at read time, so the read conservatively stops at
-    the first bad frame either way.
+    the first bad frame either way. A file that is empty or a prefix of
+    the magic is a journal whose admission commit never landed: it
+    reads as an empty snapshot. A frame whose CRC holds but whose body
+    is malformed raises :class:`JournalError` naming its offset.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:len(MAGIC)] != MAGIC:
-        raise JournalError("bad magic; %r is not a WJ1 journal" % path)
     snapshot = JournalSnapshot()
+    if len(blob) < len(MAGIC) and MAGIC.startswith(blob):
+        snapshot.truncated_bytes = len(blob)
+        return snapshot
+    magic = blob[:len(MAGIC)]
+    if magic != MAGIC:
+        if magic[:2] == MAGIC[:2]:
+            raise JournalError(
+                "%r is a %s journal; this build reads only %s"
+                % (path, magic.decode("ascii", "replace"), MAGIC.decode()))
+        raise JournalError("bad magic; %r is not a %s journal"
+                           % (path, MAGIC.decode()))
     pos = len(MAGIC)
     while pos < len(blob):
         frame_start = pos
         try:
             length, pos = _read_varint(blob, pos)
-        except wire.WireError:
+        except WireError:
             break  # torn varint at the tail
         if length < 5 or pos + length > len(blob):
             break  # torn frame
@@ -300,7 +321,13 @@ def read_journal(path):
         if _CRC(body) != crc:
             break  # torn mid-record write
         pos += length
-        _decode_body(body, snapshot)
+        try:
+            _decode_body(body, snapshot)
+        except (ValueError, RecursionError) as exc:
+            # JournalError, WireError, UnicodeDecodeError and
+            # JSONDecodeError are all ValueErrors; deep JSON recurses.
+            raise JournalError("malformed record at offset %d: %s"
+                               % (frame_start, exc))
         snapshot.valid_length = pos
     if snapshot.valid_length == 0:
         snapshot.valid_length = len(MAGIC)
@@ -308,11 +335,26 @@ def read_journal(path):
     return snapshot
 
 
+def _check_config(config):
+    """A CONFIG payload must be an object whose entries are labelled."""
+    entries = config.get("entries", []) if isinstance(config, dict) \
+        else None
+    if not isinstance(entries, list) or not all(
+            isinstance(entry, dict)
+            and isinstance(entry.get("label"), str)
+            and isinstance(entry.get("digest"), str)
+            for entry in entries):
+        raise JournalError("config record is not a batch description")
+    return config
+
+
 def _decode_body(body, snapshot):
     reader = _BodyReader(body, snapshot.strings)
     kind = reader.byte()
     if kind == _CONFIG:
-        snapshot.config = json.loads(reader.text())
+        if snapshot.config is not None:
+            raise JournalError("second config record")
+        snapshot.config = _check_config(json.loads(reader.text()))
     elif kind == _INTERN:
         snapshot.strings.append(reader.text())
     elif kind == _START:
@@ -327,29 +369,32 @@ def _decode_body(body, snapshot):
         attempts = reader.varint()
         worker_field = reader.varint()
         flags = reader.byte()
-        report = None
-        if flags & 1:
-            report = wire.decode_report(reader.take(reader.varint()))
+        if flags > 7:
+            raise JournalError("unknown finish flags %#x" % flags)
+        blob = reader.take(reader.varint()) if flags & 1 else None
         error_class = reader.ref() if flags & 2 else None
         error = reader.ref() if flags & 2 else None
         diagnosis = reader.maybe_json() if flags & 4 else None
         snapshot.finishes.append(FinishRecord(
             index, label, _STATUSES[status_code], attempts=attempts,
             worker_id=None if worker_field == 0 else worker_field - 1,
-            report=report, error=error, error_class=error_class,
+            blob=blob, error=error, error_class=error_class,
             diagnosis=diagnosis))
     elif kind == _EVENT:
         snapshot.events.append(JournalEvent(reader.ref(),
                                             reader.maybe_json()))
     else:
         raise JournalError("unknown journal record type %d" % kind)
+    if reader.pos != len(body):
+        raise JournalError("%d trailing byte(s) in record body"
+                           % (len(body) - reader.pos))
 
 
 # -- writing ------------------------------------------------------------------
 
 
 class RunJournal:
-    """Appends WJ1 records to a journal file, fsync per record.
+    """Appends WJ2 records to a journal file, fsync per commit.
 
     Use :meth:`create` for a fresh run and :meth:`resume` to continue
     one: resume reads the existing file, verifies its config against
@@ -357,39 +402,53 @@ class RunJournal:
     there — the intern table carries over so references stay valid.
     """
 
-    def __init__(self, path, handle, strings, fsync=True):
+    def __init__(self, path, handle, strings, fsync=True, pending=b""):
         self.path = path
         self._handle = handle
         self._ids = {text: ref + 1 for ref, text in enumerate(strings)}
         self._fsync = fsync
         self._closed = False
+        #: Bytes waiting for the next commit: a fresh journal's magic
+        #: and CONFIG record, which go out with the first START wave.
+        self._pending = pending
 
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
     def create(cls, path, config, fsync=True):
-        """Start a fresh journal (truncating any existing file)."""
+        """Start a fresh journal (truncating any existing file).
+
+        Nothing but the truncation reaches the disk yet: the magic and
+        the ``CONFIG`` record are committed together with the first
+        :meth:`start` (or whatever record comes first, or :meth:`close`).
+        """
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         handle = open(path, "wb")
-        handle.write(MAGIC)
-        journal = cls(path, handle, [], fsync=fsync)
         body = bytearray([_CONFIG])
-        journal._text(body, json.dumps(config, sort_keys=True))
-        journal._commit(journal._frame(body))
-        return journal
+        cls._text(body, json.dumps(config, sort_keys=True))
+        return cls(path, handle, [], fsync=fsync,
+                   pending=MAGIC + cls._frame(body))
 
     @classmethod
-    def resume(cls, path, labels=None, digests=None, fsync=True):
+    def resume(cls, path, labels=None, digests=None, fsync=True,
+               config=None):
         """Reopen ``path`` for appending; returns ``(journal, snapshot)``.
 
         The torn tail (if any) is physically truncated so the next
         append starts on a record boundary. With ``labels``/``digests``
         given, the journal's config is verified against them first.
+        A journal whose admission commit never landed (no ``CONFIG``
+        record) ran nothing: given the ``config`` a fresh run would
+        write, it starts over with it; without one it is rejected.
         """
         snapshot = read_journal(path)
+        if snapshot.config is None and config is not None:
+            return cls.create(path, config, fsync=fsync), snapshot
         if labels is not None:
             verify_config(snapshot.config, labels, digests)
+        elif snapshot.config is None:
+            raise JournalError("journal has no batch config record")
         handle = open(path, "r+b")
         handle.truncate(snapshot.valid_length)
         handle.seek(snapshot.valid_length)
@@ -398,6 +457,8 @@ class RunJournal:
     def close(self):
         if self._closed:
             return
+        if self._pending:
+            self._commit(b"")
         self._closed = True
         self._handle.close()
 
@@ -410,22 +471,28 @@ class RunJournal:
 
     # -- records ------------------------------------------------------------
 
-    def start(self, index, label, attempt=1):
-        """A trace was admitted for execution."""
+    def start(self, entries, attempt=1):
+        """Traces were admitted for execution: one write, one fsync.
+
+        ``entries`` is a sequence of ``(index, label)`` pairs — a pooled
+        run's whole admission wave, or the one trace a serial run is
+        about to execute.
+        """
         out = bytearray()
-        body = bytearray([_START])
-        _write_varint(body, index)
-        _write_varint(body, self._ref(label, out))
-        _write_varint(body, attempt)
-        out += self._frame(body)
+        for index, label in entries:
+            body = bytearray([_START])
+            _write_varint(body, index)
+            _write_varint(body, self._ref(label, out))
+            _write_varint(body, attempt)
+            out += self._frame(body)
         self._commit(out)
 
     def finish(self, index, label, status, attempts=1, worker_id=None,
-               report=None, error=None, error_class=None, diagnosis=None):
+               blob=None, error=None, error_class=None, diagnosis=None):
         """A trace reached its final outcome; fsync'd before returning.
 
-        ``report`` is a :meth:`ReplayReport.to_dict` payload (embedded
-        as a WR2 blob); ``diagnosis`` is the quarantine bundle.
+        ``blob`` is the report's WR3 blob, embedded verbatim;
+        ``diagnosis`` is the quarantine bundle.
         """
         if status not in _STATUS_CODE:
             raise JournalError("unknown finish status %r" % status)
@@ -436,12 +503,11 @@ class RunJournal:
         body.append(_STATUS_CODE[status])
         _write_varint(body, attempts)
         _write_varint(body, 0 if worker_id is None else worker_id + 1)
-        flags = ((1 if report is not None else 0)
+        flags = ((1 if blob is not None else 0)
                  | (2 if error is not None or error_class is not None else 0)
                  | (4 if diagnosis is not None else 0))
         body.append(flags)
         if flags & 1:
-            blob = wire.encode_report(report)
             _write_varint(body, len(blob))
             body += blob
         if flags & 2:
@@ -491,7 +557,8 @@ class RunJournal:
         _write_varint(body, len(encoded))
         body += encoded
 
-    def _frame(self, body):
+    @staticmethod
+    def _frame(body):
         frame = bytearray()
         _write_varint(frame, len(body) + 4)
         frame += body
@@ -501,6 +568,9 @@ class RunJournal:
     def _commit(self, data):
         if self._closed:
             raise JournalError("journal %r is closed" % self.path)
+        if self._pending:
+            data = self._pending + data
+            self._pending = b""
         self._handle.write(data)
         self._handle.flush()
         if self._fsync:

@@ -18,10 +18,14 @@ deletes the overhead:
   large chunks, then a tail of size-1 chunks for load balance), so a
   worker pays one queue round-trip per chunk, not per trace, while the
   single-trace tail keeps the finish line even.
-- **compact result shipping** — workers encode each report with
-  :mod:`repro.session.wire` (string-interned, varint-packed binary)
-  and the queue carries one flat ``bytes`` blob; the parent decodes
-  once. Telemetry slices (tracing runs only) ride alongside as raw
+- **one encoding per result** — workers encode each report straight
+  into a WR3 blob (:mod:`repro.session.wire`: string-interned,
+  varint-packed, no trace text, one byte per command the trace already
+  holds); the queue carries that blob, the run journal stores it
+  verbatim, and the parent decodes it once, against its own trace
+  object, as it arrives. Workers keep a bounded memo of parsed traces,
+  so a campaign replaying the same traces parses each once per worker.
+  Telemetry slices (tracing runs only) ride alongside as raw
   packed ring-buffer records plus the worker's string-intern tables
   (:meth:`~repro.telemetry.packed.PackedRingBuffer.wire_slice`).
 - **blocking result drain** — the parent sleeps in
@@ -77,6 +81,7 @@ from multiprocessing.connection import wait as _connection_wait
 
 from repro import chaos, perf
 from repro.session import wire
+from repro.session.events import SessionObserver
 from repro.session.supervisor import (
     SupervisorPolicy,
     WorkerSupervisor,
@@ -198,15 +203,19 @@ class WorkerSpec:
 class PoolOutcome:
     """One trace's result as it came back over the result queue."""
 
-    __slots__ = ("index", "label", "report", "events", "metadata",
+    __slots__ = ("index", "label", "report", "blob", "events", "metadata",
                  "error", "error_class", "worker_id", "attempts",
                  "quarantined", "cancelled")
 
     def __init__(self, index, label):
         self.index = index
         self.label = label
-        #: Portable :class:`ReplayReport` dict, or None on worker failure.
+        #: The decoded :class:`ReplayReport` (built on the submitted
+        #: trace object), or None on worker failure.
         self.report = None
+        #: The report's WR3 blob while ``on_outcome`` journals it;
+        #: dropped as soon as that hook returns.
+        self.blob = None
         #: Telemetry event dicts for this session (tracing runs only).
         self.events = None
         #: The worker registry's track-naming metadata event dicts.
@@ -269,13 +278,41 @@ def plan_chunks(count, workers, chunk_size=None):
 # -- worker side --------------------------------------------------------------
 
 
-def _replay_task(factory, engine_config, trace_text, tracer, tape=None,
+class _TraceMemo:
+    """Parsed traces keyed by their exact text, for one worker.
+
+    Campaigns replay the same traces batch after batch on a warm pool;
+    the memo parses each text once per worker. It holds at most
+    :attr:`LIMIT` traces and is cleared outright when full. Sharing a
+    parsed trace between replays is safe because replay never mutates
+    a trace.
+    """
+
+    LIMIT = 256
+
+    def __init__(self):
+        self._traces = {}
+
+    def __len__(self):
+        return len(self._traces)
+
+    def parse(self, text):
+        trace = self._traces.get(text)
+        if trace is None:
+            from repro.core.trace import WarrTrace
+
+            if len(self._traces) >= self.LIMIT:
+                self._traces.clear()
+            trace = self._traces[text] = WarrTrace.from_text(text)
+        return trace
+
+
+def _replay_task(factory, engine_config, trace, tracer, tape=None,
                  label=None, observers=None):
-    """Replay one trace on a fresh browser; returns a portable payload."""
-    from repro.core.trace import WarrTrace
+    """Replay one trace on a fresh browser; returns ``(report, events,
+    metadata)``, the last two None unless ``tracer`` is set."""
     from repro.session.engine import SessionEngine
 
-    trace = WarrTrace.from_text(trace_text)
     browser = factory()
     # Tape modes cross the process boundary as a picklable TapeConfig;
     # each worker attaches it to its own browser's network (playback is
@@ -296,23 +333,23 @@ def _replay_task(factory, engine_config, trace_text, tracer, tape=None,
             tracer.clock = None
         if tape_session is not None:
             tape_session.finish()
-    payload = {"report": report.to_dict()}
-    if tracer is not None:
-        # Packed records + intern tables, not per-event dicts: the
-        # parent-side TraceMerger decodes and remaps the slice.
-        payload["events"] = tracer.wire_slice(mark)
-        payload["metadata"] = [event.to_dict()
-                               for event in tracer.registry.metadata_events]
-    return payload
+    if tracer is None:
+        return report, None, None
+    # Packed records + intern tables, not per-event dicts: the
+    # parent-side TraceMerger decodes and remaps the slice.
+    return (report, tracer.wire_slice(mark),
+            [event.to_dict() for event in tracer.registry.metadata_events])
 
 
-class _ProgressObserver:
+class _ProgressObserver(SessionObserver):
     """Mirrors per-trace command completion into shared memory.
 
     The dying worker can't tell the parent how far it got; this
     observer can — it bumps the worker's shared progress slot after
     every finished command, so the quarantine diagnosis bundle carries
     an honest "N commands completed" checkpoint even for a SIGKILL.
+    It overrides only ``on_command_finished``, so the event stream
+    never calls it for any other kind.
     """
 
     __slots__ = ("progress", "slot")
@@ -321,9 +358,8 @@ class _ProgressObserver:
         self.progress = progress
         self.slot = slot
 
-    def on_event(self, event):
-        if event.kind == "command-finished":
-            self.progress[self.slot] += 1
+    def on_command_finished(self, event):
+        self.progress[self.slot] += 1
 
 
 def _farm_kill_stream(worker_id):
@@ -355,9 +391,10 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
     """Worker loop: serve chunks until the shutdown sentinel.
 
     The worker persists across batches: the browser factory is built
-    once (first task) and reused, and a tracer is installed/uninstalled
-    as batches toggle tracing. Every result ships as one wire-encoded
-    blob plus the tracer's drop-count delta. ``stderr_path`` captures
+    once (first task) and reused, parsed traces are memoized by text,
+    and a tracer is installed/uninstalled as batches toggle tracing.
+    Every result ships as one WR3 blob plus the tracer's drop-count
+    delta. ``stderr_path`` captures
     fd 2 (tracebacks, native aborts) for post-mortem diagnosis;
     ``heartbeat`` starts the liveness beat thread.
     """
@@ -385,6 +422,8 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
     tracer = None
     tracer_cats = None
     factory = None
+    traces = _TraceMemo()
+    observers = [_ProgressObserver(progress, slot)]
     dropped_sent = 0
     while True:
         task = task_queue.get()
@@ -433,18 +472,16 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
             try:
                 if factory is None:
                     factory = spec.make_factory()
-                payload = _replay_task(
-                    factory, engine_config, trace_text, tracer, tape=tape,
-                    label=label,
-                    observers=[_ProgressObserver(progress, slot)])
-                blob = wire.encode_report(payload["report"])
+                report, events, metadata = _replay_task(
+                    factory, engine_config, traces.parse(trace_text),
+                    tracer, tape=tape, label=label, observers=observers)
+                blob = wire.encode_report(report)
                 dropped = 0
                 if tracer is not None:
                     dropped = tracer.buffer.dropped - dropped_sent
                     dropped_sent = tracer.buffer.dropped
                 message = ("result", batch_id, worker_id, index, blob,
-                           payload.get("events"), payload.get("metadata"),
-                           dropped)
+                           events, metadata, dropped)
             except BaseException as exc:
                 message = ("error", batch_id, worker_id, index,
                            traceback.format_exc(), type(exc).__name__)
@@ -486,12 +523,15 @@ class _WorkerHandle:
 class _BatchState:
     """Book-keeping for one ``run()`` call."""
 
-    __slots__ = ("batch_id", "tasks", "outcomes", "done", "requeued",
-                 "dropped", "chunks", "cancelled", "failed_on")
+    __slots__ = ("batch_id", "tasks", "texts", "outcomes", "done",
+                 "requeued", "dropped", "chunks", "cancelled", "failed_on")
 
-    def __init__(self, batch_id, tasks):
+    def __init__(self, batch_id, tasks, texts=None):
         self.batch_id = batch_id
+        #: ``(label, trace)`` pairs and each trace's text, in order.
         self.tasks = tasks
+        self.texts = (texts if texts is not None
+                      else [trace.to_text() for _, trace in tasks])
         self.outcomes = [PoolOutcome(index, label)
                          for index, (label, _) in enumerate(tasks)]
         self.done = [False] * len(tasks)
@@ -598,7 +638,9 @@ class WorkerPool:
         self._result_queue = ctx.Queue()
         self._current = ctx.Array("i", [-1] * self.workers)
         self._chunk_current = ctx.Array("i", [-1] * self.workers)
-        self._progress = ctx.Array("i", [0] * self.workers)
+        # Lock-free: only the worker writes its slot while it lives;
+        # the parent resets it before spawn and reads it after death.
+        self._progress = ctx.Array("i", [0] * self.workers, lock=False)
         self._stderr_dir = tempfile.mkdtemp(prefix="repro-pool-")
         for slot in range(self.workers):
             self._spawn(slot)
@@ -707,9 +749,15 @@ class WorkerPool:
     # -- batch execution -----------------------------------------------------
 
     def run(self, tasks, tracing=False, engine_config=None, tape=None,
-            on_outcome=None, drain=None):
-        """Replay every ``(label, trace_text)`` task; returns
+            on_outcome=None, drain=None, texts=None):
+        """Replay every ``(label, trace)`` task; returns
         ``(outcomes, dropped_events)`` with outcomes in input order.
+
+        Each outcome's report is decoded against the task's own trace
+        object as its result arrives. ``texts`` supplies each trace's
+        serialized text when the caller already holds it (the journaled
+        batch runner digests the same strings); otherwise the pool
+        serializes each trace once.
 
         May be called repeatedly on a live pool — workers, their
         imported modules, and their browser factories stay warm between
@@ -723,10 +771,9 @@ class WorkerPool:
         a zero-argument flag: the first True recalls every queued chunk
         (cancelled outcomes), finishes what is in flight, and returns.
         """
-        tasks = list(tasks)
-        batch = _BatchState(self._next_batch_id, tasks)
+        batch = _BatchState(self._next_batch_id, list(tasks), texts)
         self._next_batch_id += 1
-        if not tasks:
+        if not batch.tasks:
             return batch.outcomes, 0
         if engine_config is not None:
             pickle.dumps(engine_config)  # fail fast, like the default set
@@ -737,7 +784,7 @@ class WorkerPool:
         self.stats["batches"] += 1
         if not tracing:
             tracing = False
-        for indexes in plan_chunks(len(tasks), self.workers,
+        for indexes in plan_chunks(len(batch.tasks), self.workers,
                                    self.chunk_size):
             self._dispatch(batch, indexes, tracing, engine_config, tape)
         draining = False
@@ -761,7 +808,7 @@ class WorkerPool:
         chunk_id = self._next_chunk_id
         self._next_chunk_id += 1
         batch.chunks[chunk_id] = list(indexes)
-        items = [(index, batch.tasks[index][0], batch.tasks[index][1])
+        items = [(index, batch.tasks[index][0], batch.texts[index])
                  for index in indexes]
         self._task_queue.put((batch.batch_id, chunk_id, tracing,
                               engine_config, tape, items))
@@ -859,7 +906,9 @@ class WorkerPool:
             outcome = batch.outcomes[index]
             outcome.worker_id = worker_id
             if kind == "result":
-                outcome.report = wire.decode_report(message[4])
+                outcome.blob = message[4]
+                outcome.report = wire.decode_report(
+                    outcome.blob, batch.tasks[index][1])
                 outcome.events = message[5]
                 outcome.metadata = message[6]
                 batch.dropped += message[7]
@@ -874,6 +923,7 @@ class WorkerPool:
             self._supervisor.record_completion()
             if on_outcome is not None:
                 on_outcome(outcome)
+            outcome.blob = None
 
     def _reap(self, batch, tracing, engine_config, tape=None,
               on_outcome=None):
@@ -1034,7 +1084,7 @@ class WorkerPool:
         config = engine_config if engine_config is not None \
             else self.engine_config
         factory = None
-        for index, (label, trace_text) in enumerate(batch.tasks):
+        for index, (label, trace) in enumerate(batch.tasks):
             if batch.done[index] or index in batch.cancelled:
                 continue
             outcome = batch.outcomes[index]
@@ -1045,9 +1095,11 @@ class WorkerPool:
             try:
                 if factory is None:
                     factory = self.spec.make_factory()
-                payload = _replay_task(factory, config, trace_text,
-                                       None, tape=tape, label=label)
-                outcome.report = payload["report"]
+                report, _, _ = _replay_task(factory, config, trace, None,
+                                            tape=tape, label=label)
+                # The same blob and report form as a worker's result.
+                outcome.blob = wire.encode_report(report)
+                outcome.report = wire.decode_report(outcome.blob, trace)
             except BaseException as exc:
                 outcome.error = traceback.format_exc()
                 outcome.error_class = type(exc).__name__
@@ -1055,6 +1107,7 @@ class WorkerPool:
             batch.done[index] = True
             if on_outcome is not None:
                 on_outcome(outcome)
+            outcome.blob = None
 
 
 def _default_context():

@@ -5,13 +5,13 @@ assembles from the event stream. They live here (not in the replayer)
 so every engine consumer — WaRR replay, WebErr campaigns, AUsER
 reproductions, batch runs — shares one report vocabulary.
 
-Reports also round-trip through plain dicts (:meth:`ReplayReport.to_dict`
-/ :meth:`ReplayReport.from_dict`): pool workers ship results to the
-parent over a queue, so everything in a report must survive a process
-boundary. Commands re-serialize through their wire format; live
-exception objects (which may drag browser internals along) are carried
-as :class:`RemoteError` stand-ins preserving the original type name and
-message.
+Reports cross process boundaries as WR3 blobs
+(:mod:`repro.session.wire`), so everything in a report must survive
+one: live exception objects (which may drag browser internals along)
+are carried as :class:`RemoteError` stand-ins preserving the original
+type name, message and severity. Reports also round-trip through plain
+dicts (:meth:`ReplayReport.to_dict` / :meth:`ReplayReport.from_dict`):
+the JSON form ``--out`` writes, and the wire codec's test oracle.
 """
 
 
@@ -97,8 +97,7 @@ class CommandResult:
         """Rebuild from :meth:`to_dict` output.
 
         ``command`` short-circuits re-parsing the serialized command
-        line when the caller already holds the command object (the
-        batch runner resuming reports from a journal owns the trace) —
+        line when the caller already holds the command object —
         callers must only pass it when it serializes to the same line.
         """
         if command is None:
@@ -201,9 +200,8 @@ class ReplayReport:
     def from_dict(cls, data, trace=None):
         """Rebuild a report from :meth:`to_dict` output.
 
-        Pass ``trace`` to attach an already-loaded trace object (the
-        batch runner keeps the parent's instance) instead of re-parsing
-        the serialized copy.
+        Pass ``trace`` to attach an already-loaded trace object instead
+        of re-parsing the serialized copy.
         """
         from repro.core.trace import WarrTrace
 

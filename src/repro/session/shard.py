@@ -119,7 +119,7 @@ class ShardedRunner:
                         break
                     order, label, trace = pending.popleft()
                     if hooks is not None:
-                        hooks.on_start(order, label)
+                        hooks.on_start((order,), (label,))
                     if throttle:
                         time.sleep(throttle)
                     active.append(self._admit(order, label, trace,

@@ -1,39 +1,42 @@
 """Compact binary shipping of replay results across process boundaries.
 
-Pool workers used to put each :meth:`ReplayReport.to_dict` on the
-result queue as-is, paying a full recursive pickle of hundreds of tiny
-dicts and strings per trace — measurable against traces that replay in
-single-digit milliseconds. This module packs the same payload into one
-flat ``bytes`` blob instead: the worker encodes once, the queue ships a
-single buffer (pickling ``bytes`` is a length-prefixed memcpy), and the
-parent decodes once.
+A pooled trace's result has exactly one encoding on its way through the
+farm: the worker packs its :class:`~repro.session.report.ReplayReport`
+into one flat ``bytes`` blob, the result queue carries that blob (pickling
+``bytes`` is a length-prefixed memcpy), the run journal stores it as-is,
+and the parent decodes it once against the trace object it already
+holds. The blob therefore never repeats what the parent knows: it holds
+no trace text, and a result whose command is the trace's own command at
+the same position is a single ``0`` byte.
 
-Format (version tag ``WR2`` — ``WR1`` plus the report's network-fidelity
-triple):
+Format (version tag ``WR3``):
 
 - **varints** — unsigned LEB128 for every integer (lengths, counts,
   refs, hit/miss totals), so small numbers cost one byte;
-- **string interning** — every string in the payload (command lines,
-  statuses, details, error types/messages, cache names) is stored once
-  in a table and referenced by index; a batch of identical ``type``
-  commands pays for the command text once. Reference ``0`` is the
-  ``None`` sentinel, so optional strings need no presence flags;
+- **string interning** — every string in the payload (statuses,
+  details, error types/messages, cache names, off-trace command lines)
+  is stored once in a table and referenced by 1-based index, with ``0``
+  as the ``None`` sentinel;
+- **positional commands** — a result's command field is ``0`` when the
+  command is the trace's command at the result's position, otherwise a
+  string reference to the command's line;
 - **counters as arrays** — perf counters ship as parallel
-  name-ref/hits/misses/rate arrays rather than nested dicts; hit rates
-  are carried as raw IEEE doubles so decoded floats are bit-identical
-  to the encoder's.
+  name-ref/hits/misses/rate records; hit rates are carried as raw IEEE
+  doubles so decoded floats are bit-identical to the encoder's.
 
-:func:`decode_report` is the exact inverse of :func:`encode_report`:
-``decode_report(encode_report(d)) == d`` for every dict
-:meth:`ReplayReport.to_dict` can produce — the round-trip property the
-wire tests pin down, and the reason the parent-side
-:meth:`ReplayReport.from_dict` path needed no changes.
+:func:`decode_report` is the inverse of :func:`encode_report` given the
+same trace: ``decode_report(encode_report(r), r.trace).to_dict() ==
+r.to_dict()`` — the oracle the wire tests check. Every malformed blob
+raises :class:`WireError` with a message naming the defect.
 """
 
 import struct
 
+from repro.session.report import CommandResult, RemoteError, ReplayReport
+from repro.util.errors import TraceFormatError, classify
+
 #: Format tag; bump when the layout changes incompatibly.
-MAGIC = b"WR2"
+MAGIC = b"WR3"
 
 #: The net-fidelity counters, in wire order.
 _NET_FIDELITY_KEYS = ("failed_fetches", "timeouts", "tape_misses")
@@ -48,7 +51,7 @@ _DOUBLE = struct.Struct("<d")
 
 
 class WireError(ValueError):
-    """A blob that is not a well-formed WR1 payload."""
+    """A blob that is not a well-formed WR3 payload."""
 
 
 # -- primitives ---------------------------------------------------------------
@@ -105,61 +108,79 @@ class _StringTable:
 # -- encoding -----------------------------------------------------------------
 
 
-def _encode_error(out, table, error):
+def _encode_error(out, ref, error):
     """An error triple (type/message/severity) or the None marker."""
     if error is None:
-        _write_varint(out, 0)
+        out.append(0)
         return
-    _write_varint(out, 1)
-    _write_varint(out, table.ref(error["type"]))
-    _write_varint(out, table.ref(error["message"]))
-    _write_varint(out, table.ref(error.get("severity")))
+    out.append(1)
+    _write_varint(out, ref(getattr(error, "type_name", None)
+                           or type(error).__name__))
+    _write_varint(out, ref(str(error)))
+    _write_varint(out, ref(classify(error)))
 
 
-def _encode_result(out, table, result):
-    _write_varint(out, table.ref(result["command"]))
-    code = _STATUS_CODE.get(result["status"], _STATUS_OTHER)
-    out.append(code)
-    if code == _STATUS_OTHER:
-        _write_varint(out, table.ref(result["status"]))
-    _write_varint(out, table.ref(result["detail"]))
-    _write_varint(out, result.get("retries", 0))
-    _encode_error(out, table, result["error"])
-
-
-def encode_report(report_dict):
-    """Pack a :meth:`ReplayReport.to_dict` payload into one blob."""
+def encode_report(report):
+    """Pack a :class:`ReplayReport` into one WR3 blob (no trace text)."""
     table = _StringTable()
+    ref = table.ref
     body = bytearray()
-    _write_varint(body, table.ref(report_dict["trace"]))
-    body.append(1 if report_dict["halted"] else 0)
-    _write_varint(body, table.ref(report_dict["halt_reason"]))
-    _encode_error(body, table, report_dict.get("halt_error"))
-    _write_varint(body, table.ref(report_dict.get("final_url")))
-    _write_varint(body, report_dict.get("recoveries", 0))
-    fidelity = report_dict.get("net_fidelity") or {}
+    append = body.append
+    append(1 if report.halted else 0)
+    _write_varint(body, ref(report.halt_reason))
+    _encode_error(body, ref, report.halt_error)
+    _write_varint(body, ref(report.final_url))
+    _write_varint(body, report.recoveries)
+    fidelity = report.net_fidelity
     for key in _NET_FIDELITY_KEYS:
         _write_varint(body, fidelity.get(key, 0))
-    results = report_dict["results"]
+    commands = report.trace.commands
+    count = len(commands)
+    results = report.results
     _write_varint(body, len(results))
-    for result in results:
-        _encode_result(body, table, result)
-    page_errors = report_dict["page_errors"]
+    status_code = _STATUS_CODE
+    # One-byte varints are appended inline: this loop runs once per
+    # replayed command, and most of its fields are small.
+    for position, result in enumerate(results):
+        command = result.command
+        if position < count and command is commands[position]:
+            append(0)
+        else:
+            _write_varint(body, ref(command.to_line()))
+        code = status_code.get(result.status, _STATUS_OTHER)
+        append(code)
+        if code == _STATUS_OTHER:
+            _write_varint(body, ref(result.status))
+        detail = ref(result.detail)
+        if detail < 0x80:
+            append(detail)
+        else:
+            _write_varint(body, detail)
+        retries = result.retries
+        if retries < 0x80:
+            append(retries)
+        else:
+            _write_varint(body, retries)
+        if result.error is None:
+            append(0)
+        else:
+            _encode_error(body, ref, result.error)
+    page_errors = report.page_errors
     _write_varint(body, len(page_errors))
     for error in page_errors:
-        _encode_error(body, table, error)
-    counters = report_dict["perf_counters"]
+        _encode_error(body, ref, error)
+    counters = report.perf_counters
     _write_varint(body, len(counters))
     for name in sorted(counters):
         counts = counters[name]
-        _write_varint(body, table.ref(name))
+        _write_varint(body, ref(name))
         _write_varint(body, counts["hits"])
         _write_varint(body, counts["misses"])
         rate = counts.get("hit_rate")
         if rate is None:
-            body.append(0)
+            append(0)
         else:
-            body.append(1)
+            append(1)
             body.extend(_DOUBLE.pack(rate))
 
     out = bytearray(MAGIC)
@@ -175,25 +196,29 @@ def encode_report(report_dict):
 # -- decoding -----------------------------------------------------------------
 
 
-def decode_report(blob):
-    """The exact inverse of :func:`encode_report`.
+def decode_report(blob, trace):
+    """Rebuild the :class:`ReplayReport` in ``blob`` on ``trace``.
 
-    Decoding is the batch-resume hot path — a resumed run rebuilds one
-    report per journaled trace from these blobs instead of replaying —
-    so the decoder is a flat loop over local state rather than a reader
-    object: varints take a one/two-byte fast path (string references
-    and small counts, the overwhelmingly common cases), and bounds are
-    enforced by the interpreter's own ``IndexError`` on ``blob[pos]``
-    rather than an explicit check per byte.
+    ``trace`` is the trace the report was replayed from; positional
+    command references resolve to its command objects. Decoding runs
+    once per pooled trace as its result arrives, and once per journaled
+    trace on resume, so it is a flat loop over local state: varints take
+    a one-byte fast path, and bounds are enforced by the interpreter's
+    own ``IndexError`` on ``blob[pos]`` rather than a check per byte.
     """
     if not isinstance(blob, (bytes, bytearray, memoryview)):
         raise WireError("wire payload must be bytes, got %s"
                         % type(blob).__name__)
     blob = bytes(blob)
-    if blob[:len(MAGIC)] != MAGIC:
+    magic = blob[:len(MAGIC)]
+    if magic != MAGIC:
+        if magic[:2] == MAGIC[:2] and len(magic) == len(MAGIC):
+            raise WireError("unsupported wire version %s; this build reads "
+                            "only %s" % (magic.decode("ascii", "replace"),
+                                         MAGIC.decode()))
         raise WireError("bad magic; not a %s payload" % MAGIC.decode())
     try:
-        report, pos = _decode_payload(blob, len(MAGIC))
+        report, pos = _decode_payload(blob, len(MAGIC), trace)
     except (IndexError, struct.error):
         raise WireError("truncated payload")
     if pos != len(blob):
@@ -202,7 +227,7 @@ def decode_report(blob):
     return report
 
 
-def _decode_payload(blob, pos):
+def _decode_payload(blob, pos, trace):
     strings = []
 
     def varint():
@@ -228,53 +253,68 @@ def _decode_payload(blob, pos):
         ref = varint()
         if ref == 0:
             return None
-        try:
-            return strings[ref - 1]
-        except IndexError:
-            raise WireError("string reference %d outside table" % ref)
+        if ref > len(strings):
+            raise WireError("string reference %d outside table of %d"
+                            % (ref, len(strings)))
+        return strings[ref - 1]
+
+    def flag(what):
+        nonlocal pos
+        byte = blob[pos]
+        pos += 1
+        if byte > 1:
+            raise WireError("bad %s flag %d" % (what, byte))
+        return byte
 
     def error():
-        if varint() == 0:
+        if not flag("error"):
             return None
-        return {
-            "type": string(),
-            "message": string(),
-            "severity": string(),
-        }
+        type_name = string()
+        message = string()
+        return RemoteError(message, type_name=type_name, severity=string())
 
-    for _ in range(varint()):
+    for index in range(varint()):
         length = varint()
         if pos + length > len(blob):
             raise WireError("truncated payload")
-        strings.append(blob[pos:pos + length].decode("utf-8"))
+        try:
+            strings.append(blob[pos:pos + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise WireError("string %d is not valid UTF-8 (%s)"
+                            % (index + 1, exc.reason))
         pos += length
 
-    report = {
-        "trace": string(),
-        "halted": bool(blob[pos]),
-        "halt_reason": None,
-        "halt_error": None,
-        "final_url": None,
-        "recoveries": 0,
-        "net_fidelity": None,
-    }
-    pos += 1
-    report["halt_reason"] = string()
-    report["halt_error"] = error()
-    report["final_url"] = string()
-    report["recoveries"] = varint()
-    report["net_fidelity"] = {key: varint() for key in _NET_FIDELITY_KEYS}
-    results = []
+    report = ReplayReport(trace)
+    report.halted = bool(flag("halted"))
+    report.halt_reason = string()
+    report.halt_error = error()
+    report.final_url = string()
+    report.recoveries = varint()
+    report.net_fidelity = {key: varint() for key in _NET_FIDELITY_KEYS}
+    commands = trace.commands
+    count = len(commands)
+    n_strings = len(strings)
     statuses = _STATUSES
     n_statuses = len(statuses)
-    for _ in range(varint()):
-        # Inline string() for the command reference (always present in
-        # practice) and the one-byte status code — per-result overhead
-        # is what resume latency is made of.
+    results = []
+    for position in range(varint()):
+        # Inline the command reference and the one-byte status code —
+        # per-result overhead is what decode time is made of.
         byte = blob[pos]
         pos += 1
         ref = byte if byte < 0x80 else (byte & 0x7F) | (varint() << 7)
-        command = strings[ref - 1] if ref else None
+        if ref == 0:
+            if position >= count:
+                raise WireError(
+                    "result %d refers to the trace's command at its "
+                    "position, but the trace has %d command(s)"
+                    % (position, count))
+            command = commands[position]
+        else:
+            if ref > n_strings:
+                raise WireError("string reference %d outside table of %d"
+                                % (ref, n_strings))
+            command = _parse_command(strings[ref - 1], position)
         code = blob[pos]
         pos += 1
         if code < n_statuses:
@@ -283,26 +323,31 @@ def _decode_payload(blob, pos):
             status = string()
         else:
             raise WireError("unknown status code %d" % code)
-        results.append({
-            "command": command,
-            "status": status,
-            "detail": string(),
-            "retries": varint(),
-            "error": error(),
-        })
-    report["results"] = results
-    report["page_errors"] = [error() for _ in range(varint())]
+        results.append(CommandResult(command, status, detail=string(),
+                                     retries=varint(), error=error()))
+    report.results = results
+    report.page_errors = [error() for _ in range(varint())]
     counters = {}
     for _ in range(varint()):
         name = string()
         hits = varint()
         misses = varint()
         rate = None
-        if blob[pos]:
-            rate = _DOUBLE.unpack_from(blob, pos + 1)[0]
-            pos += 9
-        else:
-            pos += 1
+        if flag("hit-rate"):
+            rate = _DOUBLE.unpack_from(blob, pos)[0]
+            pos += 8
         counters[name] = {"hits": hits, "misses": misses, "hit_rate": rate}
-    report["perf_counters"] = counters
+    report.perf_counters = counters
     return report, pos
+
+
+def _parse_command(line, position):
+    # Imported here: repro.core pulls in repro.net, whose tape codec
+    # imports this module's primitives.
+    from repro.core.commands import parse_command_line
+
+    try:
+        return parse_command_line(line)
+    except TraceFormatError as exc:
+        raise WireError("result %d carries an unparsable command line: %s"
+                        % (position, exc))

@@ -15,17 +15,25 @@ import time
 
 import pytest
 
+from repro.core.trace import WarrTrace
+from repro.session import journal as run_journal
+from repro.session import wire
 from repro.session.batch import BatchReport, BatchRunner, TraceRun
+from repro.session.events import EventStream, _handler_for
+from repro.session.journal import read_journal, verify_exactly_once
 from repro.session.observers import PerfCountersObserver
 from repro.session.policies import TimingPolicy
 from repro.session.pool import (
     WorkerPool,
     WorkerSpec,
+    _ProgressObserver,
+    _TraceMemo,
     plan_chunks,
     register_factory,
     resolve_factory,
 )
 from repro.session.report import ReplayReport
+from repro.session.wire import _read_varint
 from tests.browser.helpers import build_browser
 from tests.session.test_batch import factory, record_trace
 
@@ -184,13 +192,14 @@ class TestWorkerPool:
         pool = WorkerPool(WorkerSpec(factory), workers=3,
                           timing=TimingPolicy.no_wait())
         outcomes, dropped = pool.run(
-            [(trace.label, trace.to_text()) for trace in traces])
+            [(trace.label, trace) for trace in traces])
         assert dropped == 0
         assert [o.index for o in outcomes] == list(range(6))
         assert [o.label for o in outcomes] == [t.label for t in traces]
         assert all(o.ok for o in outcomes)
-        report = ReplayReport.from_dict(outcomes[0].report)
-        assert report.complete
+        assert outcomes[0].report.complete
+        assert outcomes[0].report.trace is traces[0]
+        assert outcomes[0].blob is None  # dropped once final
 
     def test_empty_task_list_spawns_nothing(self):
         pool = WorkerPool(WorkerSpec(factory), workers=2)
@@ -289,7 +298,7 @@ class TestContainment:
         pool = WorkerPool(
             WorkerSpec("tests.session.test_pool:broken_factory"),
             workers=1)
-        (outcome,), dropped = pool.run([("x", record_trace("x").to_text())])
+        (outcome,), dropped = pool.run([("x", record_trace("x"))])
         assert not outcome.ok
         assert outcome.error_class == "AttributeError"
 
@@ -323,7 +332,7 @@ class TestChunkPlanning:
 class TestWarmPool:
     def test_pool_persists_across_batches(self):
         traces = [record_trace("w%d" % i) for i in range(3)]
-        tasks = [(t.label, t.to_text()) for t in traces]
+        tasks = [(t.label, t) for t in traces]
         with WorkerPool(WorkerSpec(factory), workers=2,
                         timing=TimingPolicy.no_wait()) as pool:
             first, _ = pool.run(tasks)
@@ -344,7 +353,7 @@ class TestWarmPool:
             assert one.complete and two.complete
             assert one.summary() == two.summary()
             # The borrowed pool is still live for the next campaign.
-            assert pool.run([(t.label, t.to_text()) for t in traces],
+            assert pool.run([(t.label, t) for t in traces],
                             engine_config={
                                 "driver_config": None,
                                 "timing": TimingPolicy.no_wait(),
@@ -364,7 +373,7 @@ class TestWarmPool:
 
     def test_crash_mid_chunk_requeues_the_inflight_trace(self, flag_path):
         traces = [record_trace("m%d" % i) for i in range(4)]
-        tasks = [(t.label, t.to_text()) for t in traces]
+        tasks = [(t.label, t) for t in traces]
         # One worker, one big head chunk: the crash lands mid-chunk; the
         # unstarted chunk-mates are re-queued untouched (one attempt)
         # and the in-flight trace is retried exactly once.
@@ -386,7 +395,7 @@ class TestSupervision:
                 WorkerSpec("tests.session.test_pool:hang_always_factory"),
                 workers=2, timing=TimingPolicy.no_wait(),
                 trace_timeout=0.4, kill_grace=0.3) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace.to_text())])
+            (outcome,), _ = pool.run([(trace.label, trace)])
         assert not outcome.ok
         assert outcome.error_class == "TimeoutError"
         assert outcome.attempts == 2
@@ -396,7 +405,7 @@ class TestSupervision:
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_in_worker_factory"),
                 workers=2, timing=TimingPolicy.no_wait()) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace.to_text())])
+            (outcome,), _ = pool.run([(trace.label, trace)])
         assert not outcome.ok
         assert outcome.error_class == "WorkerCrashError"
         bundle = outcome.quarantined
@@ -421,7 +430,7 @@ class TestSupervision:
                     "tests.session.test_pool:sigterm_masking_hang_factory"),
                 workers=1, timing=TimingPolicy.no_wait(),
                 trace_timeout=0.4, kill_grace=0.3) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace.to_text())])
+            (outcome,), _ = pool.run([(trace.label, trace)])
         elapsed = time.monotonic() - start
         assert not outcome.ok
         assert outcome.error_class == "TimeoutError"
@@ -437,14 +446,14 @@ class TestSupervision:
                 WorkerSpec("tests.session.test_pool:sigstop_factory"),
                 workers=1, timing=TimingPolicy.no_wait(),
                 heartbeat=0.1, hang_timeout=0.6, kill_grace=0.2) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace.to_text())])
+            (outcome,), _ = pool.run([(trace.label, trace)])
         assert not outcome.ok
         assert outcome.error_class == "WorkerHangError"
         assert pool.stats["hangs"] >= 1
 
     def test_breaker_degrades_to_in_process_execution(self):
         traces = [record_trace("d%d" % i) for i in range(3)]
-        tasks = [(t.label, t.to_text()) for t in traces]
+        tasks = [(t.label, t) for t in traces]
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_in_worker_factory"),
                 workers=1, timing=TimingPolicy.no_wait(),
@@ -465,7 +474,7 @@ class TestSupervision:
                                                                monkeypatch):
         monkeypatch.setenv("REPRO_SOAK_THROTTLE", "0.2")
         traces = [record_trace("g%d" % i) for i in range(6)]
-        tasks = [(t.label, t.to_text()) for t in traces]
+        tasks = [(t.label, t) for t in traces]
         finished = []
         with WorkerPool(WorkerSpec(factory), workers=1,
                         timing=TimingPolicy.no_wait(),
@@ -488,7 +497,7 @@ class TestSupervision:
         # be surfaced, not silently dropped by the close() drain.
         from repro.session.pool import _BatchState
         traces = [record_trace("a%d" % i) for i in range(2)]
-        tasks = [(t.label, t.to_text()) for t in traces]
+        tasks = [(t.label, t) for t in traces]
         pool = WorkerPool(WorkerSpec(factory), workers=1,
                           timing=TimingPolicy.no_wait(), chunk_size=2)
         pool.start()
@@ -513,7 +522,7 @@ class TestResultDrain:
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:slow_start_factory"),
                 workers=1, timing=TimingPolicy.no_wait()) as pool:
-            outcomes, _ = pool.run([(trace.label, trace.to_text())])
+            outcomes, _ = pool.run([(trace.label, trace)])
         assert outcomes[0].ok
         assert pool.stats["wakeups"] <= 5, pool.stats
 
@@ -551,3 +560,165 @@ class TestMerging:
     def test_perf_observer_refuses_to_pickle(self):
         with pytest.raises(TypeError, match="must not cross process"):
             pickle.dumps(PerfCountersObserver())
+
+
+def _die_after_commands(count):
+    """An ``EventStream.emit`` that kills a pool worker once ``count``
+    commands have finished in it (the parent is never killed)."""
+    emit = EventStream.emit
+    finished = [0]
+
+    def patched(self, event):
+        result = emit(self, event)
+        if event.kind == "command-finished" \
+                and multiprocessing.parent_process() is not None:
+            finished[0] += 1
+            if finished[0] == count:
+                os._exit(9)
+        return result
+    return patched
+
+
+def _admission_commit_end(data):
+    """End offset of the last START frame before the first FINISH."""
+    end = pos = len(run_journal.MAGIC)
+    while pos < len(data):
+        length, start = _read_varint(data, pos)
+        pos = start + length
+        kind = data[start]
+        if kind == 4:  # FINISH
+            break
+        if kind == 3:  # START
+            end = pos
+    return end
+
+
+class TestFarmPath:
+    def test_pooled_finish_record_embeds_the_worker_blob(self, tmp_path,
+                                                         monkeypatch):
+        shipped = []
+        decode = wire.decode_report
+
+        def spy(blob, trace):
+            shipped.append(blob)
+            return decode(blob, trace)
+
+        monkeypatch.setattr(wire, "decode_report", spy)
+        traces = [record_trace("w%d" % i) for i in range(3)]
+        path = str(tmp_path / "run.wj2")
+        batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                            workers=2, journal=path).run(traces)
+        assert batch.complete
+        journaled = [record.blob for record in read_journal(path).finishes]
+        assert len(shipped) == 3
+        assert journaled == shipped
+        for blob in journaled:
+            assert blob.startswith(wire.MAGIC)
+            assert b"warr-trace" not in blob
+
+    def test_torn_admission_commit_resumes_as_a_fresh_run(self, tmp_path):
+        traces = [record_trace("c%d" % i) for i in range(2)]
+        labels = ["c0", "c1"]
+        path = str(tmp_path / "run.wj2")
+        with WorkerPool(WorkerSpec(factory), workers=1,
+                        timing=TimingPolicy.no_wait()) as pool:
+            def run(resume):
+                return BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                                   pool=pool, journal=path,
+                                   resume=resume).run(traces, labels=labels)
+
+            run(False)
+            with open(path, "rb") as handle:
+                full = handle.read()
+            commit = _admission_commit_end(full)
+            starts = read_journal(path).starts
+            assert [(s.index, s.label) for s in starts] \
+                == [(0, "c0"), (1, "c1")]
+            for cut in range(commit + 1):
+                with open(path, "wb") as handle:
+                    handle.write(full[:cut])
+                batch = run(True)
+                assert batch.complete and batch.resumed_count == 0, cut
+                verdict = verify_exactly_once(path, expected_labels=labels)
+                assert verdict["exactly_once"], (cut, verdict)
+
+    def test_config_and_admission_wave_share_one_fsync(self, tmp_path,
+                                                       monkeypatch):
+        synced = []
+        monkeypatch.setattr(run_journal.os, "fsync", synced.append)
+        traces = [record_trace("f%d" % i) for i in range(3)]
+        path = str(tmp_path / "run.wj2")
+        runner = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                             workers=2, journal=path)
+        runner.run(traces)
+        # One commit for CONFIG + three STARTs, one per FINISH.
+        assert len(synced) == 1 + 3
+        assert len(read_journal(path).starts) == 3
+
+    def test_worker_trace_memo(self):
+        memo = _TraceMemo()
+        text = record_trace("memo").to_text()
+        first = memo.parse(text)
+        assert memo.parse(text) is first
+        assert first == WarrTrace.from_text(text)
+        assert first.to_text() == text
+        # The last character before the newline is the final command's
+        # elapsed-time digit: flip it and the text must miss.
+        other = text[:-2] + chr(ord(text[-2]) ^ 1) + "\n"
+        second = memo.parse(other)
+        assert second is not first and second != first
+        assert len(memo) == 2
+        for index in range(_TraceMemo.LIMIT + 10):
+            memo.parse(text + "# %d\n" % index)
+            assert len(memo) <= _TraceMemo.LIMIT
+
+    def test_progress_observer_handles_only_command_finished(self):
+        observer = _ProgressObserver([0], 0)
+        assert _handler_for(observer, "command-started") is None
+        assert _handler_for(observer, "session-finished") is None
+        _handler_for(observer, "command-finished")(None)
+        assert observer.progress == [1]
+
+    def test_quarantine_counts_completed_commands(self, monkeypatch):
+        monkeypatch.setattr(EventStream, "emit", _die_after_commands(3))
+        trace = record_trace("poison")
+        assert len(trace) > 3
+        with WorkerPool(WorkerSpec(factory), workers=2,
+                        timing=TimingPolicy.no_wait()) as pool:
+            (outcome,), _ = pool.run([(trace.label, trace)])
+        assert outcome.quarantined is not None
+        assert outcome.quarantined["commands_completed"] == 3
+
+    def test_degraded_run_journals_the_same_blob_form(self, tmp_path):
+        reference = "tests.session.test_pool:crash_in_worker_factory"
+        traces = [record_trace("d%d" % i) for i in range(3)]
+        labels = ["d0", "d1", "d2"]
+        path = str(tmp_path / "run.wj2")
+        with WorkerPool(WorkerSpec(reference), workers=1,
+                        timing=TimingPolicy.no_wait(),
+                        supervision={"backoff_base": 0.01,
+                                     "breaker_deaths": 2}) as pool:
+            with pytest.warns(RuntimeWarning, match="degraded"):
+                batch = BatchRunner(reference, pool=pool, journal=path,
+                                    timing=TimingPolicy.no_wait()).run(
+                    traces, labels=labels)
+        assert pool.stats["degraded"] == 1
+        snapshot = read_journal(path)
+        assert "degraded" in [event.kind for event in snapshot.events]
+        finishes = snapshot.finish_by_index()
+        inline = [index for index, record in finishes.items()
+                  if record.blob is not None]
+        assert inline
+        for index in inline:
+            record = finishes[index]
+            assert record.worker_id is None
+            run = batch.runs[index]
+            assert run.report.trace is traces[index]
+            assert record.blob == wire.encode_report(run.report)
+            assert b"warr-trace" not in record.blob
+        resumed = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                              journal=path, resume=True).run(
+            traces, labels=labels)
+        assert resumed.resumed_count == 3
+        assert [run.report.to_dict() for run in resumed.runs] \
+            == [run.report.to_dict() for run in batch.runs]
