@@ -1,15 +1,9 @@
-"""Scale-out batch replay: serial vs sharded vs warm-pool throughput.
+"""Scale-out batch replay: serial vs warm-pool throughput.
 
-Batch replay has three backends and this bench sweeps all of them over
-the same batch of Sites editing sessions:
+Batch replay has two backends and this bench sweeps both over the same
+batch of Sites editing sessions:
 
-- **serial** (``workers=1, shards=1``) — the untouched in-process
-  baseline;
-- **sharded** (``shards=N``) — N sessions interleaved cooperatively in
-  one process: no pickling, no spawn, per-command cost is a scope
-  switch. Same total work on one core, so its floor is *serial parity*
-  (asserted with a tolerance covering the scope-switch bookkeeping and
-  shared-runner scheduling noise);
+- **serial** (``workers=1``) — the in-process baseline;
 - **warm pool** (``workers=N``) — N persistent worker processes serving
   chunked traces with wire-encoded results. Workers are spawned and
   warmed before the clock starts, so the number is the steady-state
@@ -51,7 +45,7 @@ TRACES = 8 if QUICK else 16
 #: Text length for the editing session (~640 commands when full).
 SESSION_LENGTH = 40 if QUICK else 640
 
-#: Scale factors measured per backend; 1 worker/shard is serial.
+#: Pool sizes measured; 1 worker is serial.
 SCALE_SERIES = (2,) if QUICK else (2, 4)
 
 #: Measurement rounds. Every round times every mode once, interleaved,
@@ -66,11 +60,6 @@ CORES = len(os.sched_getaffinity(0))
 
 #: Required warm-pool speedup over serial, by available parallelism.
 MIN_SPEEDUP = 2.0 if CORES >= 4 else 1.3
-
-#: Sharding runs the same instructions on the same core; the floor
-#: allows for scope-switch bookkeeping (~2-4% measured) plus the
-#: ±5% run-to-run noise of a shared container, no more.
-SHARD_FLOOR = 0.90
 
 
 def sites_factory():
@@ -87,10 +76,10 @@ def record_session(text_length=SESSION_LENGTH):
     return recorder.trace
 
 
-def run_mode(trace, workers=1, shards=1, pool=None):
+def run_mode(trace, workers=1, pool=None):
     """Replay ``TRACES`` copies of ``trace``; returns (seconds, batch)."""
     runner = BatchRunner(sites_factory, timing=TimingPolicy.no_wait(),
-                         workers=workers, shards=shards, pool=pool)
+                         workers=workers, pool=pool)
     gc.collect()  # level the allocator field between modes
     start = time.perf_counter()
     batch = runner.run([trace] * TRACES)
@@ -118,10 +107,6 @@ def measure_modes(trace):
     spec = WorkerSpec("benchmarks.bench_batch:sites_factory")
     pools = {}
     modes = [("serial", {"mode": "serial", "workers": 1}, {})]
-    for shards in SCALE_SERIES:
-        modes.append(("shard-%d" % shards,
-                      {"mode": "sharded", "shards": shards},
-                      {"shards": shards}))
     for workers in SCALE_SERIES:
         pool = WorkerPool(spec, workers,
                           timing=TimingPolicy.no_wait()).start()
@@ -181,14 +166,13 @@ def test_batch_scaleout_sweep(reporter, json_reporter):
     for row in series:
         name = row["mode"]
         if name != "serial":
-            name += "-%d" % row.get("shards", row.get("workers"))
+            name += "-%d" % row["workers"]
         lines.append("%-12s %-12.3f %-16.2f %-10.2fx"
                      % (name, row["seconds"], row["traces_per_second"],
                         row["speedup"]))
     lines.append("")
-    lines.append("%d usable core(s); shard floor %s; pool floor %s"
+    lines.append("%d usable core(s); pool floor %s"
                  % (CORES,
-                    ">= %.2fx" % SHARD_FLOOR if not QUICK else "off",
                     ">= %.1fx" % MIN_SPEEDUP
                     if not QUICK and CORES >= 2 else "off"))
     reporter("Scale-out batch replay — %d x %d-command Sites sessions"
@@ -201,21 +185,12 @@ def test_batch_scaleout_sweep(reporter, json_reporter):
         "commands_per_trace": len(trace),
         "cores": CORES,
         "series": series,
-        "shard_floor_required": SHARD_FLOOR if not QUICK else None,
         "min_pool_speedup_required":
             MIN_SPEEDUP if not QUICK and CORES >= 2 else None,
     })
 
     if QUICK:
         return
-    # Sharding never gets to be worse than serial: same work, same
-    # core, only a scope switch per command.
-    for row in series:
-        if row["mode"] == "sharded":
-            assert row["speedup"] >= SHARD_FLOOR, (
-                "sharded replay at %d shards ran at %.2fx serial, below "
-                "the %.2fx floor" % (row["shards"], row["speedup"],
-                                     SHARD_FLOOR))
     # A pool cannot beat serial replay without a second core to run on;
     # on single-core machines the numbers above are still written, but
     # the assertion would only measure process-management overhead.

@@ -21,7 +21,8 @@ rather than list position, so reordering or extending a sweep does not
 misalign the comparison.
 
 Comparisons are skipped — never failed — when the two sides are not
-comparable: a benchmark new to this commit, a metric that changed name,
+comparable: a benchmark new to this commit, a metric that changed name
+or was removed (a baseline row the current run no longer produces),
 or a ``quick``-mode file diffed against a full-mode baseline (CI smoke
 runs regenerate quick files; the committed baselines are full runs).
 Skips are printed so silent gaps are visible.
@@ -134,6 +135,10 @@ def compare(current, baseline, threshold=DEFAULT_THRESHOLD):
         records.append({"metric": metric, "status": status,
                         "current": value, "baseline": base,
                         "change": change})
+    for metric in sorted(set(theirs) - set(ours)):
+        records.append({"metric": metric, "status": "skipped",
+                        "reason": "not in current run", "current": None,
+                        "baseline": theirs[metric][1], "change": None})
     return records
 
 

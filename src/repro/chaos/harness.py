@@ -239,11 +239,10 @@ def run_chaos_matrix(profiles, seeds=3, workloads=None, retry=None,
 # once — nothing lost, nothing double-counted.
 
 SOAK_SCENARIOS = ("drain", "kill-worker", "crash-parent")
-SOAK_MODES = ("serial", "sharded", "pooled")
+SOAK_MODES = ("serial", "pooled")
 
 _MODE_ARGS = {
     "serial": (),
-    "sharded": ("--shards", "3"),
     "pooled": ("--workers", "2"),
 }
 

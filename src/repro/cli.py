@@ -7,7 +7,7 @@ The workflows a downstream user runs from a shell::
                             [--stock-driver] [--no-relaxation]
                             [--trace-out trace.json]
     python -m repro batch   a.warr b.warr c.warr d.warr --app sites
-                            [--workers 4 | --shards 4] [--trace-timeout 30]
+                            [--workers 4] [--trace-timeout 30]
                             [--trace-dir traces/]
                             [--journal run.wj2 [--resume]]
                             [--chaos farm --chaos-seed 7]
@@ -37,8 +37,8 @@ crash-safe run journal; after a crash, a SIGTERM drain (exit code 75),
 or a kill, ``--resume`` replays completed traces from the journal and
 executes only the remainder. ``journal`` inspects one, and ``soak``
 runs the whole failure matrix — killed workers, drained runs, crashed
-parents — asserting exactly-once accounting across all three batch
-backends.
+parents — asserting exactly-once accounting on both batch backends
+(serial and pooled).
 
 ``replay --trace-out`` and the dedicated ``trace`` subcommand record a
 Chrome trace-event timeline of the replay (IPC, dispatch, layout,
@@ -246,7 +246,7 @@ def cmd_batch(args, out):
         factory = batch_browser_factory(args.app, seed=args.seed,
                                         client_only=playback)
     runner = BatchRunner(factory, timing=_timing_from_args(args),
-                         workers=args.workers, shards=args.shards,
+                         workers=args.workers,
                          trace_timeout=args.trace_timeout, tape=tape,
                          trace_categories=args.trace_categories,
                          journal=args.journal, resume=args.resume)
@@ -587,10 +587,6 @@ def build_parser():
     batch.add_argument("--workers", type=int, default=1, metavar="N",
                        help="replay across N worker processes "
                             "(default 1 = in-process)")
-    batch.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="interleave N sessions cooperatively in one "
-                            "process (no pickling; exclusive with "
-                            "--workers > 1)")
     batch.add_argument("--trace-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="with --workers > 1: kill and re-queue (once) "
@@ -631,8 +627,8 @@ def build_parser():
              "mid-run, resume from the journal, verify exactly-once")
     soak.add_argument("--app", default="sites", choices=sorted(APPS))
     soak.add_argument("--mode", nargs="*", default=None,
-                      choices=["serial", "sharded", "pooled"],
-                      help="batch backend(s) to soak (default: all three)")
+                      choices=["serial", "pooled"],
+                      help="batch backend(s) to soak (default: both)")
     soak.add_argument("--scenario", nargs="*", default=None,
                       choices=["drain", "kill-worker", "crash-parent"],
                       help="failure scenario(s) to run (default: all)")

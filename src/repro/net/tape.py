@@ -29,7 +29,12 @@ import json
 
 from repro.net.http import HttpResponse
 from repro.net.transport import body_hash, request_fingerprint
-from repro.session.wire import _read_varint, _StringTable, _write_varint
+from repro.session.wire import (
+    WireError,
+    _read_varint,
+    _StringTable,
+    _write_varint,
+)
 
 #: Tape format tag; bump when the layout changes incompatibly.
 TAPE_MAGIC = b"WT1"
@@ -282,7 +287,11 @@ class Tape:
 
     @classmethod
     def decode(cls, blob):
-        """The exact inverse of :meth:`encode`."""
+        """The exact inverse of :meth:`encode`.
+
+        Every malformed payload raises :class:`TapeError` naming the
+        defect, never a foreign decoding error.
+        """
         if not isinstance(blob, (bytes, bytearray, memoryview)):
             raise TapeError("tape payload must be bytes, got %s"
                             % type(blob).__name__)
@@ -292,37 +301,47 @@ class Tape:
                             % TAPE_MAGIC.decode())
         reader = _TapeReader(blob)
         reader.pos = len(TAPE_MAGIC)
-        for _ in range(reader.varint()):
-            length = reader.varint()
-            reader.strings.append(reader.take(length).decode("utf-8"))
+        for number in range(1, reader.varint() + 1):
+            reader.strings.append(reader.text("interned string %d"
+                                              % number))
 
         tape = cls(label=reader.string())
         config_json = reader.string()
         if config_json is not None:
-            tape.config = json.loads(config_json)
+            try:
+                config = json.loads(config_json)
+            except (ValueError, RecursionError):
+                raise TapeError("config stamp is not valid JSON")
+            if not isinstance(config, dict):
+                raise TapeError("config stamp is a JSON %s, not an object"
+                                % type(config).__name__)
+            tape.config = config
         tape.chaos_profile = reader.string()
-        if reader.byte():
+        flag = reader.byte()
+        if flag > 1:
+            raise TapeError("chaos seed flag is %d, not 0 or 1" % flag)
+        if flag:
             tape.chaos_seed = reader.varint()
         for ordinal in range(reader.varint()):
             entry = TapeEntry(
                 ordinal=ordinal,
-                fingerprint=reader.string(),
-                method=reader.string(),
-                url=reader.string(),
+                fingerprint=reader.string("fingerprint"),
+                method=reader.string("method"),
+                url=reader.string("url"),
                 status=reader.varint(),
                 content_type=reader.string(),
-                body_digest=reader.string(),
+                body_digest=reader.string("body digest"),
                 headers={},
             )
             for _ in range(reader.varint()):
-                name = reader.string()
-                entry.headers[name] = reader.string()
+                name = reader.string("header name")
+                entry.headers[name] = reader.string("header value")
             tape.entries.append(entry)
             tape._index.setdefault(entry.fingerprint, []).append(entry)
         for _ in range(reader.varint()):
-            digest = reader.string()
-            length = reader.varint()
-            tape.blobs._blobs[digest] = reader.take(length).decode("utf-8")
+            digest = reader.string("blob digest")
+            tape.blobs._blobs[digest] = reader.text("blob %s"
+                                                    % digest[:12])
         tape.blobs.logical_bytes = reader.varint()
         if reader.pos != len(blob):
             raise TapeError("%d trailing byte(s) after tape"
@@ -372,7 +391,10 @@ class _TapeReader:
         self.strings = []
 
     def varint(self):
-        value, self.pos = _read_varint(self.blob, self.pos)
+        try:
+            value, self.pos = _read_varint(self.blob, self.pos)
+        except WireError as exc:
+            raise TapeError("%s at byte %d" % (exc, self.pos))
         return value
 
     def byte(self):
@@ -389,10 +411,23 @@ class _TapeReader:
         self.pos += count
         return chunk
 
-    def string(self):
-        """A string reference: 0 is None, otherwise 1-based table index."""
+    def text(self, what):
+        """A length-prefixed UTF-8 string."""
+        data = self.take(self.varint())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise TapeError("%s is not valid UTF-8" % what)
+
+    def string(self, required=None):
+        """A string reference: 0 is None, otherwise 1-based table index.
+
+        ``required`` names the field when None is not allowed there.
+        """
         ref = self.varint()
         if ref == 0:
+            if required is not None:
+                raise TapeError("%s is missing" % required)
             return None
         try:
             return self.strings[ref - 1]

@@ -280,8 +280,8 @@ class TapeConfig:
     """Picklable recipe for wiring a tape mode onto a session's network.
 
     This is the object the scale-out stack ships around: the batch
-    runner applies it per trace, the sharded runner per shard, and the
-    worker pool sends it to worker processes with each chunk (strings
+    runner applies it per trace, and the worker pool sends it to
+    worker processes with each chunk (strings
     only, so it crosses the boundary for free). ``path`` is a tape file
     for single-session runs, or a directory (one ``<label>.tape`` per
     session) for batch runs. ``stamp`` is a JSON-able dict of engine

@@ -53,62 +53,6 @@ class PerfStats:
 stats = PerfStats()
 
 
-class Scope:
-    """Per-session counter attribution for interleaved execution.
-
-    The global snapshot/:func:`delta` protocol assumes sessions run
-    back to back; when the sharded batch runner interleaves N sessions
-    in one process, their windows overlap and a snapshot diff would
-    charge every session with everyone's activity. A ``Scope`` is a
-    private hit/miss ledger: while it is active (:func:`set_scope`),
-    every :func:`record` also lands in the scope, so the runner can
-    switch scopes at session granularity and each session's counters
-    come out exactly as a serial run would have attributed them.
-    """
-
-    __slots__ = ("_hits", "_misses")
-
-    def __init__(self):
-        self._hits = {}
-        self._misses = {}
-
-    def record(self, name, hit):
-        table = self._hits if hit else self._misses
-        table[name] = table.get(name, 0) + 1
-
-    def counters(self):
-        """Scope activity in :func:`delta` format ({name: {"hits",
-        "misses", "hit_rate"}}, zero-activity caches dropped)."""
-        result = {}
-        for name in set(self._hits) | set(self._misses):
-            hits = self._hits.get(name, 0)
-            misses = self._misses.get(name, 0)
-            total = hits + misses
-            if total == 0:
-                continue
-            result[name] = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / total,
-            }
-        return result
-
-
-#: The active attribution scope, or None (the default: no extra work).
-_scope = None
-
-
-def set_scope(scope):
-    """Activate ``scope`` (or None); returns the previous scope.
-
-    Callers restore the previous scope when their slice of execution
-    ends — the sharded runner brackets every session step this way.
-    """
-    global _scope
-    previous = _scope
-    _scope = scope
-    return previous
-
 #: Optional hook called as ``hook(name, hits, misses)`` after every
 #: record; :mod:`repro.telemetry` installs one to mirror counter
 #: activity into trace counter events. None (the default) costs
@@ -125,8 +69,6 @@ def set_counter_observer(hook):
 def record(name, hit):
     """Count one hit (``hit=True``) or miss on the named cache."""
     stats.record(name, hit)
-    if _scope is not None:
-        _scope.record(name, hit)
     if _counter_observer is not None:
         hits, misses = stats.counter(name)
         _counter_observer(name, hits, misses)

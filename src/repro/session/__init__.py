@@ -30,7 +30,6 @@ from repro.session.pool import (
     register_factory,
     resolve_factory,
 )
-from repro.session.shard import ShardedRunner
 from repro.session.journal import (
     JournalError,
     RunJournal,
@@ -69,7 +68,6 @@ __all__ = [
     "WorkerSpec",
     "register_factory",
     "resolve_factory",
-    "ShardedRunner",
     "JournalError",
     "RunJournal",
     "read_journal",

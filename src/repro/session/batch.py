@@ -4,9 +4,8 @@ A :class:`BatchRunner` replays a list of traces, each against a *fresh*
 :class:`~repro.browser.window.BrowserWindow` built by the caller's
 factory, so sessions cannot contaminate each other (cookies, page
 errors, cache state). Per-trace reports are aggregated into a
-:class:`BatchReport`; a shared
-:class:`~repro.session.observers.PerfCountersObserver` accumulates
-fast-path cache activity across the whole batch.
+:class:`BatchReport`, whose perf counters sum every session's
+fast-path cache activity.
 
 With ``trace_dir`` set, the whole batch runs under one telemetry
 tracer: every session's browser gets its own pid track, each trace's
@@ -16,23 +15,26 @@ full merged batch timeline lands in ``batch.trace.json``.
 With ``workers=N`` (N > 1) the batch fans out across a
 :class:`~repro.session.pool.WorkerPool` of N processes: traces are
 pulled dynamically from a shared queue, per-trace reports and
-:mod:`repro.perf` counter deltas stream back and merge via
-:meth:`BatchReport.merge`, and telemetry slices merge into one
-``batch.trace.json`` timeline with each worker's browsers on their own
-pid tracks. The default ``workers=1`` is exactly the serial in-process
-path — same code, same determinism.
+:mod:`repro.perf` counter deltas stream back and merge parent-side,
+and telemetry slices merge into one ``batch.trace.json`` timeline with
+each worker's browsers on their own pid tracks. The default ``workers=1`` runs the batch in-process.
+
+Either way one function replays one trace:
+:func:`~repro.session.pool.replay_trace` is called by the serial loop,
+by every pool worker, and by the pool's degraded in-process fallback.
+Everything around it lives once, in :class:`BatchRunner`: admission
+(halt and drain), the journal's status mapping and WR3 encoding
+(:meth:`_RunHooks.finish`), and report assembly.
 """
 
 import os
-import time
 
 from repro import telemetry
 from repro.session import journal as run_journal
 from repro.session import wire
-from repro.session.supervisor import throttle_seconds
-from repro.session.engine import SessionEngine
 from repro.session.observers import PerfCountersObserver
 from repro.session.policies import FailurePolicy
+from repro.session.pool import PoolOutcome, WorkerPool, WorkerSpec, replay_trace
 from repro.session.report import RemoteError, ReplayReport
 
 
@@ -70,7 +72,7 @@ class BatchReport:
 
     @classmethod
     def merge(cls, reports):
-        """Combine shard reports (e.g. one per pool worker) into one.
+        """Combine partial reports (e.g. one per pool worker) into one.
 
         Runs concatenate in the order given; perf counters sum through
         :meth:`~repro.session.observers.PerfCountersObserver.merge`, so
@@ -146,63 +148,57 @@ class BatchReport:
 class _RunHooks:
     """Per-trace journaling and drain threading for one ``run()`` call.
 
-    One instance is shared by whichever backend executes the batch.
     ``positions`` maps each *executed* trace's position in the
     (possibly resume-filtered) sub-batch back to its original index in
     the submitted batch, so journal records always speak in submission
     indexes and a resumed run appends to the same address space.
     """
 
-    def __init__(self, journal=None, positions=None, drain=None):
+    def __init__(self, journal, positions, drain):
         self.journal = journal
         self.positions = positions
         self.drain = drain
         self.drain_seen = False
 
-    def index(self, position):
-        return position if self.positions is None else self.positions[position]
-
-    def on_start(self, positions, labels):
+    def start(self, positions, labels):
         """Traces were admitted: one journal commit for all of them."""
         if self.journal is not None:
-            self.journal.start([(self.index(position), label)
+            self.journal.start([(self.positions[position], label)
                                 for position, label in zip(positions,
                                                            labels)])
 
-    def on_report(self, position, label, report):
-        """A trace finished with a ReplayReport (serial/sharded path)."""
-        if self.journal is None:
-            return
-        status = run_journal.REPLAYED if report.complete \
-            else run_journal.FAILED
-        error = report.halt_reason if report.halted else None
-        error_class = (report.halt_error.type_name
-                       if report.halted and report.halt_error is not None
-                       else None)
-        self.journal.finish(self.index(position), label, status,
-                            blob=wire.encode_report(report), error=error,
-                            error_class=error_class)
+    def finish(self, outcome):
+        """A trace reached its final outcome (a PoolOutcome).
 
-    def on_outcome(self, outcome):
-        """A pooled trace reached its final outcome (PoolOutcome)."""
+        The one place a batch maps an outcome to its journal status. A
+        worker's outcome carries the WR3 blob it shipped; a report made
+        in this process is encoded here, once.
+        """
         if self.journal is None or outcome.cancelled:
             return
-        if outcome.report is not None:
-            status = run_journal.REPLAYED if outcome.report.complete \
+        report = outcome.report
+        error, error_class, blob = outcome.error, outcome.error_class, None
+        if report is not None:
+            status = run_journal.REPLAYED if report.complete \
                 else run_journal.FAILED
+            blob = (outcome.blob if outcome.blob is not None
+                    else wire.encode_report(report))
+            if report.halted:
+                error = report.halt_reason
+                if report.halt_error is not None:
+                    error_class = report.halt_error.type_name
         elif outcome.quarantined is not None:
             status = run_journal.QUARANTINED
         else:
             status = run_journal.FAILED
         self.journal.finish(
-            self.index(outcome.index), outcome.label, status,
+            self.positions[outcome.index], outcome.label, status,
             attempts=outcome.attempts, worker_id=outcome.worker_id,
-            blob=outcome.blob, error=outcome.error,
-            error_class=outcome.error_class,
+            blob=blob, error=error, error_class=error_class,
             diagnosis=outcome.quarantined)
 
     def drain_requested(self):
-        """The backend's admission gate; journals the first request."""
+        """The admission gate; journals the first drain request."""
         if self.drain is None:
             return False
         if not self.drain():
@@ -247,14 +243,13 @@ class BatchRunner:
 
     def __init__(self, browser_factory, driver_config=None, timing=None,
                  locator=None, failure=None, retry=None, observers=None,
-                 workers=1, shards=1, trace_timeout=None, pool=None,
-                 tape=None, trace_categories=None, journal=None,
-                 resume=False):
+                 workers=1, trace_timeout=None, pool=None, tape=None,
+                 trace_categories=None, journal=None, resume=False):
         self.browser_factory = browser_factory
         #: Category spec for traced runs (``trace_dir`` set): anything
         #: :func:`~repro.telemetry.tracer.resolve_categories` accepts,
         #: e.g. ``"production"``. None records every category. Applies
-        #: on all three backends (serial, sharded, pooled).
+        #: serially and pooled alike.
         self.trace_categories = trace_categories
         self.driver_config = driver_config
         self.timing = timing
@@ -265,19 +260,11 @@ class BatchRunner:
         #: Optional :class:`~repro.net.transport.TapeConfig` applied to
         #: every session's network: record each trace to its own tape
         #: (``<label>.tape`` under the config's directory) or play every
-        #: trace back hermetically — on all three backends.
+        #: trace back hermetically, serially or pooled.
         self.tape = tape
         if workers < 1:
             raise ValueError("need at least one worker")
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        if workers > 1 and shards > 1:
-            raise ValueError(
-                "workers and shards are alternative scale-out backends: "
-                "use shards=N for in-process interleaving (one core, zero "
-                "pickling) or workers=N for a process pool (many cores)")
         self.workers = int(workers)
-        self.shards = int(shards)
         self.trace_timeout = trace_timeout
         #: A live :class:`~repro.session.pool.WorkerPool` to reuse
         #: (warm workers amortized across many batches); the runner
@@ -294,9 +281,8 @@ class BatchRunner:
     @property
     def mode(self):
         """The batch backend this runner would use."""
-        if self.workers > 1 or self.pool is not None:
-            return "pooled"
-        return "sharded" if self.shards > 1 else "serial"
+        return "pooled" if self.workers > 1 or self.pool is not None \
+            else "serial"
 
     def run(self, traces, labels=None, trace_dir=None, drain=None):
         """Replay every trace on its own browser; returns a BatchReport.
@@ -317,15 +303,36 @@ class BatchRunner:
                                      for index, trace in enumerate(traces)])
         if len(labels) != len(traces):
             raise ValueError("need one label per trace")
-        if self.journal is None:
-            hooks = _RunHooks(drain=drain)
-            batch = self._execute(traces, labels, trace_dir, hooks)
-            batch.drained = batch.drained or hooks.drain_seen
-            return batch
-        return self._run_journaled(traces, labels, trace_dir, drain)
+        journal, finished, texts = None, {}, None
+        if self.journal is not None:
+            journal, finished, texts = self._open_journal(traces, labels)
+        remaining = [index for index in range(len(traces))
+                     if index not in finished]
+        hooks = _RunHooks(journal, remaining, drain)
+        outcomes = []
+        try:
+            if remaining:
+                outcomes = self._execute(
+                    [traces[i] for i in remaining],
+                    [labels[i] for i in remaining], trace_dir, hooks,
+                    None if texts is None else [texts[i] for i in remaining])
+        finally:
+            if journal is not None:
+                journal.close()
+        batch = self._assemble(traces, labels, finished,
+                               {remaining[outcome.index]: outcome
+                                for outcome in outcomes
+                                if not outcome.cancelled})
+        batch.drained = hooks.drain_seen
+        return batch
 
-    def _run_journaled(self, traces, labels, trace_dir, drain):
-        """The durable path: journal every outcome; resume skips done."""
+    def _open_journal(self, traces, labels):
+        """Create or resume the run journal.
+
+        Returns ``(journal, finished, texts)``: the open journal, the
+        finish records of traces a resumed run already completed (by
+        submission index), and every trace's serialized text.
+        """
         # Each trace is serialized once per run: its digest and the
         # pool's task text share the string. One trace object fanned
         # out across many labels (the common stress-batch shape)
@@ -342,47 +349,49 @@ class BatchRunner:
             texts.append(known[0])
             digests.append(known[1])
         config = run_journal.batch_config(labels, digests, self.mode)
-        finished = {}
-        if self.resume and os.path.exists(self.journal):
-            journal, snapshot = run_journal.RunJournal.resume(
-                self.journal, labels, digests, config=config)
-            finished = {index: record for index, record
-                        in snapshot.finish_by_index().items()
-                        if index < len(traces)}
-        else:
-            journal = run_journal.RunJournal.create(self.journal, config)
-        remaining = [index for index in range(len(traces))
-                     if index not in finished]
-        hooks = _RunHooks(journal=journal, positions=remaining, drain=drain)
-        try:
-            if remaining:
-                fresh = self._execute([traces[i] for i in remaining],
-                                      [labels[i] for i in remaining],
-                                      trace_dir, hooks,
-                                      [texts[i] for i in remaining])
-            else:
-                fresh = BatchReport()
-        finally:
-            journal.close()
-        # Reassemble in submission order: journal-replayed runs fill the
-        # slots the backend never saw. Labels are already deduped, so
-        # they address runs unambiguously.
-        fresh_by_label = {run.label: run for run in fresh.runs}
+        if not (self.resume and os.path.exists(self.journal)):
+            return run_journal.RunJournal.create(self.journal, config), \
+                {}, texts
+        journal, snapshot = run_journal.RunJournal.resume(
+            self.journal, labels, digests, config=config)
+        finished = {index: record for index, record
+                    in snapshot.finish_by_index().items()
+                    if index < len(traces)}
+        return journal, finished, texts
+
+    def _assemble(self, traces, labels, finished, outcomes):
+        """The BatchReport, in submission order.
+
+        ``finished`` holds journal finish records (resumed traces) and
+        ``outcomes`` the final outcomes of traces executed now, both by
+        submission index. A trace in neither was never admitted (halt or
+        drain): it is absent from the report, unfinished in the journal,
+        and re-run on resume. Perf counters sum over executed traces.
+        """
         batch = BatchReport()
-        batch.perf_counters = fresh.perf_counters
-        batch.quarantined = list(fresh.quarantined)
-        batch.drained = fresh.drained or hooks.drain_seen
+        counters = []
         for index, (label, trace) in enumerate(zip(labels, traces)):
             if index in finished:
-                run = self._run_from_record(index, label, trace,
-                                            finished[index])
-                batch.add(run)
-                if finished[index].diagnosis is not None:
-                    batch.quarantined.append(finished[index].diagnosis)
-            elif label in fresh_by_label:
-                batch.add(fresh_by_label[label])
-            # else: never admitted (halt or drain) — absent from the
-            # report, unfinished in the journal, re-run on resume.
+                record = finished[index]
+                run = self._run_from_record(index, label, trace, record)
+                diagnosis = record.diagnosis
+            elif index in outcomes:
+                outcome = outcomes[index]
+                # No report: the worker died or the trace was killed on
+                # timeout. halt_error's type_name tells deadline kills
+                # (TimeoutError) from dead workers (WorkerCrashError).
+                report = outcome.report or _failed_report(
+                    trace, outcome.error or "worker failed",
+                    outcome.error_class)
+                run = TraceRun(label, trace, report)
+                counters.append(report.perf_counters)
+                diagnosis = outcome.quarantined
+            else:
+                continue
+            batch.add(run)
+            if diagnosis is not None:
+                batch.quarantined.append(diagnosis)
+        batch.perf_counters = PerfCountersObserver.merge(counters)
         return batch
 
     @staticmethod
@@ -392,169 +401,111 @@ class BatchRunner:
         The record's blob is decoded here, against the trace whose
         digest resume has just verified.
         """
-        if record.blob is not None:
+        if record.blob is None:
+            report = _failed_report(
+                trace, record.error or "failed in journaled run",
+                record.error_class)
+        else:
             try:
                 report = wire.decode_report(record.blob, trace)
             except wire.WireError as exc:
                 raise run_journal.JournalError(
                     "finish record of trace %d (%r) holds a malformed "
                     "report: %s" % (index, label, exc))
-        else:
-            report = ReplayReport(trace)
-            report.halted = True
-            report.halt_reason = (record.error
-                                  or "failed in journaled run")
-            report.halt_error = RemoteError(
-                report.halt_reason,
-                type_name=record.error_class or "WorkerError")
         return TraceRun(label, trace, report, resumed=True)
 
-    def _execute(self, traces, labels, trace_dir, hooks, texts=None):
-        """Dispatch to the serial/sharded/pooled backend.
-
-        ``texts`` (pooled only) are the traces' serialized texts when
-        the caller already made them.
-        """
-        if self.workers > 1 or self.pool is not None:
-            return self._run_pooled(traces, labels, trace_dir, hooks, texts)
-        execute = self._run_sharded if self.shards > 1 else self._run
-        if trace_dir is None:
-            return execute(traces, labels, tracer=None, trace_dir=None,
-                           hooks=hooks)
-        os.makedirs(trace_dir, exist_ok=True)
-        if telemetry.enabled():
-            # A caller already installed a tracer (e.g. an outer
-            # tracing() block) — record into it rather than nesting.
-            return execute(traces, labels, tracer=telemetry.current(),
-                           trace_dir=trace_dir, hooks=hooks)
-        with telemetry.tracing(categories=self.trace_categories) as tracer:
-            batch = execute(traces, labels, tracer=tracer,
-                            trace_dir=trace_dir, hooks=hooks)
-            telemetry.write_trace(
-                os.path.join(trace_dir, "batch.trace.json"), tracer)
-        return batch
-
-    # -- serial (in-process) execution --------------------------------------
-
-    def _run(self, traces, labels, tracer, trace_dir, hooks=None):
-        hooks = hooks if hooks is not None else _RunHooks()
-        batch = BatchReport()
-        perf_totals = PerfCountersObserver()
-        used_stems = set()
-        throttle = throttle_seconds()
-        for position, (label, trace) in enumerate(zip(labels, traces)):
-            if hooks.drain_requested():
-                # Graceful drain: stop admission; everything already
-                # finished is journaled, the rest resumes later.
-                batch.drained = True
-                break
-            hooks.on_start((position,), (label,))
-            if throttle:
-                time.sleep(throttle)
-            browser = self.browser_factory()
-            tape_session = (self.tape.attach(browser.network, label)
-                            if self.tape is not None else None)
-            mark = None
-            if tracer is not None:
-                # Virtual timestamps come from the session's own clock.
-                tracer.clock = browser.clock
-                mark = tracer.mark()
-            try:
-                engine = SessionEngine(
-                    browser,
-                    driver_config=self.driver_config,
-                    timing=self.timing,
-                    locator=self.locator,
-                    failure=self.failure,
-                    retry=self.retry,
-                    observers=self.observers + [perf_totals],
-                )
-                report = engine.run(trace)
-            finally:
-                # Reset even when the engine raises mid-batch: a stale
-                # clock would stamp later events (or a later trace) with
-                # a dead session's virtual time.
-                if tracer is not None:
-                    tracer.clock = None
-                if tape_session is not None:
-                    tape_session.finish()
-            batch.add(TraceRun(label, trace, report))
-            hooks.on_report(position, label, report)
-            if tracer is not None and trace_dir is not None:
-                stem = _unique_stem(label, used_stems)
-                telemetry.write_trace(
-                    os.path.join(trace_dir, "%s.trace.json" % stem),
-                    tracer, events=tracer.events_since(mark))
-            if report.halted and self._halts_batch():
-                # FailurePolicy.halt is the batch-level abort: stop
-                # dispatching the remaining traces. (stop/continue end
-                # at session scope; the batch carries on.)
-                break
-        batch.perf_counters = perf_totals.summary()
-        return batch
-
-    def _halts_batch(self):
-        """True when the runner's failure policy is ``halt``."""
-        return (self.failure is not None
-                and self.failure.on_failure == FailurePolicy.HALT)
-
-    # -- sharded (in-process interleaved) execution ---------------------------
-
-    def _run_sharded(self, traces, labels, tracer, trace_dir, hooks=None):
-        from repro.session.shard import ShardedRunner
-
-        runner = ShardedRunner(
-            self.browser_factory, self.shards,
-            driver_config=self.driver_config, timing=self.timing,
-            locator=self.locator, failure=self.failure, retry=self.retry,
-            observers=self.observers, tape=self.tape)
-        write_trace = None
-        if tracer is not None and trace_dir is not None:
-            def write_trace(stem, events):
-                telemetry.write_trace(
-                    os.path.join(trace_dir, "%s.trace.json" % stem),
-                    tracer, events=events)
-        return runner.run(traces, labels, tracer=tracer,
-                          trace_dir=trace_dir, write_trace=write_trace,
-                          hooks=hooks)
-
-    # -- pooled (multiprocess) execution -------------------------------------
-
-    def _run_pooled(self, traces, labels, trace_dir, hooks=None, texts=None):
-        from repro.session.pool import WorkerPool, WorkerSpec
-        from repro.telemetry.merge import TraceMerger
-
-        hooks = hooks if hooks is not None else _RunHooks()
-        if self.observers:
-            raise ValueError(
-                "standing observers cannot follow sessions into worker "
-                "processes; run with workers=1, or merge shard results "
-                "parent-side (see PerfCountersObserver.merge)")
-        engine_config = {
+    def _engine_config(self):
+        """The engine policies, as SessionEngine keyword arguments."""
+        return {
             "driver_config": self.driver_config,
             "timing": self.timing,
             "locator": self.locator,
             "failure": self.failure,
             "retry": self.retry,
         }
+
+    def _execute(self, traces, labels, trace_dir, hooks, texts=None):
+        """Run the batch serially or pooled; returns its PoolOutcomes.
+
+        ``texts`` (pooled only) are the traces' serialized texts when
+        the caller already made them.
+        """
+        if self.mode == "pooled":
+            return self._run_pooled(traces, labels, trace_dir, hooks, texts)
+        if trace_dir is None:
+            return self._run_serial(traces, labels, hooks)
+        os.makedirs(trace_dir, exist_ok=True)
+        if telemetry.enabled():
+            # A caller already installed a tracer (e.g. an outer
+            # tracing() block): record into it rather than nesting.
+            return self._run_serial(traces, labels, hooks,
+                                    telemetry.current(), trace_dir)
+        with telemetry.tracing(categories=self.trace_categories) as tracer:
+            outcomes = self._run_serial(traces, labels, hooks, tracer,
+                                        trace_dir)
+            telemetry.write_trace(
+                os.path.join(trace_dir, "batch.trace.json"), tracer)
+        return outcomes
+
+    # -- serial (in-process) execution --------------------------------------
+
+    def _run_serial(self, traces, labels, hooks, tracer=None, trace_dir=None):
+        outcomes = []
+        config = self._engine_config()
+        used_stems = set()
+        for position, (label, trace) in enumerate(zip(labels, traces)):
+            if hooks.drain_requested():
+                # Graceful drain: stop admission; everything already
+                # finished is journaled, the rest resumes later.
+                break
+            hooks.start((position,), (label,))
+            report, mark = replay_trace(
+                self.browser_factory, config, trace, label=label,
+                tape=self.tape, tracer=tracer, observers=self.observers)
+            outcome = PoolOutcome(position, label)
+            outcome.report = report
+            outcomes.append(outcome)
+            hooks.finish(outcome)
+            if trace_dir is not None:
+                stem = _unique_stem(label, used_stems)
+                telemetry.write_trace(
+                    os.path.join(trace_dir, "%s.trace.json" % stem),
+                    tracer, events=tracer.events_since(mark))
+            if report.halted and self.failure is not None \
+                    and self.failure.on_failure == FailurePolicy.HALT:
+                # FailurePolicy.halt is the batch-level abort: stop
+                # dispatching the remaining traces. (stop/continue end
+                # at session scope; the batch carries on.)
+                break
+        return outcomes
+
+    # -- pooled (multiprocess) execution -------------------------------------
+
+    def _run_pooled(self, traces, labels, trace_dir, hooks, texts=None):
+        from repro.telemetry.merge import TraceMerger
+
+        if self.observers:
+            raise ValueError(
+                "standing observers cannot follow sessions into worker "
+                "processes; run with workers=1, or merge per-session "
+                "results parent-side (see PerfCountersObserver.merge)")
+        engine_config = self._engine_config()
         pool = self.pool
         owned = pool is None
         if owned:
             spec = (self.browser_factory
                     if isinstance(self.browser_factory, WorkerSpec)
                     else WorkerSpec(self.browser_factory))
-            pool = WorkerPool(
-                spec, self.workers,
-                driver_config=self.driver_config, timing=self.timing,
-                locator=self.locator, failure=self.failure, retry=self.retry,
-                trace_timeout=self.trace_timeout)
+            pool = WorkerPool(spec, self.workers,
+                              trace_timeout=self.trace_timeout,
+                              **engine_config)
         tracing_on = trace_dir is not None
         if tracing_on:
             os.makedirs(trace_dir, exist_ok=True)
         # Journal every admission up front, in one commit, before any
         # dispatch: the pool schedules chunks dynamically, so "started"
         # means "handed to the farm".
-        hooks.on_start(range(len(labels)), labels)
+        hooks.start(range(len(labels)), labels)
         try:
             # A borrowed pool keeps its workers warm for the caller's
             # next batch; its chunks run under *this* runner's policies.
@@ -563,7 +514,7 @@ class BatchRunner:
                 tracing=(self.trace_categories or True) if tracing_on
                 else False,
                 engine_config=engine_config, tape=self.tape,
-                on_outcome=hooks.on_outcome,
+                on_outcome=hooks.finish,
                 drain=hooks.drain_requested if hooks.drain is not None
                 else None, texts=texts)
         finally:
@@ -571,50 +522,24 @@ class BatchRunner:
                 pool.close()
         if pool.stats.get("degraded"):
             hooks.event("degraded", deaths=pool.supervisor.deaths)
-        merger = TraceMerger()
-        merger.dropped += dropped
-        used_stems = set()
-        shards = []
-        drained = False
-        for outcome, label, trace in zip(outcomes, labels, traces):
-            if outcome.cancelled:
-                # Recalled by a graceful drain before it ran: no run,
-                # no journal finish — it re-runs on resume.
-                drained = True
-                continue
-            report = outcome.report
-            if report is None:
-                # Containment outcome: the worker died or the trace was
-                # killed on timeout — report it failed, keep the batch.
-                # halt_error's type_name discriminates deadline kills
-                # (TimeoutError) from dead workers (WorkerCrashError).
-                report = ReplayReport(trace)
-                report.halted = True
-                report.halt_reason = outcome.error or "worker failed"
-                report.halt_error = RemoteError(
-                    report.halt_reason,
-                    type_name=outcome.error_class or "WorkerError")
-            shard = BatchReport()
-            shard.add(TraceRun(label, trace, report))
-            shard.perf_counters = report.perf_counters
-            if outcome.quarantined is not None:
-                shard.quarantined.append(outcome.quarantined)
-            shards.append(shard)
-            if tracing_on and outcome.events is not None:
+        if tracing_on:
+            merger = TraceMerger()
+            merger.dropped += dropped
+            used_stems = set()
+            for outcome in outcomes:
+                if outcome.events is None:
+                    continue
                 events, metadata = merger.add_session(
                     outcome.worker_id, outcome.events,
                     outcome.metadata or ())
-                stem = _unique_stem(label, used_stems)
+                stem = _unique_stem(outcome.label, used_stems)
                 telemetry.write_trace_dict(
                     os.path.join(trace_dir, "%s.trace.json" % stem),
                     telemetry.to_trace_dict_raw(events, metadata=metadata))
-        batch = BatchReport.merge(shards)
-        batch.drained = drained
-        if tracing_on:
             telemetry.write_trace_dict(
                 os.path.join(trace_dir, "batch.trace.json"),
                 merger.trace_dict())
-        return batch
+        return outcomes
 
     @staticmethod
     def _default_label(trace, index):
@@ -636,6 +561,16 @@ def _dedupe_labels(labels):
         seen.add(unique)
         result.append(unique)
     return result
+
+
+def _failed_report(trace, reason, error_class):
+    """A halted report for a trace that produced none of its own."""
+    report = ReplayReport(trace)
+    report.halted = True
+    report.halt_reason = reason
+    report.halt_error = RemoteError(reason,
+                                    type_name=error_class or "WorkerError")
+    return report
 
 
 def _unique_stem(label, used_stems):

@@ -103,17 +103,9 @@ class SessionEngine:
                     break
         return run.finish()
 
-    def start(self, trace, observers=(), perf_scope=None):
-        """Open a stepping session (navigates to the trace's start URL).
-
-        With ``perf_scope`` (a :class:`repro.perf.Scope`) the run's
-        PERF_DELTA reports the scope's ledger instead of a global
-        snapshot diff — required when several sessions interleave in
-        one process (the sharded runner activates the scope around
-        every call it makes into this run).
-        """
-        run = SessionRun(self, trace, observers=observers,
-                         perf_scope=perf_scope)
+    def start(self, trace, observers=()):
+        """Open a stepping session (navigates to the trace's start URL)."""
+        run = SessionRun(self, trace, observers=observers)
         run.begin()
         return run
 
@@ -222,10 +214,9 @@ class SessionRun:
     the page and close out the report.
     """
 
-    def __init__(self, engine, trace, observers=(), perf_scope=None):
+    def __init__(self, engine, trace, observers=()):
         self.engine = engine
         self.trace = trace
-        self._perf_scope = perf_scope
         self.report_builder = ReportBuilder(trace)
         # The builder subscribes first so downstream observers (oracles,
         # snapshotters) see a fully assembled report on session-finished.
@@ -461,11 +452,8 @@ class SessionRun:
             for error in browser.page_errors[self._error_base:]:
                 emit(SessionEvent(SessionEvent.PAGE_ERROR,
                                   data={"error": error}))
-        counters = (self._perf_scope.counters()
-                    if self._perf_scope is not None
-                    else perf.delta(self._perf_base))
         emit(SessionEvent(SessionEvent.PERF_DELTA,
-                          data={"counters": counters}))
+                          data={"counters": perf.delta(self._perf_base)}))
         emit(SessionEvent(SessionEvent.NET_FIDELITY,
                           data={"counters": self._net_delta()}))
         final_url = None

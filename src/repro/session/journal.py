@@ -102,9 +102,10 @@ def batch_config(labels, digests, mode, extra=None):
 def verify_config(config, labels, digests):
     """Refuse to resume a journal against a different workload.
 
-    The batch *mode* (serial/sharded/pooled) may legitimately differ —
-    a run crashed under a pool can be finished serially — but the
-    traces themselves must be the same, in the same order.
+    The batch *mode* may legitimately differ (a run crashed under a
+    pool can be finished serially, and a journal from an older release
+    may name a mode that no longer exists), but the traces themselves
+    must be the same, in the same order.
     """
     entries = (config or {}).get("entries")
     if entries is None:

@@ -83,7 +83,7 @@ class PerfCountersObserver(SessionObserver):
         ...}}`` mappings — per-session deltas, per-worker totals, or
         prior :meth:`merge`/:meth:`summary` outputs. Hits and misses
         sum per cache; ``hit_rate`` is recomputed over the combined
-        totals (never averaged across shards).
+        totals (never averaged across sessions or workers).
         """
         totals = {}
         for summary in summaries:

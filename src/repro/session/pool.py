@@ -59,9 +59,10 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
   recalled, in-flight traces finish, and cancelled outcomes are
   reported as such so a journal-backed batch can resume them later.
 
-The parent merges everything into one
-:class:`~repro.session.batch.BatchReport` via
-:meth:`~repro.session.batch.BatchReport.merge`; counter deltas sum
+Every session, in a worker or in the parent, runs through
+:func:`replay_trace`. The parent's
+:class:`~repro.session.batch.BatchRunner` assembles the outcomes into
+one :class:`~repro.session.batch.BatchReport`; counter deltas sum
 through :meth:`~repro.session.observers.PerfCountersObserver.merge`
 (observer *instances* never cross processes), and telemetry slices
 merge through :class:`~repro.telemetry.merge.TraceMerger`.
@@ -210,11 +211,13 @@ class PoolOutcome:
     def __init__(self, index, label):
         self.index = index
         self.label = label
-        #: The decoded :class:`ReplayReport` (built on the submitted
-        #: trace object), or None on worker failure.
+        #: The :class:`ReplayReport`, built on the submitted trace
+        #: object (decoded from the worker's blob when pooled), or None
+        #: on worker failure.
         self.report = None
-        #: The report's WR3 blob while ``on_outcome`` journals it;
-        #: dropped as soon as that hook returns.
+        #: The worker's WR3 blob while ``on_outcome`` journals it;
+        #: dropped as soon as that hook returns. None for a report
+        #: made in this process (serial or degraded execution).
         self.blob = None
         #: Telemetry event dicts for this session (tracing runs only).
         self.events = None
@@ -307,16 +310,25 @@ class _TraceMemo:
         return trace
 
 
-def _replay_task(factory, engine_config, trace, tracer, tape=None,
-                 label=None, observers=None):
-    """Replay one trace on a fresh browser; returns ``(report, events,
-    metadata)``, the last two None unless ``tracer`` is set."""
+def replay_trace(factory, engine_config, trace, label=None, tape=None,
+                 tracer=None, observers=None):
+    """Replay one trace on a fresh browser from ``factory``.
+
+    The one per-trace path of every batch: the serial loop, the pool
+    worker and the pool's degraded fallback all call it. Returns
+    ``(report, mark)``, where ``mark`` is the tracer position before
+    the session (None without ``tracer``) so the caller can slice the
+    session's events out of the buffer. Exceptions propagate.
+    """
     from repro.session.engine import SessionEngine
 
+    throttle = throttle_seconds()
+    if throttle:
+        time.sleep(throttle)
     browser = factory()
     # Tape modes cross the process boundary as a picklable TapeConfig;
-    # each worker attaches it to its own browser's network (playback is
-    # what makes pooled batch replay hermetic — no app-server state).
+    # each session attaches it to its own browser's network (playback
+    # is what makes pooled batch replay hermetic: no app-server state).
     tape_session = (tape.attach(browser.network, label)
                     if tape is not None else None)
     mark = None
@@ -329,16 +341,13 @@ def _replay_task(factory, engine_config, trace, tracer, tape=None,
                                **engine_config)
         report = engine.run(trace)
     finally:
+        # Reset even when the engine raises: a stale clock would stamp
+        # later events with a dead session's virtual time.
         if tracer is not None:
             tracer.clock = None
         if tape_session is not None:
             tape_session.finish()
-    if tracer is None:
-        return report, None, None
-    # Packed records + intern tables, not per-event dicts: the
-    # parent-side TraceMerger decodes and remaps the slice.
-    return (report, tracer.wire_slice(mark),
-            [event.to_dict() for event in tracer.registry.metadata_events])
+    return report, mark
 
 
 class _ProgressObserver(SessionObserver):
@@ -418,7 +427,6 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
     if heartbeat:
         beat_stop = start_heartbeat(result_queue, worker_id, heartbeat)
     kill_rng, kill_rate = _farm_kill_stream(worker_id)
-    throttle = throttle_seconds()
     tracer = None
     tracer_cats = None
     factory = None
@@ -467,21 +475,27 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
                 result_queue.close()
                 result_queue.join_thread()
                 os._exit(137)
-            if throttle:
-                time.sleep(throttle)
             try:
                 if factory is None:
                     factory = spec.make_factory()
-                report, events, metadata = _replay_task(
+                report, mark = replay_trace(
                     factory, engine_config, traces.parse(trace_text),
-                    tracer, tape=tape, label=label, observers=observers)
-                blob = wire.encode_report(report)
+                    label=label, tape=tape, tracer=tracer,
+                    observers=observers)
+                events = metadata = None
                 dropped = 0
                 if tracer is not None:
+                    # Packed records + intern tables, not per-event
+                    # dicts: the parent-side TraceMerger decodes and
+                    # remaps the slice.
+                    events = tracer.wire_slice(mark)
+                    metadata = [event.to_dict() for event
+                                in tracer.registry.metadata_events]
                     dropped = tracer.buffer.dropped - dropped_sent
                     dropped_sent = tracer.buffer.dropped
-                message = ("result", batch_id, worker_id, index, blob,
-                           events, metadata, dropped)
+                message = ("result", batch_id, worker_id, index,
+                           wire.encode_report(report), events, metadata,
+                           dropped)
             except BaseException as exc:
                 message = ("error", batch_id, worker_id, index,
                            traceback.format_exc(), type(exc).__name__)
@@ -1060,9 +1074,10 @@ class WorkerPool:
 
         Workers died repeatedly with no completed trace in between —
         respawning further would burn processes for nothing. The
-        remainder executes inline on a factory built in the parent
-        (telemetry slices are not collected in this mode); a drain
-        request still cancels anything not yet started.
+        remainder runs inline through :func:`replay_trace` on a factory
+        built in the parent. Its outcomes carry the report but no blob
+        (a journaling caller encodes it) and no telemetry slice; a
+        drain request still cancels anything not yet started.
         """
         warnings.warn(
             "worker pool degraded to in-process execution after %d "
@@ -1095,11 +1110,8 @@ class WorkerPool:
             try:
                 if factory is None:
                     factory = self.spec.make_factory()
-                report, _, _ = _replay_task(factory, config, trace, None,
-                                            tape=tape, label=label)
-                # The same blob and report form as a worker's result.
-                outcome.blob = wire.encode_report(report)
-                outcome.report = wire.decode_report(outcome.blob, trace)
+                outcome.report, _ = replay_trace(factory, config, trace,
+                                                 label=label, tape=tape)
             except BaseException as exc:
                 outcome.error = traceback.format_exc()
                 outcome.error_class = type(exc).__name__
@@ -1107,7 +1119,6 @@ class WorkerPool:
             batch.done[index] = True
             if on_outcome is not None:
                 on_outcome(outcome)
-            outcome.blob = None
 
 
 def _default_context():

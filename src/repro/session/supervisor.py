@@ -36,7 +36,7 @@ from repro import perf
 
 #: Env var (seconds) slowing every trace down in real time — soak/test
 #: plumbing so signals and kills can land mid-run deterministically.
-#: Honored by all three batch backends (serial, sharded, pooled).
+#: Honored by every per-trace replay: serial, pooled, and degraded.
 THROTTLE_ENV = "REPRO_SOAK_THROTTLE"
 
 

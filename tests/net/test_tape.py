@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.tape import TAPE_MAGIC, BlobStore, Tape, TapeError
 from repro.net.transport import body_hash
+from repro.session.wire import _write_varint
+from tests.session.test_wire import _mutation, mutate
 
 
 def recorded_tape():
@@ -194,3 +196,75 @@ class TestJsonExport:
         # Every referenced body is present inline.
         for entry in data["entries"]:
             assert entry["body_digest"] in data["blobs"]
+
+
+def raw_tape(strings, body):
+    """WT1 bytes with the given intern table and body section."""
+    out = bytearray(TAPE_MAGIC)
+    _write_varint(out, len(strings))
+    for data in strings:
+        _write_varint(out, len(data))
+        out.extend(data)
+    return bytes(out + body)
+
+
+#: label, config ref 1, no chaos, no entries, no blobs, 0 logical bytes.
+CONFIG_ONLY_BODY = bytes([0, 1, 0, 0, 0, 0, 0])
+
+SEED_TAPES = [recorded_tape().encode(), Tape().encode()]
+
+
+def decode_or_tape_error(blob):
+    try:
+        tape = Tape.decode(blob)
+    except TapeError:
+        return
+    # Whatever decodes is a usable tape: it exports and re-encodes.
+    exported = tape.to_json_dict()
+    assert Tape.decode(tape.encode()).to_json_dict() == exported
+
+
+class TestMalformedTapes:
+    def test_non_utf8_interned_string(self):
+        with pytest.raises(TapeError, match="interned string 1 .*UTF-8"):
+            Tape.decode(raw_tape([b"\xff\xfe"], b""))
+
+    def test_truncated_varint(self):
+        with pytest.raises(TapeError, match="truncated varint"):
+            Tape.decode(TAPE_MAGIC + b"\x80")
+
+    def test_over_long_varint(self):
+        with pytest.raises(TapeError, match="varint too long"):
+            Tape.decode(TAPE_MAGIC + b"\xff" * 10 + b"\x01")
+
+    def test_config_that_is_not_json(self):
+        with pytest.raises(TapeError, match="not valid JSON"):
+            Tape.decode(raw_tape([b"{nope"], CONFIG_ONLY_BODY))
+
+    def test_config_that_is_not_an_object(self):
+        with pytest.raises(TapeError, match="JSON list, not an object"):
+            Tape.decode(raw_tape([b"[1]"], CONFIG_ONLY_BODY))
+
+    def test_required_string_missing(self):
+        # One entry whose fingerprint reference is 0 (None).
+        body = bytes([0, 0, 0, 0, 1, 0])
+        with pytest.raises(TapeError, match="fingerprint is missing"):
+            Tape.decode(raw_tape([], body))
+
+    def test_bad_chaos_seed_flag(self):
+        with pytest.raises(TapeError, match="flag is 2"):
+            Tape.decode(raw_tape([], bytes([0, 0, 0, 2])))
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, data):
+        decode_or_tape_error(data)
+        decode_or_tape_error(TAPE_MAGIC + data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(range(len(SEED_TAPES))),
+           st.lists(_mutation, min_size=1, max_size=4))
+    def test_mutated_valid_tapes(self, which, mutations):
+        decode_or_tape_error(mutate(SEED_TAPES[which], mutations))

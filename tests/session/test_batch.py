@@ -1,5 +1,8 @@
 """Batch replay across isolated browser instances."""
 
+import json
+import os
+
 import pytest
 
 from repro import telemetry
@@ -192,3 +195,100 @@ class TestBatchReport:
         summary = batch.summary()
         assert "2/2 trace(s) complete" in summary
         assert "0 page error(s)" in summary
+
+
+def statuses(batch):
+    return [[r.status for r in run.report.results] for run in batch.runs]
+
+
+def lookups(counters):
+    """{cache: (hits, misses)} of one perf-counter summary."""
+    return {name: (counts["hits"], counts["misses"])
+            for name, counts in counters.items()}
+
+
+class TestPerSessionAccounting:
+    def test_per_session_counters_attribute_to_the_right_session(self):
+        short = record_trace("short")
+        long_trace = WarrTrace(start_url=short.start_url, label="long",
+                               commands=list(short) * 6)
+        batch = BatchRunner(factory, timing=TimingPolicy.no_wait()).run(
+            [short, long_trace])
+        mine, theirs = (run.report.perf_counters for run in batch.runs)
+        # Each session reports its own cache activity: only the long
+        # session's repeated commands need relaxation candidates, and
+        # it makes far more DOM-index lookups.
+        assert mine and theirs
+        assert "relax.candidates" in theirs
+        assert "relax.candidates" not in mine
+        assert sum(theirs["dom.index"][k] for k in ("hits", "misses")) \
+            > sum(mine["dom.index"][k] for k in ("hits", "misses"))
+        # Together the two sessions account for the whole batch.
+        summed = {}
+        for counters in (mine, theirs):
+            for name, (hits, misses) in lookups(counters).items():
+                total = summed.get(name, (0, 0))
+                summed[name] = (total[0] + hits, total[1] + misses)
+        assert summed == lookups(batch.perf_counters)
+
+
+class TestBatchTelemetry:
+    def test_trace_dir_writes_per_session_and_merged_files(self, tmp_path):
+        traces = [record_trace("alpha"), record_trace("beta")]
+        BatchRunner(factory, timing=TimingPolicy.no_wait()).run(
+            traces, trace_dir=str(tmp_path))
+        names = sorted(os.listdir(str(tmp_path)))
+        assert names == ["alpha.trace.json", "batch.trace.json",
+                         "beta.trace.json"]
+        for name in names:
+            with open(os.path.join(str(tmp_path), name)) as handle:
+                assert json.load(handle)["traceEvents"], name
+
+    def test_per_session_slices_partition_the_merged_timeline(self, tmp_path):
+        traces = [record_trace("one"), record_trace("two")]
+        BatchRunner(factory, timing=TimingPolicy.no_wait()).run(
+            traces, trace_dir=str(tmp_path))
+
+        def load(name):
+            with open(os.path.join(str(tmp_path), name)) as handle:
+                return [e for e in json.load(handle)["traceEvents"]
+                        if e.get("ph") != "M"]
+
+        merged = load("batch.trace.json")
+        slices = load("one.trace.json") + load("two.trace.json")
+        assert slices
+        assert sorted(map(json.dumps, slices)) \
+            == sorted(map(json.dumps, merged))
+
+
+class TestEquivalenceMatrix:
+    def test_serial_and_pooled_agree(self):
+        traces = [record_trace("m%d" % i) for i in range(4)]
+        serial = BatchRunner(factory, timing=TimingPolicy.no_wait()).run(
+            traces)
+        pooled = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                             workers=2).run(traces)
+        assert serial.summary() == pooled.summary()
+        assert statuses(serial) == statuses(pooled)
+        for mine, theirs in zip(serial.runs, pooled.runs):
+            assert mine.report.final_url == theirs.report.final_url
+            assert mine.report.recoveries == theirs.report.recoveries
+        # Caches are per-process in the pool, so hits and misses split
+        # differently; lookups (hits + misses) per cache do not.
+        assert set(pooled.perf_counters) == set(serial.perf_counters)
+        for name, (hits, misses) in lookups(serial.perf_counters).items():
+            theirs = pooled.perf_counters[name]
+            assert theirs["hits"] + theirs["misses"] == hits + misses, name
+
+    def test_results_come_back_in_submission_order(self):
+        # Traces of very different lengths finish out of order across
+        # workers; the report still lists them as submitted.
+        short = record_trace("short")
+        long_trace = WarrTrace(start_url=short.start_url, label="long",
+                               commands=list(short) * 6)
+        for workers in (1, 2):
+            batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                                workers=workers).run(
+                [long_trace, short, short])
+            assert [run.label for run in batch.runs] \
+                == ["long", "short", "short-2"], workers

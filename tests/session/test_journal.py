@@ -528,3 +528,40 @@ class TestJournaledBatch:
         assert batch.complete
         assert batch.resumed_count == 0
         assert verify_exactly_once(path)["exactly_once"]
+
+
+class TestOldJournals:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sharded_mode_journal_resumes(self, tmp_path, workers):
+        # Older releases had an in-process "sharded" backend; its
+        # journals still name that mode in CONFIG. Resume must accept
+        # them on either surviving backend.
+        import io
+
+        from repro.cli import main
+
+        traces = [record_trace("s%d" % i) for i in range(3)]
+        labels = ["s0", "s1", "s2"]
+        done = BatchRunner(factory, timing=TimingPolicy.no_wait()).run(
+            traces[:2], labels=labels[:2])
+        digests = [trace_digest(t.to_text()) for t in traces]
+        path = str(tmp_path / "old.wj2")
+        with RunJournal.create(path, batch_config(labels, digests, "sharded"),
+                               fsync=False) as journal:
+            for index, run in enumerate(done.runs):
+                journal.start([(index, run.label)])
+                journal.finish(index, run.label, REPLAYED,
+                               blob=encode_report(run.report))
+            journal.start([(2, "s2")])
+        assert read_journal(path).config["mode"] == "sharded"
+
+        resumed = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                              workers=workers, journal=path,
+                              resume=True).run(traces, labels=labels)
+        assert resumed.complete
+        assert [run.resumed for run in resumed.runs] == [True, True, False]
+        assert [run.report.to_dict() for run in resumed.runs[:2]] \
+            == [run.report.to_dict() for run in done.runs]
+        out = io.StringIO()
+        main(["journal", path], out=out)
+        assert "exactly-once: yes" in out.getvalue().splitlines()

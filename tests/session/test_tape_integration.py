@@ -4,8 +4,8 @@ The hermeticity acceptance property: a session recorded to tape replays
 in PLAYBACK mode with *zero* live requests — no application servers
 registered at all — and produces a ReplayReport equivalent to the live
 run. Plus: playback-under-chaos equivalence via the stamped
-``(profile, seed)``, and tape-driven batch runs agreeing across the
-serial, sharded, and pooled backends.
+``(profile, seed)``, and tape-driven batch runs agreeing with live
+replay on the serial and pooled backends.
 """
 
 import pytest
@@ -152,26 +152,23 @@ class TestTapeBatchBackends:
         assert live.complete
         return tape_dir, live
 
-    def playback_runner(self, tape_dir, **kwargs):
+    def playback_runner(self, tape_dir):
         return BatchRunner(
             batch_browser_factory("dashboard", client_only=True),
             timing=TimingMode.no_wait(),
-            tape=TapeConfig.playback(tape_dir), **kwargs)
+            tape=TapeConfig.playback(tape_dir))
 
     def assert_matches(self, live, played):
         assert played.complete
         assert [report_key(run.report) for run in played.runs] \
             == [report_key(run.report) for run in live.runs]
 
-    def test_serial_and_sharded_playback_match_live(self, tmp_path):
+    def test_serial_playback_matches_live(self, tmp_path):
         trace = make_trace("dashboard")
         tape_dir, live = self.record_tapes(trace, tmp_path)
         serial = self.playback_runner(tape_dir) \
             .run([trace, trace], labels=["a", "b"])
         self.assert_matches(live, serial)
-        sharded = self.playback_runner(tape_dir, shards=2) \
-            .run([trace, trace], labels=["a", "b"])
-        self.assert_matches(live, sharded)
 
     def test_pooled_playback_matches_live(self, tmp_path):
         from repro.session.pool import WorkerSpec

@@ -55,12 +55,12 @@ class TestMetricExtraction:
         # Two sweep points of the same backend must not collapse into
         # one metric (the id is a composite of every identity field).
         metrics = extract_metrics({"series": [
-            {"mode": "sharded", "shards": 2, "traces_per_second": 8.0},
-            {"mode": "sharded", "shards": 4, "traces_per_second": 9.0},
+            {"mode": "pool", "workers": 2, "traces_per_second": 8.0},
+            {"mode": "pool", "workers": 4, "traces_per_second": 9.0},
         ]})
         assert len(metrics) == 2
-        assert "series[mode=sharded,shards=2].traces_per_second" in metrics
-        assert "series[mode=sharded,shards=4].traces_per_second" in metrics
+        assert "series[mode=pool,workers=2].traces_per_second" in metrics
+        assert "series[mode=pool,workers=4].traces_per_second" in metrics
 
 
 class TestCompare:
@@ -90,6 +90,19 @@ class TestCompare:
         records = compare({"new_per_second": 5.0}, {"benchmark": "x"})
         assert records[0]["status"] == "skipped"
         assert records[0]["reason"] == "no baseline"
+
+    def test_removed_metric_is_reported_as_skipped(self):
+        # A sweep row the current run no longer produces (its backend
+        # was removed) is listed, not silently dropped or failed.
+        current = {"series": [{"mode": "serial", "x_per_second": 10.0}]}
+        baseline = {"series": [{"mode": "serial", "x_per_second": 10.0},
+                               {"mode": "gone", "x_per_second": 9.0}]}
+        records = compare(current, baseline)
+        assert [(r["metric"], r["status"]) for r in records] == [
+            ("series[mode=serial].x_per_second", "ok"),
+            ("series[mode=gone].x_per_second", "skipped")]
+        assert records[1]["reason"] == "not in current run"
+        assert records[1]["baseline"] == 9.0
 
     def test_custom_threshold(self):
         current, baseline = {"x_per_second": 89.0}, {"x_per_second": 100.0}
