@@ -1,189 +1,40 @@
-"""In-process sharded replay and the serial/sharded/pooled equivalence.
+"""Contracts the scale-out backends owe a batch.
 
-The scale-out story only holds if every backend is a pure throughput
-knob: same per-command results, same counters, same merged report shape.
-These tests pin that matrix — serial vs sharded exactly (shared
-process, shared caches), pooled up to cache *topology* (per-process
-caches split hits/misses differently, but total lookups per cache are
-invariant).
+The in-process sharded backend is gone; what it was tested for stays
+pinned here on the backends that remain: a failing trace must not take
+its neighbours down when sessions replay side by side (worker pool),
+and a halting failure must stop admission while keeping the report of
+the trace that halted (serial loop).
 """
-
-import json
-import os
-
-import pytest
 
 from repro.core.commands import TypeCommand
 from repro.core.trace import WarrTrace
 from repro.session.batch import BatchRunner
 from repro.session.policies import FailurePolicy, TimingPolicy
-from repro.session.shard import ShardedRunner
 from tests.browser.helpers import url
 from tests.session.test_batch import factory, record_trace
 
 
-def run_serial(traces, trace_dir=None, **kwargs):
-    return BatchRunner(factory, timing=TimingPolicy.no_wait(),
-                       **kwargs).run(traces, trace_dir=trace_dir)
-
-
-def run_sharded(traces, shards=3, trace_dir=None, **kwargs):
-    return BatchRunner(factory, timing=TimingPolicy.no_wait(),
-                       shards=shards, **kwargs).run(traces,
-                                                    trace_dir=trace_dir)
-
-
-def statuses(batch):
-    return [[r.status for r in run.report.results] for run in batch.runs]
+def bad_trace():
+    return WarrTrace(start_url=url("/"), label="bad", commands=[
+        TypeCommand("//video", "x", 88)])
 
 
 class TestShardedRunner:
-    def test_sharded_matches_serial_exactly(self):
-        traces = [record_trace("session-%d" % i) for i in range(5)]
-        serial = run_serial(traces)
-        sharded = run_sharded(traces, shards=3)
-        assert sharded.complete
-        assert sharded.summary() == serial.summary()
-        assert [run.label for run in sharded.runs] \
-            == [run.label for run in serial.runs]
-        assert statuses(sharded) == statuses(serial)
-        for mine, theirs in zip(sharded.runs, serial.runs):
-            assert mine.report.final_url == theirs.report.final_url
-            assert mine.report.recoveries == theirs.report.recoveries
-
-    def test_shards_beyond_trace_count_are_harmless(self):
-        traces = [record_trace("t%d" % i) for i in range(2)]
-        batch = run_sharded(traces, shards=16)
-        assert batch.complete
-        assert batch.trace_count == 2
-
-    def test_single_shard_is_the_serial_path(self):
-        traces = [record_trace("solo")]
-        assert run_sharded(traces, shards=1).summary() \
-            == run_serial(traces).summary()
-
-    def test_results_come_back_in_submission_order(self):
-        # Interleaving must not reorder the report: traces of very
-        # different lengths finish out of order internally.
-        short = record_trace("short")
-        long_trace = WarrTrace(
-            start_url=short.start_url, label="long",
-            commands=list(short) * 6)
-        batch = run_sharded([long_trace, short, short], shards=3)
-        assert [run.label for run in batch.runs] \
-            == ["long", "short", "short-2"]
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(factory, shards=0)
-        with pytest.raises(ValueError):
-            ShardedRunner(factory, shards=0)
-
-    def test_workers_and_shards_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="alternative scale-out"):
-            BatchRunner(factory, workers=2, shards=2)
-
     def test_failures_stay_isolated_per_shard(self):
         good = record_trace("good")
-        bad = WarrTrace(start_url=url("/"), label="bad", commands=[
-            TypeCommand("//video", "x", 88)])
-        batch = run_sharded([bad, good, good], shards=2)
+        batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                            workers=2).run([bad_trace(), good, good])
         assert batch.complete_count == 2
         assert [run.label for run in batch.failures()] == ["bad"]
 
     def test_halt_policy_stops_admission_but_drains_in_flight(self):
-        bad = WarrTrace(start_url=url("/"), label="bad", commands=[
-            TypeCommand("//video", "x", 88)])
         goods = [record_trace("g%d" % i) for i in range(4)]
-        batch = run_sharded([bad] + goods, shards=2,
-                            failure=FailurePolicy.halt_on_failure())
-        serial = run_serial([bad] + goods,
-                            failure=FailurePolicy.halt_on_failure())
-        # Serial stops after the halting trace; sharded also drains the
-        # one session already admitted alongside it, but never admits
-        # the rest of the queue.
-        assert serial.trace_count == 1
-        assert 1 <= batch.trace_count <= 2
-        assert "bad" in [run.label for run in batch.runs]
-
-
-class TestPerSessionAccounting:
-    def test_batch_perf_counters_equal_serial(self):
-        # Shared process, shared caches: the batch-level roll-up must be
-        # *identical* to serial, not merely equivalent.
-        traces = [record_trace("p%d" % i) for i in range(4)]
-        assert run_sharded(traces, shards=2).perf_counters \
-            == run_serial(traces).perf_counters
-
-    def test_per_session_counters_attribute_to_the_right_session(self):
-        # Every session's counter delta must cover its own lookups:
-        # sharded totals per trace sum to the same grand total serial
-        # reports, and no session reports an empty delta.
-        traces = [record_trace("a%d" % i) for i in range(3)]
-        serial = run_serial(traces)
-        sharded = run_sharded(traces, shards=3)
-
-        def totals(batch):
-            out = {}
-            for run in batch.runs:
-                for name, counts in run.report.perf_counters.items():
-                    hits, misses = out.get(name, (0, 0))
-                    out[name] = (hits + counts["hits"],
-                                 misses + counts["misses"])
-            return out
-
-        assert totals(sharded) == totals(serial)
-        for run in sharded.runs:
-            assert run.report.perf_counters, \
-                "session %s lost its counter attribution" % run.label
-
-
-class TestShardedTelemetry:
-    def test_trace_dir_writes_per_session_and_merged_files(self, tmp_path):
-        traces = [record_trace("alpha"), record_trace("beta")]
-        run_sharded(traces, shards=2, trace_dir=str(tmp_path))
-        names = sorted(os.listdir(str(tmp_path)))
-        assert names == ["alpha.trace.json", "batch.trace.json",
-                         "beta.trace.json"]
-        for name in names:
-            with open(os.path.join(str(tmp_path), name)) as handle:
-                data = json.load(handle)
-            assert data["traceEvents"], name
-
-    def test_per_session_slices_partition_the_merged_timeline(self, tmp_path):
-        traces = [record_trace("one"), record_trace("two")]
-        run_sharded(traces, shards=2, trace_dir=str(tmp_path))
-
-        def load(name):
-            with open(os.path.join(str(tmp_path), name)) as handle:
-                return [e for e in json.load(handle)["traceEvents"]
-                        if e.get("ph") != "M"]
-
-        merged = load("batch.trace.json")
-        slices = load("one.trace.json") + load("two.trace.json")
-        assert len(merged) == len(slices)
-
-
-class TestEquivalenceMatrix:
-    def test_serial_sharded_pooled_agree(self):
-        traces = [record_trace("m%d" % i) for i in range(4)]
-        serial = run_serial(traces)
-        sharded = run_sharded(traces, shards=2)
-        pooled = BatchRunner(factory, timing=TimingPolicy.no_wait(),
-                             workers=2).run(traces)
-        assert serial.summary() == sharded.summary() == pooled.summary()
-        assert statuses(serial) == statuses(sharded) == statuses(pooled)
-        for a, b, c in zip(serial.runs, sharded.runs, pooled.runs):
-            assert a.report.final_url == b.report.final_url \
-                == c.report.final_url
-            assert a.report.recoveries == b.report.recoveries \
-                == c.report.recoveries
-        # Caches are shared in-process, per-process in the pool — so
-        # counters match exactly for sharded, and up to lookup totals
-        # (hits + misses per cache) for pooled.
-        assert sharded.perf_counters == serial.perf_counters
-        assert set(pooled.perf_counters) == set(serial.perf_counters)
-        for name, counts in serial.perf_counters.items():
-            theirs = pooled.perf_counters[name]
-            assert theirs["hits"] + theirs["misses"] \
-                == counts["hits"] + counts["misses"], name
+        batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                            failure=FailurePolicy.halt_on_failure()
+                            ).run([bad_trace()] + goods)
+        # The halting trace keeps its report; none of the queue behind
+        # it is admitted.
+        assert batch.trace_count == 1
+        assert [run.label for run in batch.runs] == ["bad"]
+        assert batch.runs[0].report.halted
