@@ -10,6 +10,7 @@ link activation, form submission, text insertion, element dragging.
 
 from repro import telemetry
 from repro.dom.node import Element
+from repro.events.dispatch import observable
 from repro.events.event import MouseEvent, KeyboardEvent, DragEvent, InputEvent
 from repro.events.keys import (
     KEY_BACKSPACE,
@@ -127,11 +128,18 @@ class EventHandler:
             # printable key (which carries shift_key=True).
             return
 
-        down = KeyboardEvent.trusted("keydown", event.key, event.key_code,
-                                     event.shift_key, event.ctrl_key,
-                                     event.alt_key, event.timestamp)
-        proceed = engine.dispatch(target, down)
-        if proceed and is_printable(event.key) and not event.ctrl_key:
+        # Key events no listener or tracer could observe are not built
+        # (see repro.events.dispatch.observable); they count as not
+        # prevented.
+        proceed = True
+        if observable(target, "keydown"):
+            down = KeyboardEvent.trusted("keydown", event.key,
+                                         event.key_code, event.shift_key,
+                                         event.ctrl_key, event.alt_key,
+                                         event.timestamp)
+            proceed = engine.dispatch(target, down)
+        if (proceed and is_printable(event.key) and not event.ctrl_key
+                and observable(target, "keypress")):
             press = KeyboardEvent.trusted("keypress", event.key,
                                           event.key_code, event.shift_key,
                                           event.ctrl_key, event.alt_key,
@@ -140,10 +148,12 @@ class EventHandler:
         if proceed:
             self._default_key_action(target, event)
 
-        keyup = KeyboardEvent.trusted("keyup", event.key, event.key_code,
-                                      event.shift_key, event.ctrl_key,
-                                      event.alt_key, event.timestamp)
-        engine.dispatch(target, keyup)
+        if observable(target, "keyup"):
+            keyup = KeyboardEvent.trusted("keyup", event.key,
+                                          event.key_code, event.shift_key,
+                                          event.ctrl_key, event.alt_key,
+                                          event.timestamp)
+            engine.dispatch(target, keyup)
         engine.invalidate_layout()
 
     def handle_drag(self, event):
@@ -207,27 +217,27 @@ class EventHandler:
             return
         if event.key_code == KEY_BACKSPACE:
             self._delete_backwards(target)
-            engine.dispatch(target, InputEvent())
+            if observable(target, "input"):
+                engine.dispatch(target, InputEvent())
             return
         if not is_printable(event.key) or event.ctrl_key or event.alt_key:
             return
         self._insert_text(target, event.key)
-        engine.dispatch(target, InputEvent(data=event.key))
+        if observable(target, "input"):
+            engine.dispatch(target, InputEvent(data=event.key))
 
     def _insert_text(self, target, text):
         if target.tag in ("input", "textarea"):
             target.value = target.value + text
         elif target.is_content_editable:
-            editable = self._editable_root(target)
-            editable.text_content = editable.text_content + text
+            self._editable_root(target).append_text(text)
         # Keys sent to non-editable targets have no default effect.
 
     def _delete_backwards(self, target):
         if target.tag in ("input", "textarea"):
             target.value = target.value[:-1]
         elif target.is_content_editable:
-            editable = self._editable_root(target)
-            editable.text_content = editable.text_content[:-1]
+            self._editable_root(target).delete_last_character()
 
     @staticmethod
     def _editable_root(target):

@@ -25,6 +25,7 @@ all of them so the ablation benchmarks can demonstrate each failure.
 """
 
 from repro.browser.ipc import InputMessage
+from repro.events.dispatch import observable
 from repro.events.event import KeyboardEvent, MouseEvent, DragEvent, InputEvent
 from repro.events.keys import (
     KEY_BACKSPACE,
@@ -144,26 +145,33 @@ class ChromeDriverClient:
         mutation, fires ``input``, then keyup. Without
         ``fix_text_input``, the mutation always goes through the
         ``value`` property — invisible on container elements like div.
+        An event no listener or tracer could observe (see
+        :func:`~repro.events.dispatch.observable`) is not built, and
+        counts as not prevented.
         """
+        engine = self.engine
         developer_mode = self.master.browser.developer_mode
-        self.engine.set_focus(element if element.is_focusable() else None)
+        engine.set_focus(element if element.is_focusable() else None)
 
-        down = KeyboardEvent.synthetic("keydown", key, code,
-                                       timestamp=self._now(),
-                                       developer_mode=developer_mode)
-        proceed = self.engine.dispatch(element, down)
-        if proceed and is_printable(key):
+        proceed = True
+        if observable(element, "keydown"):
+            down = KeyboardEvent.synthetic("keydown", key, code,
+                                           timestamp=self._now(),
+                                           developer_mode=developer_mode)
+            proceed = engine.dispatch(element, down)
+        if proceed and is_printable(key) and observable(element, "keypress"):
             press = KeyboardEvent.synthetic("keypress", key, code,
                                             timestamp=self._now(),
                                             developer_mode=developer_mode)
-            proceed = self.engine.dispatch(element, press)
+            proceed = engine.dispatch(element, press)
         if proceed:
             self._apply_key(element, key, code)
-        keyup = KeyboardEvent.synthetic("keyup", key, code,
-                                        timestamp=self._now(),
-                                        developer_mode=developer_mode)
-        self.engine.dispatch(element, keyup)
-        self.engine.invalidate_layout()
+        if observable(element, "keyup"):
+            keyup = KeyboardEvent.synthetic("keyup", key, code,
+                                            timestamp=self._now(),
+                                            developer_mode=developer_mode)
+            engine.dispatch(element, keyup)
+        engine.invalidate_layout()
 
     def _apply_key(self, element, key, code):
         if code == KEY_ENTER:
@@ -174,10 +182,11 @@ class ChromeDriverClient:
             if element.supports_value():
                 element.value = element.value[:-1]
             elif self.master.config.fix_text_input:
-                element.text_content = element.text_content[:-1]
+                element.delete_last_character()
             else:
                 element.value = element.value[:-1]
-            self.engine.dispatch(element, InputEvent())
+            if observable(element, "input"):
+                self.engine.dispatch(element, InputEvent())
             return
         if not is_printable(key):
             return
@@ -186,12 +195,13 @@ class ChromeDriverClient:
         elif self.master.config.fix_text_input:
             # WaRR's fix: set the *correct* property for container
             # elements — their text content, not a dangling .value.
-            element.text_content = element.text_content + key
+            element.append_text(key)
         else:
             # Stock ChromeDriver: sets .value even on divs. The DOM text
             # never changes, so the keystroke is effectively lost.
             element.value = element.value + key
-        self.engine.dispatch(element, InputEvent(data=key))
+        if observable(element, "input"):
+            self.engine.dispatch(element, InputEvent(data=key))
 
     def drag(self, element, dx, dy):
         """Drag an element by (dx, dy)."""

@@ -23,7 +23,8 @@ explicit command so traces stay self-contained. The reserved name
 
 import re
 
-from repro.util.errors import TraceFormatError
+from repro.util.errors import TraceFormatError, XPathSyntaxError
+from repro.xpath.parser import parse_xpath
 
 #: Frame locator meaning "the main document" (paper's custom iframe name).
 DEFAULT_FRAME = "default"
@@ -189,7 +190,23 @@ _FRAME_RE = re.compile(r"^(?P<xpath>.+)\s-$")
 
 
 def parse_command_line(line):
-    """Parse one trace line back into a :class:`WarrCommand`."""
+    """Parse one trace line back into a :class:`WarrCommand`.
+
+    The locator is compiled here, so a line whose XPath does not parse
+    is a :class:`TraceFormatError` naming the line, and the compiled
+    path is already in the shared compile cache when replay looks it up.
+    """
+    command = _parse_fields(line)
+    if not (command.action == "switchframe" and command.is_default):
+        try:
+            parse_xpath(command.xpath)
+        except XPathSyntaxError as error:
+            raise TraceFormatError(
+                "invalid locator in line %r: %s" % (line, error))
+    return command
+
+
+def _parse_fields(line):
     text = line.strip()
     if not text:
         raise TraceFormatError("cannot parse empty trace line")

@@ -162,6 +162,33 @@ class Node:
         if value:
             self.append_child(Text(value))
 
+    # Typing edits: the same tree as ``text_content = text_content + t``
+    # (or ``[:-1]``), without detaching the one Text node and adopting a
+    # new one per keystroke. Rewriting its ``data`` is one "text"
+    # mutation, so generation-keyed caches still see the edit. Any other
+    # shape of children, a result that would leave an empty Text node,
+    # and a disabled fast path take the replace-all setter.
+
+    def append_text(self, text):
+        """Append ``text`` to this node's text content, as typing does."""
+        children = self.children
+        if (len(children) == 1 and type(children[0]) is Text
+                and perf.fast_path_enabled()):
+            child = children[0]
+            child.data = child._data + text
+        else:
+            self.text_content = self.text_content + text
+
+    def delete_last_character(self):
+        """Remove the last character of this node's text content."""
+        children = self.children
+        if (len(children) == 1 and type(children[0]) is Text
+                and len(children[0]._data) > 1 and perf.fast_path_enabled()):
+            child = children[0]
+            child.data = child._data[:-1]
+        else:
+            self.text_content = self.text_content[:-1]
+
     # -- event listeners (storage only; dispatch in repro.events) --------
 
     def add_event_listener(self, event_type, handler, capture=False):

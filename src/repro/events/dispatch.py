@@ -17,7 +17,9 @@ listened for (see ``Document._listened_types``) returns at once: no
 handler could run, so walking the propagation path would observe
 nothing. Detached targets without an owning document, traced dispatch
 and a disabled fast path (:func:`repro.perf.fast_path`) take the full
-walk.
+walk. :func:`observable` is that condition; callers that synthesize
+events (the driver's and the event handler's keystrokes) ask it first
+and do not even build an event that could reach nobody.
 """
 
 from repro import perf, telemetry
@@ -54,11 +56,24 @@ def dispatch_event(target, event, on_error=None, track=None):
     return _dispatch_traced(tracer, target, event, on_error, track)
 
 
+def observable(target, event_type):
+    """Whether dispatching ``event_type`` at ``target`` can run anything.
+
+    False only when the target's document is set and no node of it has
+    ever listened for the type, no tracer records dispatches, and the
+    fast path is on: then no handler runs, nothing is traced, and the
+    dispatch would return "not prevented" untouched. Callers that skip
+    building such an event treat it as not prevented.
+    """
+    document = target.owner_document
+    return (document is None or event_type in document._listened_types
+            or telemetry._dispatch_tracer is not None
+            or not perf.fast_path_enabled())
+
+
 def _dispatch(target, event, on_error):
     event.target = target
-    document = target.owner_document
-    if (document is not None and event.type not in document._listened_types
-            and perf.fast_path_enabled()):
+    if not observable(target, event.type):
         return not event.default_prevented
     ancestors = _propagation_path(target)
     _capture_phase(ancestors, event, on_error)

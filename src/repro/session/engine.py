@@ -40,6 +40,7 @@ from repro.util.errors import (
     RendererCrashError,
     ReplayError,
     ReplayHaltedError,
+    XPathSyntaxError,
 )
 
 
@@ -111,35 +112,41 @@ class SessionEngine:
 
     # -- per-command execution ----------------------------------------------
 
-    def execute(self, driver, command, emit=None):
+    def execute(self, driver, command, stream=None):
         """Run one command through locate → act; returns a CommandResult.
 
         Stateless with respect to the run: WebErr's legacy stepping
-        interface calls this with its own driver. Raises
+        interface calls this with its own driver. Events go to
+        ``stream`` (a fresh one over the standing observers if None),
+        each built only when its kind has a handler there. Raises
         :class:`ReplayHaltedError` when the driver has lost its active
         client and :class:`ReplayError` for unreplayable commands.
         """
-        if emit is None:
+        if stream is None:
             stream = EventStream(self.observers)
-            emit = stream.emit
         if command.action == "switchframe":
-            return self._execute_switch(driver, command, emit)
+            return self._execute_switch(driver, command, stream)
         if command.action not in ("click", "doubleclick", "type", "drag"):
             raise ReplayError("cannot replay command %r" % (command,))
 
         # -- locate stage ---------------------------------------------------
+        # A command built in code (not parsed from a .warr file, whose
+        # parser rejects bad locators) can carry an XPath that does not
+        # compile: that fails the command, not the session.
         try:
             location = self.locator.resolve(driver, command.xpath)
         except ReplayHaltedError:
             raise
         except ElementNotFoundError as error:
-            return self._locate_fallback(driver, command, error, emit)
-        except DriverError as error:
-            return self._fail(command, error, emit)
-        emit(SessionEvent(
-            SessionEvent.RELAXED if location.relaxed else SessionEvent.LOCATED,
-            command=command, detail=location.detail,
-            data={"element": location.element}))
+            return self._locate_fallback(driver, command, error, stream)
+        except (DriverError, XPathSyntaxError) as error:
+            return self._fail(command, error, stream)
+        handlers = stream.handlers
+        kind = SessionEvent.RELAXED if location.relaxed else SessionEvent.LOCATED
+        if handlers[kind]:
+            stream.emit(SessionEvent(kind, command=command,
+                                     detail=location.detail,
+                                     data={"element": location.element}))
 
         # -- act stage ------------------------------------------------------
         # NavigationError/NetworkError join the catch set because an
@@ -152,27 +159,29 @@ class SessionEngine:
             raise
         except (ElementNotFoundError, DriverError,
                 NavigationError, NetworkError) as error:
-            return self._fail(command, error, emit)
-        emit(SessionEvent(SessionEvent.ACTED, command=command,
-                          detail=location.detail))
+            return self._fail(command, error, stream)
+        if handlers[SessionEvent.ACTED]:
+            stream.emit(SessionEvent(SessionEvent.ACTED, command=command,
+                                     detail=location.detail))
         if location.relaxed:
             return CommandResult(command, CommandResult.RELAXED,
                                  detail=location.detail)
         return CommandResult(command, CommandResult.OK)
 
-    def _locate_fallback(self, driver, command, error, emit):
+    def _locate_fallback(self, driver, command, error, stream):
         """Backup element identification: the recorded click position."""
         position = self.locator.fallback_position(command)
         if position is None:
-            return self._fail(command, error, emit)
+            return self._fail(command, error, stream)
         try:
             driver.click_at(*position)
         except ReplayHaltedError:
             raise
         except Exception as fallback_error:
-            return self._fail(command, fallback_error, emit)
+            return self._fail(command, fallback_error, stream)
         detail = "clicked at recorded (%d,%d)" % position
-        emit(SessionEvent(SessionEvent.ACTED, command=command, detail=detail))
+        stream.emit(SessionEvent(SessionEvent.ACTED, command=command,
+                                 detail=detail))
         return CommandResult(command, CommandResult.COORDINATE, detail=detail)
 
     @staticmethod
@@ -187,7 +196,7 @@ class SessionEngine:
         else:
             client.drag(element, command.dx, command.dy)
 
-    def _execute_switch(self, driver, command, emit):
+    def _execute_switch(self, driver, command, stream):
         try:
             if command.is_default:
                 driver.switch_to_default()
@@ -195,14 +204,15 @@ class SessionEngine:
                 driver.switch_to_frame(command.xpath)
         except ReplayHaltedError:
             raise
-        except (DriverError, ElementNotFoundError) as error:
-            return self._fail(command, error, emit)
-        emit(SessionEvent(SessionEvent.ACTED, command=command))
+        except (DriverError, ElementNotFoundError, XPathSyntaxError) as error:
+            return self._fail(command, error, stream)
+        stream.emit(SessionEvent(SessionEvent.ACTED, command=command))
         return CommandResult(command, CommandResult.OK)
 
     @staticmethod
-    def _fail(command, error, emit):
-        emit(SessionEvent(SessionEvent.FAILED, command=command, error=error))
+    def _fail(command, error, stream):
+        stream.emit(SessionEvent(SessionEvent.FAILED, command=command,
+                                 error=error))
         return CommandResult(command, CommandResult.FAILED, error=error)
 
 
@@ -220,8 +230,10 @@ class SessionRun:
         self.report_builder = ReportBuilder(trace)
         # The builder subscribes first so downstream observers (oracles,
         # snapshotters) see a fully assembled report on session-finished.
-        # Every run also carries a TracingObserver — a no-op guard check
-        # per event until telemetry tracing is enabled.
+        # Every run also carries a TracingObserver; it handles no kind
+        # while tracing is off, so the stream never calls it then (the
+        # stream is retuned to the installed tracer at begin, at every
+        # step and at finish).
         from repro.telemetry.observer import TracingObserver
 
         self.stream = EventStream(
@@ -232,10 +244,10 @@ class SessionRun:
         self.stopped = False
         self._navigation_failed = False
         self._anchor = 0.0
-        #: ``[tracer, wants("session.phase")]`` — step() runs once per
-        #: command and a tracer's category set is immutable, so the
-        #: schedule-span decision is resolved once per installed tracer.
-        self._wants_schedule = [None, False]
+        #: Whether the tracer the stream is keyed on records the
+        #: schedule span. A tracer's category set is immutable, so this
+        #: is resolved in :meth:`_retune`, once per installed tracer.
+        self._trace_schedule = False
         self._error_base = 0
         self._perf_base = None
         self._net_base = None
@@ -262,6 +274,7 @@ class SessionRun:
         # Recording starts its timeline at begin(), i.e. just before the
         # initial navigation — anchor the replay timeline the same way.
         self._anchor = browser.clock.now()
+        self._retune(telemetry.current())
         self.stream.emit(SessionEvent(
             SessionEvent.SESSION_STARTED,
             data={"trace": self.trace, "browser": browser,
@@ -304,17 +317,15 @@ class SessionRun:
         and marks the run halted; it is not re-raised, so stepping
         callers can keep iterating and simply observe ``self.halted``.
         """
-        emit = self.stream.emit
+        stream = self.stream
+        handlers = stream.handlers
         clock = self.browser.clock
         target = self.engine.timing.target(self._anchor, command)
         wait_ms = max(0.0, target - clock.now())
         tracer = telemetry.current()
-        if tracer is not None:
-            cache = self._wants_schedule
-            if tracer is not cache[0]:
-                cache[0] = tracer
-                cache[1] = tracer.wants("session.phase")
-        if tracer is None or not cache[1]:
+        if tracer is not handlers.tracer:
+            self._retune(tracer)
+        if not self._trace_schedule:
             self.driver.wait(wait_ms)
         else:
             with tracer.span("session.schedule", track=SESSION_TRACK,
@@ -322,21 +333,23 @@ class SessionRun:
                              args={"wait_ms": wait_ms, "due_vt_ms": target}):
                 self.driver.wait(wait_ms)
         self._anchor = clock.now()
-        emit(SessionEvent(SessionEvent.COMMAND_STARTED, command=command,
-                          data={"due": target}))
+        if handlers[SessionEvent.COMMAND_STARTED]:
+            stream.emit(SessionEvent(SessionEvent.COMMAND_STARTED,
+                                     command=command, data={"due": target}))
         try:
-            result = self._execute_healing(command, emit)
+            result = self._execute_healing(command, stream)
         except ReplayHaltedError as error:
             result = CommandResult(command, CommandResult.FAILED, error=error)
-            emit(SessionEvent(SessionEvent.COMMAND_FINISHED, command=command,
-                              result=result))
+            stream.emit(SessionEvent(SessionEvent.COMMAND_FINISHED,
+                                     command=command, result=result))
             self.halted = True
             self.stopped = True
-            emit(SessionEvent(SessionEvent.HALTED, detail=str(error),
-                              error=error))
+            stream.emit(SessionEvent(SessionEvent.HALTED, detail=str(error),
+                                     error=error))
             return result
-        emit(SessionEvent(SessionEvent.COMMAND_FINISHED, command=command,
-                          result=result))
+        if handlers[SessionEvent.COMMAND_FINISHED]:
+            stream.emit(SessionEvent(SessionEvent.COMMAND_FINISHED,
+                                     command=command, result=result))
         if result.succeeded:
             url = self.driver.tab.url if self.driver.has_session else None
             self.checkpoint.advance(command, url)
@@ -346,15 +359,21 @@ class SessionRun:
         elif decision == FailurePolicy.HALT:
             self.halted = True
             self.stopped = True
-            emit(SessionEvent(
+            stream.emit(SessionEvent(
                 SessionEvent.HALTED,
                 detail="command failed: %s" % command.to_line(),
                 error=result.error))
         return result
 
+    def _retune(self, tracer):
+        """Key the event stream (and the schedule span) on ``tracer``."""
+        self.stream.retune(tracer)
+        self._trace_schedule = (tracer is not None
+                                and tracer.wants("session.phase"))
+
     # -- self-healing -------------------------------------------------------
 
-    def _execute_healing(self, command, emit):
+    def _execute_healing(self, command, stream):
         """Execute with the engine's RetryPolicy: retry transients,
         recover renderer crashes from the replay checkpoint.
 
@@ -365,7 +384,7 @@ class SessionRun:
         retry = self.engine.retry
         attempt = 1
         while True:
-            result = self.engine.execute(self.driver, command, emit=emit)
+            result = self.engine.execute(self.driver, command, stream=stream)
             result.retries = attempt - 1
             error = result.error
             if result.succeeded or error is None:
@@ -374,15 +393,15 @@ class SessionRun:
                 return result
             if isinstance(error, RendererCrashError) and not retry.recover_crashes:
                 return result
-            emit(SessionEvent(SessionEvent.RETRYING, command=command,
-                              detail=str(error), error=error,
-                              data={"attempt": attempt}))
+            stream.emit(SessionEvent(SessionEvent.RETRYING, command=command,
+                                     detail=str(error), error=error,
+                                     data={"attempt": attempt}))
             if isinstance(error, RendererCrashError):
-                self._recover_from_crash(error, emit)
+                self._recover_from_crash(error, stream)
             self.driver.wait(self._backoff_seq.delay_ms(attempt))
             attempt += 1
 
-    def _recover_from_crash(self, error, emit):
+    def _recover_from_crash(self, error, stream):
         """Tab reload + checkpoint resume after a renderer crash.
 
         Fault injection is suppressed for the whole recovery pass: the
@@ -392,13 +411,13 @@ class SessionRun:
         (the session already recorded their first, successful run).
         """
         checkpoint = self.checkpoint
-        emit(SessionEvent(
+        stream.emit(SessionEvent(
             SessionEvent.RECOVERING, detail=checkpoint.url or "",
             error=error,
             data={"url": checkpoint.url, "depth": checkpoint.depth}))
         injector = chaos.current()
         guard = injector.suppressed() if injector is not None else nullcontext()
-        silent = EventStream([]).emit
+        silent = EventStream([])
         with guard:
             try:
                 self.driver.get(checkpoint.url)
@@ -408,14 +427,14 @@ class SessionRun:
                     % (checkpoint.url, reload_error))
             for past in checkpoint.commands:
                 try:
-                    self.engine.execute(self.driver, past, emit=silent)
+                    self.engine.execute(self.driver, past, stream=silent)
                 except ReplayHaltedError:
                     raise
                 except ReplayError:
                     # Best effort: the retried command's own outcome
                     # decides whether the session proceeds.
                     pass
-        emit(SessionEvent(
+        stream.emit(SessionEvent(
             SessionEvent.RECOVERED,
             data={"url": checkpoint.url, "depth": checkpoint.depth}))
 
@@ -443,6 +462,7 @@ class SessionRun:
         if self._finished:
             return self.report
         self._finished = True
+        self._retune(telemetry.current())
         emit = self.stream.emit
         browser = self.browser
         if not self._navigation_failed:

@@ -127,14 +127,21 @@ class SessionObserver:
 _NO_HOOK = object()
 
 
-def _handler_for(observer, kind):
+def _handler_for(observer, kind, tracer=None):
     """The callable ``observer`` needs for ``kind`` events, or None.
 
-    A :class:`SessionObserver` that keeps the base ``on_event`` is
-    reached through its per-kind hook directly, and skipped where that
-    hook is still the inherited no-op. Observers overriding
-    ``on_event``, and duck-typed ones, get every event through it.
+    An observer with a ``handled_kinds(tracer)`` method (the telemetry
+    :class:`~repro.telemetry.observer.TracingObserver`) names the kinds
+    it handles under the installed ``tracer`` and gets those through
+    its ``on_event``. A :class:`SessionObserver` that keeps the base
+    ``on_event`` is reached through its per-kind hook directly, and
+    skipped where that hook is still the inherited no-op. Observers
+    overriding ``on_event``, and duck-typed ones, get every event
+    through it.
     """
+    handled_kinds = getattr(observer, "handled_kinds", None)
+    if handled_kinds is not None:
+        return observer.on_event if kind in handled_kinds(tracer) else None
     if not isinstance(observer, SessionObserver) \
             or type(observer).on_event is not SessionObserver.on_event:
         return observer.on_event
@@ -146,35 +153,62 @@ def _handler_for(observer, kind):
     return hook
 
 
+class _HandlerTable(dict):
+    """kind -> handlers, each list built on the first lookup of its kind.
+
+    Holds the stream's observer list itself (``subscribe`` appends to
+    it) and the tracer the lists were built for.
+    """
+
+    __slots__ = ("observers", "tracer")
+
+    def __init__(self, observers):
+        super().__init__()
+        self.observers = observers
+        self.tracer = None
+
+    def __missing__(self, kind):
+        tracer = self.tracer
+        handlers = []
+        for observer in self.observers:
+            handler = _handler_for(observer, kind, tracer)
+            if handler is not None:
+                handlers.append(handler)
+        self[kind] = handlers
+        return handlers
+
+
 class EventStream:
     """Broadcasts events to subscribed observers, in subscription order.
 
-    ``emit`` runs a per-kind list of handlers, built on first use of
-    each kind and dropped on :meth:`subscribe`, so an event costs one
-    call per observer that actually handles its kind. Hooks are looked
-    up when a kind's list is built, not per event.
+    ``handlers[kind]`` is the list of callables an event of that kind
+    reaches, built on first use of each kind; ``emit`` runs it, so an
+    event costs one call per observer that actually handles its kind.
+    Emitters on the hot path read the list first and build the event
+    only when it is non-empty: an event nothing handles is never
+    constructed. The table is dropped on :meth:`subscribe` and whenever
+    :meth:`retune` sees a different tracer, since the tracing observer
+    handles a tracer-dependent set of kinds (none without a tracer).
     """
 
     def __init__(self, observers=None):
         self.observers = list(observers or [])
-        self._handlers = {}
+        self.handlers = _HandlerTable(self.observers)
 
     def subscribe(self, observer):
         self.observers.append(observer)
-        self._handlers.clear()
+        self.handlers.clear()
         return observer
 
+    def retune(self, tracer):
+        """Key the handler lists on ``tracer`` (the installed one)."""
+        handlers = self.handlers
+        if tracer is not handlers.tracer:
+            handlers.tracer = tracer
+            handlers.clear()
+
     def emit(self, event):
-        kind = event.kind
-        handlers = self._handlers.get(kind)
-        if handlers is None:
-            handlers = []
-            for observer in self.observers:
-                handler = _handler_for(observer, kind)
-                if handler is not None:
-                    handlers.append(handler)
-            self._handlers[kind] = handlers
-        for handler in handlers:
+        for handler in self.handlers[event.kind]:
             handler(event)
         return event
 

@@ -21,8 +21,10 @@ plus instants for navigation, failures, and halts (category
 count — see :attr:`TracingObserver.ERROR_CAT`), and per-cache counter
 samples from the session's perf delta (category ``perf``). The
 observer is attached to every run by
-:class:`~repro.session.engine.SessionRun` and does nothing (one guard
-check per event) while tracing is off.
+:class:`~repro.session.engine.SessionRun`. It reports the kinds it
+handles per installed tracer (:meth:`TracingObserver.handled_kinds`),
+none while tracing is off, and the run's event stream keys its handler
+lists on that tracer, so with tracing off no event reaches it at all.
 
 This is a hot per-event path with tracing on, so the dispatch table is
 *compiled per installed tracer*: kinds whose whole category is
@@ -37,7 +39,6 @@ exported.
 from time import perf_counter as _perf_counter
 
 from repro.session.events import SessionEvent, SessionObserver
-from repro.telemetry import current as _current
 from repro.telemetry.packed import (
     F_ARGS,
     F_CAT,
@@ -130,21 +131,32 @@ class TracingObserver(SessionObserver):
         self._phases = True
         self._perf = True
         self._errors = True
-        self._table = self._TABLE
+        #: Compiled for ``_for``; empty until a tracer is bound.
+        self._table = {}
         #: Compiled per-command fast path (see ``_rebind``), or None.
         self._fast = None
         #: Finished commands awaiting their batched ring pack.
         self._pending = []
 
-    def on_event(self, event):
-        tracer = _current()
+    def handled_kinds(self, tracer):
+        """The kinds this observer handles under ``tracer``.
+
+        Those of its dispatch table compiled for that tracer, and none
+        while tracing is off: the event stream keys its handler lists
+        on the installed tracer and asks here, so events of any other
+        kind never reach :meth:`on_event` (and, when nothing else
+        handles them, are never built).
+        """
         if tracer is None:
-            return
+            return ()
         if tracer is not self._for:
             self._rebind(tracer)
+        return self._table
+
+    def on_event(self, event):
         handler = self._table.get(event.kind)
         if handler is not None:
-            handler(self, event, tracer)
+            handler(self, event, self._for)
 
     def _rebind(self, tracer):
         """Compile the dispatch table for this tracer's category set.

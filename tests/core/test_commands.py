@@ -98,6 +98,31 @@ click //td/div[text()="Save"] 74,51 37'''
         with pytest.raises(TraceFormatError):
             parse_command_line(bad)
 
+    @pytest.mark.parametrize("line", [
+        "click //*[@id='start' 10,10 5",
+        "doubleclick //div[ 1,2 3",
+        "type // [a,65] 0",
+        "drag //div[@id=] 3,4 1",
+        "switchframe //iframe[[1]] - 0",
+    ])
+    def test_invalid_locator_rejected_naming_the_line(self, line):
+        with pytest.raises(TraceFormatError, match="invalid locator") as info:
+            parse_command_line(line)
+        assert repr(line) in str(info.value)
+
+    def test_default_frame_is_not_a_locator(self):
+        assert parse_command_line("switchframe default - 0").is_default
+
+    def test_parsed_locator_is_in_the_compile_cache(self):
+        from repro import perf
+        from repro.xpath.parser import parse_xpath
+
+        with perf.fast_path(True):
+            command = parse_command_line('click //p[@id="cached-42"] 1,2 0')
+            hits = perf.stats.counter("xpath.compile")[0]
+            parse_xpath(command.xpath)
+            assert perf.stats.counter("xpath.compile")[0] == hits + 1
+
 
 class TestCopy:
     def test_copy_preserves_fields(self):

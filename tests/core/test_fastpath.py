@@ -7,16 +7,35 @@ reflect the new tree, and replay whole sessions with the fast path on
 and off requiring identical outcomes.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import perf
+from repro.apps.dashboard import DashboardApplication
+from repro.apps.docs import DocsApplication
 from repro.apps.framework import make_browser
+from repro.apps.gmail import GmailApplication
+from repro.apps.portal import PortalApplication
 from repro.apps.sites import SitesApplication
+from repro.core.recorder import WarrRecorder
 from repro.core.relaxation import RelaxationEngine
 from repro.core.replayer import TimingMode, WarrReplayer
 from repro.dom.parser import parse_html
+from repro.dom.serialize import serialize
 from repro.layout.engine import LayoutEngine
 from repro.xpath.evaluator import evaluate
+from repro.workloads.sessions import (
+    DOCS_URL,
+    GMAIL_URL,
+    PORTAL_URL,
+    SITES_URL,
+    dashboard_session,
+    docs_edit_session,
+    gmail_compose_session,
+    portal_authenticate_session,
+    sites_edit_session,
+)
 from repro.xpath.parser import parse_xpath
 
 HTML = """
@@ -265,6 +284,90 @@ class TestOnOffEquivalence:
         assert cached.replayed_count == uncached.replayed_count
         assert cached.summary().splitlines()[0] \
             == uncached.summary().splitlines()[0]
+
+
+def _record(apps, session, start_url):
+    browser, _ = make_browser(apps)
+    recorder = WarrRecorder().attach(browser)
+    recorder.begin(start_url)
+    session(browser)
+    recorder.detach()
+    return recorder.trace
+
+
+def _server_state(apps):
+    """Every app's plain-data attributes (saved pages, sent mail, ...)."""
+    return [{name: value for name, value in sorted(vars(app).items())
+             if isinstance(value, (bool, int, str, list, dict, tuple))}
+            for app in apps]
+
+
+#: ``(apps, session, start URL, URL rendered before replay)``: Sites'
+#: keystrokes, GMail under id churn, Docs' double clicks and drags,
+#: Dashboard's iframes and ``switchframe`` commands, Portal's form post.
+APP_SESSIONS = {
+    "sites": ([SitesApplication], sites_edit_session,
+              SITES_URL + "/edit/home", None),
+    "gmail": ([GmailApplication], gmail_compose_session, GMAIL_URL + "/",
+              GMAIL_URL + "/compose"),
+    "docs": ([DocsApplication], docs_edit_session,
+             DOCS_URL + "/sheet/budget", None),
+    "dashboard": ([DashboardApplication], dashboard_session,
+                  "http://dashboard.example.com/", None),
+    "portal": ([PortalApplication], portal_authenticate_session,
+               PORTAL_URL + "/", None),
+}
+
+
+class TestOnOffEquivalenceEveryApp:
+    """Replays with the fast path on and off leave identical outcomes.
+
+    Off, every key event is built and dispatched and every typing edit
+    replaces the element's text; on, events nothing observes are not
+    built and edits rewrite the Text node in place.
+    """
+
+    @pytest.mark.parametrize("name", sorted(APP_SESSIONS))
+    def test_replay_outcomes_identical(self, name, monkeypatch):
+        from repro.browser import webkit
+
+        apps, session, start_url, churn_url = APP_SESSIONS[name]
+        trace = _record(apps, session, start_url)
+        dispatched = Counter()
+        real_dispatch = webkit.dispatch_event
+
+        def counting_dispatch(target, event, **kwargs):
+            dispatched[event.type] += 1
+            return real_dispatch(target, event, **kwargs)
+
+        monkeypatch.setattr(webkit, "dispatch_event", counting_dispatch)
+
+        def replay(fast):
+            dispatched.clear()
+            with perf.fast_path(fast):
+                browser, app_objects = make_browser(apps,
+                                                    developer_mode=True)
+                if churn_url is not None:
+                    browser.new_tab(churn_url)
+                report = WarrReplayer(browser).replay(trace)
+            frames = [serialize(engine.document) for engine
+                      in browser.active_tab.renderer.engine.all_engines()]
+            return {
+                "statuses": [result.status for result in report.results],
+                "final_url": report.final_url,
+                "page_errors": [str(error) for error in report.page_errors],
+                "state": _server_state(app_objects),
+                "frames": frames,
+            }, dict(dispatched)
+
+        slow, slow_events = replay(False)
+        fast, fast_events = replay(True)
+        assert fast == slow
+        assert len(slow["statuses"]) == len(trace)
+        keystrokes = sum(1 for command in trace if command.action == "type")
+        assert keystrokes > 0
+        assert slow_events["keyup"] == keystrokes
+        assert fast_events.get("keyup", 0) <= keystrokes
 
 
 class TestPerfDelta:

@@ -1,8 +1,12 @@
 """DOM node tree manipulation, attributes, and text content."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import perf
 from repro.dom.node import Comment, Document, Element, Text
+from repro.dom.parser import parse_html
+from repro.dom.serialize import serialize
 from repro.util.errors import DomError
 
 
@@ -301,3 +305,102 @@ class TestDocument:
         el.add_event_listener("click", handler, capture=True)
         assert el.listeners_for("click", capture=True) == [handler]
         assert el.listeners_for("click", capture=False) == []
+
+
+# -- typing edits: the in-place primitives against the replace-all spec ------
+
+_EDIT_TARGETS = {
+    "empty div": '<div id="t" contenteditable="true"></div>',
+    "div with text": '<div id="t" contenteditable="true">draft</div>',
+    "div with markup": '<div id="t" contenteditable="true">a<b>b</b></div>',
+    "div with a comment": '<div id="t" contenteditable="true"><!--c--></div>',
+    "input": '<input id="t" type="text">',
+}
+
+_edits = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.text(min_size=1, max_size=3)),
+    st.tuples(st.just("backspace"), st.none()),
+    st.tuples(st.just("enter"), st.none()),
+), max_size=25)
+
+
+def _apply(element, edit, in_place):
+    """One keystroke's DOM edit; returns the DomError type it raised."""
+    kind, text = edit
+    try:
+        if kind == "enter":
+            element.append_child(element.owner_document.create_element("br"))
+        elif kind == "append":
+            if in_place:
+                element.append_text(text)
+            else:
+                element.text_content = element.text_content + text
+        elif in_place:
+            element.delete_last_character()
+        else:
+            element.text_content = element.text_content[:-1]
+    except DomError as error:
+        return type(error)
+    return None
+
+
+def _state(document, element):
+    return (serialize(document), element.text_content,
+            document.text_generation, document.structure_generation)
+
+
+class TestTypingPrimitives:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_EDIT_TARGETS)), _edits)
+    def test_in_place_edits_match_the_replace_all_spec(self, target, edits):
+        html = "<html><body>%s</body></html>" % _EDIT_TARGETS[target]
+        with perf.fast_path(True):
+            fast_doc, spec_doc = parse_html(html), parse_html(html)
+            fast = fast_doc.get_element_by_id("t")
+            spec = spec_doc.get_element_by_id("t")
+            for edit in edits:
+                fast_before = _state(fast_doc, fast)
+                spec_before = _state(spec_doc, spec)
+                assert _apply(fast, edit, True) == _apply(spec, edit, False)
+                fast_after = _state(fast_doc, fast)
+                spec_after = _state(spec_doc, spec)
+                # Same tree and text as the spec, after every edit.
+                assert fast_after[:2] == spec_after[:2]
+                # A changed text shows in text_generation, as it does
+                # under the spec; an edit that changes nothing there
+                # changes nothing here either.
+                text_moved = spec_after[2] > spec_before[2]
+                assert (fast_after[2] > fast_before[2]) == text_moved
+                # Element structure moves exactly as under the spec.
+                assert (fast_after[3] - fast_before[3]
+                        == spec_after[3] - spec_before[3])
+
+    def test_append_rewrites_the_only_text_node_in_place(self, doc):
+        div = doc.create_element("div")
+        doc.append_child(div)
+        div.append_text("ab")
+        text = div.children[0]
+        generation = doc.text_generation
+        div.append_text("c")
+        div.delete_last_character()
+        div.append_text("d")
+        assert div.children == [text]
+        assert text.data == "abd"
+        assert doc.text_generation == generation + 3
+
+    def test_deleting_the_last_character_removes_the_text_node(self, doc):
+        div = doc.create_element("div")
+        doc.append_child(div)
+        div.append_text("a")
+        div.delete_last_character()
+        assert div.children == []
+
+    def test_disabled_fast_path_takes_the_replace_all_setter(self, doc):
+        div = doc.create_element("div")
+        doc.append_child(div)
+        div.append_text("ab")
+        text = div.children[0]
+        with perf.fast_path(False):
+            div.append_text("c")
+        assert div.children[0] is not text
+        assert div.text_content == "abc"

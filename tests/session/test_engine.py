@@ -1,6 +1,6 @@
 """The session engine: pipeline, event stream, timing, halting."""
 
-from repro.core.commands import ClickCommand, TypeCommand
+from repro.core.commands import ClickCommand, SwitchFrameCommand, TypeCommand
 from repro.core.recorder import WarrRecorder
 from repro.core.trace import WarrTrace
 from repro.session.engine import SessionEngine
@@ -8,6 +8,7 @@ from repro.session.events import SessionEvent
 from repro.session.observers import EventLogObserver
 from repro.session.policies import FailurePolicy, LocatorPolicy, TimingPolicy
 from repro.session.report import CommandResult
+from repro.util.errors import XPathSyntaxError
 from tests.browser.helpers import build_browser, url
 
 
@@ -115,6 +116,25 @@ class TestFailureModes:
         assert report.halted
         assert "command failed" in report.halt_reason
         assert len(report.results) == 1
+
+    def test_invalid_xpath_fails_the_command_not_the_session(self):
+        # Commands built in code skip the .warr parser's locator check.
+        trace = WarrTrace(start_url=url("/"), commands=[
+            ClickCommand("//*[@id='start'", x=1, y=1),
+            SwitchFrameCommand("//iframe[["),
+            ClickCommand('//input[@name="who"]', x=1, y=1),
+        ])
+        for relaxation in (True, False):
+            browser = build_browser(developer_mode=True)
+            engine = SessionEngine(
+                browser, locator=LocatorPolicy(relaxation=relaxation))
+            report = engine.run(trace)
+            assert [result.status for result in report.results] == [
+                CommandResult.FAILED, CommandResult.FAILED,
+                CommandResult.OK]
+            assert isinstance(report.results[0].error, XPathSyntaxError)
+            assert isinstance(report.results[1].error, XPathSyntaxError)
+            assert not report.halted
 
     def test_navigation_failure_halts_before_commands(self):
         trace = WarrTrace(start_url="http://nowhere.example/",

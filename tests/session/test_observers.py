@@ -1,11 +1,23 @@
 """Stock observers and tool-specific event-stream consumers."""
 
+import io
+import json
+from collections import Counter
+
+import pytest
+
+from repro import telemetry
+from repro.apps.framework import make_browser
+from repro.apps.sites import SitesApplication
 from repro.baselines.fidelity import ReplayFidelityObserver
+from repro.cli import main as cli_main
+from repro.core.recorder import WarrRecorder
 from repro.core.commands import ClickCommand, TypeCommand
 from repro.core.trace import WarrTrace
 from repro.session.engine import SessionEngine
 from repro.session.events import EventStream, SessionEvent, SessionObserver
 from repro.session.observers import EventLogObserver, PerfCountersObserver
+from repro.workloads.sessions import SITES_URL, sites_edit_session
 from tests.browser.helpers import build_browser, url
 
 
@@ -148,7 +160,7 @@ class TestEventStreamTable:
     def test_inherited_no_op_hooks_are_left_out(self):
         stream = EventStream([SessionObserver(), EventLogObserver()])
         stream.emit(SessionEvent(SessionEvent.ACTED))
-        assert len(stream._handlers[SessionEvent.ACTED]) == 1
+        assert len(stream.handlers[SessionEvent.ACTED]) == 1
 
 
 class TestEventLogObserver:
@@ -190,3 +202,156 @@ class TestReplayFidelityObserver:
         assert result.label == "P"
         assert result.per_kind["click"] == (1, 1)
         assert result.per_kind["key"] == (0, 1)
+
+
+# -- the event-stream contract ----------------------------------------------
+#
+# The engine builds an event only for a kind some observer handles, and
+# the tracing observer handles kinds only while a tracer is installed.
+# None of that may change what any observer, tracer or report sees.
+
+_PER_COMMAND = [SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
+                SessionEvent.ACTED, SessionEvent.COMMAND_FINISHED]
+
+#: What an EventLogObserver saw replaying ``_sites_trace()`` before the
+#: engine built events lazily: two opening kinds, four per command for
+#: the five commands, three closing kinds.
+GOLDEN_SITES_KINDS = (
+    [SessionEvent.SESSION_STARTED, SessionEvent.NAVIGATED]
+    + _PER_COMMAND * 5
+    + [SessionEvent.PERF_DELTA, SessionEvent.NET_FIDELITY,
+       SessionEvent.SESSION_FINISHED])
+
+
+def _sites_trace():
+    browser, _ = make_browser([SitesApplication])
+    recorder = WarrRecorder().attach(browser)
+    recorder.begin(SITES_URL + "/edit/home")
+    sites_edit_session(browser, text="Hi!")
+    return recorder.trace
+
+
+def _sites_engine():
+    browser, _ = make_browser([SitesApplication], developer_mode=True)
+    return SessionEngine(browser)
+
+
+class TestEventStreamContract:
+    def test_event_log_sees_the_golden_kind_sequence(self):
+        trace = _sites_trace()
+        assert len(trace) == 5
+        log = EventLogObserver()
+        report = _sites_engine().run(trace, observers=[log])
+        assert report.complete
+        assert log.kinds_seen() == GOLDEN_SITES_KINDS
+
+    def test_observer_overriding_only_on_located_gets_every_located(self):
+        class Located(SessionObserver):
+            def __init__(self):
+                self.commands = []
+
+            def on_located(self, event):
+                self.commands.append(event.command)
+
+        trace = _sites_trace()
+        located = Located()
+        _sites_engine().run(trace, observers=[located])
+        assert located.commands == list(trace)
+
+    def test_unobserved_kinds_are_never_built(self, monkeypatch):
+        from repro.session import engine as engine_module
+
+        built = Counter()
+
+        class Counted(SessionEvent):
+            def __init__(self, kind, *args, **kwargs):
+                built[kind] += 1
+                super().__init__(kind, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "SessionEvent", Counted)
+        trace = _sites_trace()
+        report = _sites_engine().run(trace)
+        assert report.complete
+        # Only the report builder listens: per command, just the
+        # COMMAND_FINISHED it appends to the report.
+        assert built[SessionEvent.COMMAND_FINISHED] == len(trace)
+        for kind in (SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
+                     SessionEvent.ACTED):
+            assert built[kind] == 0
+
+    def test_tracer_installed_between_steps_traces_from_the_next_command(self):
+        trace = _sites_trace()
+        engine = _sites_engine()
+        run = engine.start(trace)
+        run.step(trace[0])
+        with telemetry.tracing(clock=engine.browser.clock) as tracer:
+            for command in trace.commands[1:]:
+                run.step(command)
+            report = run.finish()
+        assert report.complete
+        spans = [event for event in tracer.buffer
+                 if event.ph == "X" and event.name == "command"]
+        assert [span.args["line"] for span in spans] \
+            == [command.to_line() for command in trace.commands[1:]]
+
+
+def _trace_counts(tmp_path, app, categories=None):
+    path = str(tmp_path / ("%s.warr" % app))
+    out = str(tmp_path / ("%s.json" % app))
+    assert cli_main(["record", "--app", app, "--out", path],
+                    out=io.StringIO()) == 0
+    argv = ["trace", path, "--app", app, "--out", out]
+    if categories is not None:
+        argv += ["--trace-categories", categories]
+    assert cli_main(argv, out=io.StringIO()) == 0
+    with open(out) as handle:
+        events = json.load(handle)["traceEvents"]
+    return dict(Counter((event["name"], event["ph"]) for event in events))
+
+
+#: ``repro trace`` of ``repro record --app sites``, all categories. The
+#: same counts as before key events were built lazily, but for one
+#: ``xpath.compile`` span: the .warr parser now compiles each locator
+#: when the file is read, before tracing starts.
+GOLDEN_SITES_TRACE = {
+    ("act", "B"): 14, ("act", "E"): 14, ("command", "X"): 14,
+    ("dispatch blur", "X"): 1, ("dispatch click", "X"): 2,
+    ("dispatch focus", "X"): 1, ("dispatch input", "X"): 12,
+    ("dispatch keydown", "X"): 12, ("dispatch keypress", "X"): 12,
+    ("dispatch keyup", "X"): 12, ("dispatch mousedown", "X"): 2,
+    ("dispatch mouseup", "X"): 2, ("dispatch.bubble", "X"): 56,
+    ("dispatch.capture", "X"): 56, ("dispatch.target", "X"): 56,
+    ("input.mouse", "X"): 2, ("ipc.deliver", "X"): 2, ("ipc.pump", "X"): 2,
+    ("ipc.queue", "b"): 2, ("ipc.queue", "e"): 2,
+    ("ipc.queue_depth", "C"): 2, ("layout.reflow", "X"): 3,
+    ("locate", "B"): 14, ("locate", "E"): 14, ("navigated", "i"): 1,
+    ("net.transport.live", "X"): 3, ("perf.dom.index", "C"): 7,
+    ("perf.layout", "C"): 4, ("perf.relax.resolve", "C"): 14,
+    ("perf.xpath.compile", "C"): 17, ("process_name", "M"): 2,
+    ("process_sort_index", "M"): 2, ("session", "B"): 1,
+    ("session", "E"): 1, ("session.cache.dom.index", "C"): 1,
+    ("session.cache.layout", "C"): 1,
+    ("session.cache.relax.resolve", "C"): 1,
+    ("session.cache.xpath.compile", "C"): 1,
+    ("session.schedule", "X"): 14, ("thread_name", "M"): 8,
+    ("thread_sort_index", "M"): 8, ("xpath.evaluate", "X"): 3,
+}
+
+#: ``repro trace --trace-categories production`` of a GMail recording.
+GOLDEN_GMAIL_PRODUCTION_TRACE = {
+    ("command", "X"): 48, ("navigated", "i"): 1,
+    ("net.transport.live", "X"): 4, ("process_name", "M"): 1,
+    ("process_sort_index", "M"): 1, ("session", "B"): 1,
+    ("session", "E"): 1, ("thread_name", "M"): 6,
+    ("thread_sort_index", "M"): 6,
+}
+
+
+class TestTraceOutputUnchanged:
+    @pytest.mark.parametrize("app, categories, golden", [
+        ("sites", None, GOLDEN_SITES_TRACE),
+        ("gmail", "production", GOLDEN_GMAIL_PRODUCTION_TRACE),
+    ])
+    def test_repro_trace_event_counts(self, tmp_path, app, categories,
+                                      golden):
+        assert _trace_counts(tmp_path, app, categories) == golden
