@@ -111,9 +111,11 @@ def measure_modes(trace):
         pool = WorkerPool(spec, workers,
                           timing=TimingPolicy.no_wait()).start()
         # Warm off the clock: every worker imports the stack, builds
-        # its factory, and replays once before timing starts.
-        pool.run([("warmup-%d" % i, trace)
-                  for i in range(2 * workers)])
+        # its factory, and replays once before timing starts. A tripped
+        # breaker hands traces back unrun, so check every outcome.
+        outcomes, _ = pool.run([("warmup-%d" % i, trace)
+                                for i in range(2 * workers)])
+        assert all(outcome.ok for outcome in outcomes), outcomes
         pools[workers] = pool
         modes.append(("pool-%d" % workers,
                       {"mode": "pool", "workers": workers},

@@ -20,21 +20,24 @@ and telemetry slices merge into one ``batch.trace.json`` timeline with
 each worker's browsers on their own pid tracks. The default ``workers=1`` runs the batch in-process.
 
 Either way one function replays one trace:
-:func:`~repro.session.pool.replay_trace` is called by the serial loop,
-by every pool worker, and by the pool's degraded in-process fallback.
-Everything around it lives once, in :class:`BatchRunner`: admission
-(halt and drain), the journal's status mapping and WR3 encoding
-(:meth:`_RunHooks.finish`), and report assembly.
+:func:`~repro.session.pool.replay_trace` is called by the serial loop
+and by every pool worker. When the pool's circuit breaker trips, the
+pool hands the traces it did not finish back, and the same serial loop
+runs them in-process. Everything around a replay lives once, in
+:class:`BatchRunner`: admission (halt and drain), the journal's status
+mapping and WR3 encoding (:meth:`_RunHooks.finish`), and report
+assembly.
 """
 
 import os
+from functools import partial
 
 from repro import telemetry
 from repro.session import journal as run_journal
 from repro.session import wire
 from repro.session.observers import PerfCountersObserver
 from repro.session.policies import FailurePolicy
-from repro.session.pool import PoolOutcome, WorkerPool, WorkerSpec, replay_trace
+from repro.session.pool import PoolOutcome, WorkerPool, replay_trace
 from repro.session.report import RemoteError, ReplayReport
 
 
@@ -69,25 +72,6 @@ class BatchReport:
 
     def add(self, run):
         self.runs.append(run)
-
-    @classmethod
-    def merge(cls, reports):
-        """Combine partial reports (e.g. one per pool worker) into one.
-
-        Runs concatenate in the order given; perf counters sum through
-        :meth:`~repro.session.observers.PerfCountersObserver.merge`, so
-        hit rates are recomputed over the combined totals rather than
-        averaged. Quarantine bundles concatenate; drain flags OR.
-        """
-        parts = list(reports)
-        merged = cls()
-        for report in parts:
-            merged.runs.extend(report.runs)
-            merged.quarantined.extend(report.quarantined)
-            merged.drained = merged.drained or report.drained
-        merged.perf_counters = PerfCountersObserver.merge(
-            report.perf_counters for report in parts)
-        return merged
 
     @property
     def trace_count(self):
@@ -299,7 +283,7 @@ class BatchRunner:
         """
         traces = list(traces)
         if labels is None:
-            labels = _dedupe_labels([self._default_label(trace, index)
+            labels = _dedupe_labels([trace.label or "trace-%d" % index
                                      for index, trace in enumerate(traces)])
         if len(labels) != len(traces):
             raise ValueError("need one label per trace")
@@ -319,10 +303,12 @@ class BatchRunner:
         finally:
             if journal is not None:
                 journal.close()
+        # Cancelled traces, and any the serial loop never admitted, stay
+        # unfinished in the journal and re-run on resume.
         batch = self._assemble(traces, labels, finished,
                                {remaining[outcome.index]: outcome
                                 for outcome in outcomes
-                                if not outcome.cancelled})
+                                if outcome.ok or outcome.error_class})
         batch.drained = hooks.drain_seen
         return batch
 
@@ -432,42 +418,47 @@ class BatchRunner:
         """
         if self.mode == "pooled":
             return self._run_pooled(traces, labels, trace_dir, hooks, texts)
+        outcomes = [PoolOutcome(position, label)
+                    for position, label in enumerate(labels)]
+        run = partial(self._run_serial, outcomes, traces, hooks,
+                      self.browser_factory)
         if trace_dir is None:
-            return self._run_serial(traces, labels, hooks)
+            return run()
         os.makedirs(trace_dir, exist_ok=True)
         if telemetry.enabled():
             # A caller already installed a tracer (e.g. an outer
             # tracing() block): record into it rather than nesting.
-            return self._run_serial(traces, labels, hooks,
-                                    telemetry.current(), trace_dir)
+            return run(telemetry.current(), trace_dir)
         with telemetry.tracing(categories=self.trace_categories) as tracer:
-            outcomes = self._run_serial(traces, labels, hooks, tracer,
-                                        trace_dir)
+            run(tracer, trace_dir)
             telemetry.write_trace(
                 os.path.join(trace_dir, "batch.trace.json"), tracer)
         return outcomes
 
     # -- serial (in-process) execution --------------------------------------
 
-    def _run_serial(self, traces, labels, hooks, tracer=None, trace_dir=None):
-        outcomes = []
+    def _run_serial(self, outcomes, traces, hooks, factory, tracer=None,
+                    trace_dir=None):
+        """Fill in ``outcomes`` in order, replaying ``traces[index]`` on
+        browsers from ``factory``; an outcome never admitted (drain,
+        halt) stays empty. Serial batches and the traces a tripped pool
+        hands back both run here."""
         config = self._engine_config()
         used_stems = set()
-        for position, (label, trace) in enumerate(zip(labels, traces)):
+        for outcome in outcomes:
             if hooks.drain_requested():
                 # Graceful drain: stop admission; everything already
                 # finished is journaled, the rest resumes later.
                 break
-            hooks.start((position,), (label,))
+            hooks.start((outcome.index,), (outcome.label,))
             report, mark = replay_trace(
-                self.browser_factory, config, trace, label=label,
+                factory, config, traces[outcome.index], label=outcome.label,
                 tape=self.tape, tracer=tracer, observers=self.observers)
-            outcome = PoolOutcome(position, label)
             outcome.report = report
-            outcomes.append(outcome)
+            outcome.worker_id = None
             hooks.finish(outcome)
             if trace_dir is not None:
-                stem = _unique_stem(label, used_stems)
+                stem = _unique(_safe_name(outcome.label), used_stems)
                 telemetry.write_trace(
                     os.path.join(trace_dir, "%s.trace.json" % stem),
                     tracer, events=tracer.events_since(mark))
@@ -493,10 +484,7 @@ class BatchRunner:
         pool = self.pool
         owned = pool is None
         if owned:
-            spec = (self.browser_factory
-                    if isinstance(self.browser_factory, WorkerSpec)
-                    else WorkerSpec(self.browser_factory))
-            pool = WorkerPool(spec, self.workers,
+            pool = WorkerPool(self.browser_factory, self.workers,
                               trace_timeout=self.trace_timeout,
                               **engine_config)
         tracing_on = trace_dir is not None
@@ -506,6 +494,7 @@ class BatchRunner:
         # dispatch: the pool schedules chunks dynamically, so "started"
         # means "handed to the farm".
         hooks.start(range(len(labels)), labels)
+        degraded = pool.stats["degraded"]
         try:
             # A borrowed pool keeps its workers warm for the caller's
             # next batch; its chunks run under *this* runner's policies.
@@ -520,8 +509,16 @@ class BatchRunner:
         finally:
             if owned:
                 pool.close()
-        if pool.stats.get("degraded"):
+        if pool.stats["degraded"] > degraded:
             hooks.event("degraded", deaths=pool.supervisor.deaths)
+        # What a tripped breaker handed back runs inline; each trace's
+        # START is in the admission commit and is journaled again here.
+        handed_back = [outcome for outcome in outcomes
+                       if not (outcome.ok or outcome.error_class
+                               or outcome.cancelled)]
+        if handed_back:
+            self._run_serial(handed_back, traces, hooks,
+                             pool.spec.make_factory())
         if tracing_on:
             merger = TraceMerger()
             merger.dropped += dropped
@@ -532,7 +529,7 @@ class BatchRunner:
                 events, metadata = merger.add_session(
                     outcome.worker_id, outcome.events,
                     outcome.metadata or ())
-                stem = _unique_stem(outcome.label, used_stems)
+                stem = _unique(_safe_name(outcome.label), used_stems)
                 telemetry.write_trace_dict(
                     os.path.join(trace_dir, "%s.trace.json" % stem),
                     telemetry.to_trace_dict_raw(events, metadata=metadata))
@@ -541,26 +538,12 @@ class BatchRunner:
                 merger.trace_dict())
         return outcomes
 
-    @staticmethod
-    def _default_label(trace, index):
-        return trace.label or "trace-%d" % index
-
 
 def _dedupe_labels(labels):
     """Suffix repeated labels (``x``, ``x-2``, ``x-3``) so every
     :class:`TraceRun` in a batch is unambiguously addressable."""
     seen = set()
-    result = []
-    for label in labels:
-        unique = label
-        if unique in seen:
-            suffix = 2
-            while "%s-%d" % (label, suffix) in seen:
-                suffix += 1
-            unique = "%s-%d" % (label, suffix)
-        seen.add(unique)
-        result.append(unique)
-    return result
+    return [_unique(label, seen) for label in labels]
 
 
 def _failed_report(trace, reason, error_class):
@@ -573,20 +556,17 @@ def _failed_report(trace, reason, error_class):
     return report
 
 
-def _unique_stem(label, used_stems):
-    """A filesystem stem for ``label``, deduped against ``used_stems``.
-
-    Repeated labels (the same trace run twice) must not overwrite each
-    other's per-session trace file.
-    """
-    stem = _safe_name(label)
-    if stem in used_stems:
-        suffix = 2
-        while "%s-%d" % (stem, suffix) in used_stems:
-            suffix += 1
-        stem = "%s-%d" % (stem, suffix)
-    used_stems.add(stem)
-    return stem
+def _unique(name, used):
+    """``name``, or ``name-2``, ``name-3``, ... if taken; adds it to
+    ``used``. Trace-file stems go through it too: repeated labels (the
+    same trace run twice) must not overwrite each other's file."""
+    unique = name
+    suffix = 2
+    while unique in used:
+        unique = "%s-%d" % (name, suffix)
+        suffix += 1
+    used.add(unique)
+    return unique
 
 
 def _safe_name(label):

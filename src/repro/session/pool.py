@@ -49,9 +49,9 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
 - worker kills escalate ``terminate() → join(kill_grace) → kill()``,
   so a SIGTERM-masking worker cannot wedge the reaper;
 - respawns back off exponentially, and repeated deaths with no
-  progress trip a circuit breaker that degrades the pool to in-process
-  serial execution of the remainder (warning + ``pool.degraded``
-  counter) — the batch still finishes;
+  progress trip a circuit breaker: the pool stops its workers and
+  hands the unfinished traces back (warning + ``pool.degraded``
+  counter) to the batch runner's serial loop — the batch still finishes;
 - with ``heartbeat=N`` each worker posts liveness beats over the
   result pipe; a silent worker (SIGSTOP, wedged C call) is detected
   and contained even when no per-trace deadline is set;
@@ -59,8 +59,8 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
   recalled, in-flight traces finish, and cancelled outcomes are
   reported as such so a journal-backed batch can resume them later.
 
-Every session, in a worker or in the parent, runs through
-:func:`replay_trace`. The parent's
+Every session, in a worker or in the parent's serial loop, runs
+through :func:`replay_trace`. The parent's
 :class:`~repro.session.batch.BatchRunner` assembles the outcomes into
 one :class:`~repro.session.batch.BatchReport`; counter deltas sum
 through :meth:`~repro.session.observers.PerfCountersObserver.merge`
@@ -217,7 +217,7 @@ class PoolOutcome:
         self.report = None
         #: The worker's WR3 blob while ``on_outcome`` journals it;
         #: dropped as soon as that hook returns. None for a report
-        #: made in this process (serial or degraded execution).
+        #: made in this process (by the serial loop).
         self.blob = None
         #: Telemetry event dicts for this session (tracing runs only).
         self.events = None
@@ -314,8 +314,8 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
                  tracer=None, observers=None):
     """Replay one trace on a fresh browser from ``factory``.
 
-    The one per-trace path of every batch: the serial loop, the pool
-    worker and the pool's degraded fallback all call it. Returns
+    The one per-trace path of every batch: the serial loop and the
+    pool worker call it. Returns
     ``(report, mark)``, where ``mark`` is the tracer position before
     the session (None without ``tracer``) so the caller can slice the
     session's events out of the buffer. Exceptions propagate.
@@ -441,23 +441,19 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
         if engine_config is None:
             engine_config = default_engine_config
         chunk_current[slot] = chunk_id
-        if tracing:
-            # ``tracing`` is True (all categories) or a category spec;
-            # a batch with a different spec gets a fresh tracer.
-            cats = None if tracing is True else resolve_categories(tracing)
-            if tracer is not None and cats != tracer_cats:
-                telemetry.uninstall()
-                tracer = None
-                dropped_sent = 0
-            if tracer is None:
-                tracer = Tracer(buffer_size=spec.trace_buffer_size,
-                                categories=cats)
-                tracer_cats = cats
-                telemetry.install(tracer)
-        elif tracer is not None:
+        # ``tracing`` is False, True (all categories) or a category
+        # spec; a batch with a different spec gets a fresh tracer.
+        cats = (None if tracing is True or not tracing
+                else resolve_categories(tracing))
+        if tracer is not None and (not tracing or cats != tracer_cats):
             telemetry.uninstall()
             tracer = None
             dropped_sent = 0
+        if tracing and tracer is None:
+            tracer = Tracer(buffer_size=spec.trace_buffer_size,
+                            categories=cats)
+            tracer_cats = cats
+            telemetry.install(tracer)
         for index, label, trace_text in items:
             # Shared-memory in-flight marker: written *before* any user
             # code runs so the parent can attribute a crash even when
@@ -514,8 +510,7 @@ class _WorkerHandle:
     """Parent-side view of one worker slot."""
 
     __slots__ = ("slot", "worker_id", "process", "inflight_index",
-                 "inflight_since", "finished", "last_beat", "stderr_path",
-                 "chunks_seen")
+                 "inflight_since", "last_beat", "stderr_path", "chunks_seen")
 
     def __init__(self, slot, worker_id, process, stderr_path=None):
         self.slot = slot
@@ -523,7 +518,6 @@ class _WorkerHandle:
         self.process = process
         self.inflight_index = -1
         self.inflight_since = None
-        self.finished = False
         #: Last proof of life (spawn, heartbeat, or any message).
         self.last_beat = time.monotonic()
         self.stderr_path = stderr_path
@@ -535,33 +529,45 @@ class _WorkerHandle:
 
 
 class _BatchState:
-    """Book-keeping for one ``run()`` call."""
+    """Book-keeping and dispatch parameters for one ``run()`` call."""
 
     __slots__ = ("batch_id", "tasks", "texts", "outcomes", "done",
-                 "requeued", "dropped", "chunks", "cancelled", "failed_on")
+                 "dropped", "chunks", "failed_on", "tracing",
+                 "engine_config", "tape", "on_outcome")
 
-    def __init__(self, batch_id, tasks, texts=None):
+    def __init__(self, batch_id, tasks, texts=None, tracing=False,
+                 engine_config=None, tape=None, on_outcome=None):
         self.batch_id = batch_id
         #: ``(label, trace)`` pairs and each trace's text, in order.
         self.tasks = tasks
         self.texts = (texts if texts is not None
                       else [trace.to_text() for _, trace in tasks])
+        self.tracing = tracing or False
+        self.engine_config = engine_config
+        self.tape = tape
+        self.on_outcome = on_outcome
         self.outcomes = [PoolOutcome(index, label)
                          for index, (label, _) in enumerate(tasks)]
         self.done = [False] * len(tasks)
-        self.requeued = set()   # task indexes already given a 2nd try
         self.dropped = 0
         self.chunks = {}        # chunk_id -> [task indexes]
-        self.cancelled = set()  # task indexes recalled by a drain
         #: index -> (worker_id, error_class, reason) of the first
-        #: containment failure — the quarantine decision needs to know
-        #: whether the second failure hit a *different* worker.
+        #: containment failure, for each trace given its second try —
+        #: the quarantine decision needs to know whether the second
+        #: failure hit a *different* worker.
         self.failed_on = {}
 
     @property
     def complete(self):
-        return all(done or index in self.cancelled
-                   for index, done in enumerate(self.done))
+        return all(done or outcome.cancelled
+                   for done, outcome in zip(self.done, self.outcomes))
+
+    def finish(self, outcome):
+        """Mark ``outcome`` final (un-cancelled) and pass it on."""
+        outcome.cancelled = False
+        self.done[outcome.index] = True
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
 
 
 class WorkerPool:
@@ -767,6 +773,11 @@ class WorkerPool:
         """Replay every ``(label, trace)`` task; returns
         ``(outcomes, dropped_events)`` with outcomes in input order.
 
+        An outcome with no report, no ``error_class`` and no
+        ``cancelled`` flag was *handed back*: the circuit breaker
+        tripped before the trace finished, and the caller must run it
+        (``BatchRunner``'s serial loop does). It keeps its ``attempts``.
+
         Each outcome's report is decoded against the task's own trace
         object as its result arrives. ``texts`` supplies each trace's
         serialized text when the caller already holds it (the journaled
@@ -785,7 +796,8 @@ class WorkerPool:
         a zero-argument flag: the first True recalls every queued chunk
         (cancelled outcomes), finishes what is in flight, and returns.
         """
-        batch = _BatchState(self._next_batch_id, list(tasks), texts)
+        batch = _BatchState(self._next_batch_id, list(tasks), texts,
+                            tracing, engine_config, tape, on_outcome)
         self._next_batch_id += 1
         if not batch.tasks:
             return batch.outcomes, 0
@@ -794,60 +806,78 @@ class WorkerPool:
         if tape is not None:
             pickle.dumps(tape)
         self.start()
+        # Each batch starts with a closed breaker: a trip in an earlier
+        # batch must not condemn workers that are healthy now.
+        self._supervisor.rearm()
         self._replenish()
         self.stats["batches"] += 1
-        if not tracing:
-            tracing = False
         for indexes in plan_chunks(len(batch.tasks), self.workers,
                                    self.chunk_size):
-            self._dispatch(batch, indexes, tracing, engine_config, tape)
+            self._dispatch(batch, indexes)
         draining = False
         while not batch.complete:
             if drain is not None and not draining and drain():
                 draining = True
-                self._cancel_pending(batch)
+                # Queued-but-unstarted traces become ``cancelled``
+                # outcomes; in-flight ones finish (drain means *finish*
+                # in-flight work). The small steal race — a worker
+                # grabbing a chunk while we drain — is benign: its
+                # results arrive normally and un-cancel the trace.
+                for index in self._recall(batch):
+                    batch.outcomes[index].cancelled = True
                 continue  # re-check completion before sleeping
             self._spawn_due()
             self._wait_for_activity(drain)
-            self._pump(batch, on_outcome)
-            self._reap(batch, tracing, engine_config, tape, on_outcome)
-            if self._supervisor.tripped and not batch.complete:
-                self._pump(batch, on_outcome)  # collect stragglers first
-                self._run_degraded(batch, engine_config, tape,
-                                   on_outcome, drain)
+            self._pump(batch)
+            self._reap(batch)
+            if self._supervisor.tripped:
+                # Workers died repeatedly with no completed trace in
+                # between: respawning further would burn processes for
+                # nothing. Stop them and hand the rest back (see above).
+                self._pump(batch)  # collect stragglers first
+                warnings.warn(
+                    "worker pool degraded to in-process execution after "
+                    "%d consecutive worker deaths"
+                    % self._supervisor.consecutive_deaths, RuntimeWarning)
+                perf.record("pool.degraded", False)
+                self.stats["degraded"] += 1
+                for handle in self._handles.values():
+                    if handle.process.is_alive():
+                        self._stop_process(handle.process)
+                self._handles = {}
+                # Purge queued chunks so a future batch never sees
+                # stale work; what they held is handed back.
+                self._recall(batch)
+                break
         return batch.outcomes, batch.dropped
 
-    def _dispatch(self, batch, indexes, tracing, engine_config, tape=None):
+    def _dispatch(self, batch, indexes):
         """Enqueue one chunk of task indexes."""
         chunk_id = self._next_chunk_id
         self._next_chunk_id += 1
         batch.chunks[chunk_id] = list(indexes)
         items = [(index, batch.tasks[index][0], batch.texts[index])
                  for index in indexes]
-        self._task_queue.put((batch.batch_id, chunk_id, tracing,
-                              engine_config, tape, items))
+        self._task_queue.put((batch.batch_id, chunk_id, batch.tracing,
+                              batch.engine_config, batch.tape, items))
 
-    def _cancel_pending(self, batch):
-        """Recall every chunk still sitting in the task queue.
+    def _recall(self, batch):
+        """Take back every chunk still sitting in the task queue.
 
-        Queued-but-unstarted traces become ``cancelled`` outcomes; a
-        chunk a worker already pulled keeps running (its traces are
-        in flight, and drain means *finish* in-flight work). The small
-        steal race — a worker grabbing a chunk while we drain — is
-        benign: its results arrive normally and un-cancel the trace.
+        Returns the indexes of this batch's recalled traces that are not
+        done; stale chunks from a past batch are dropped. A chunk a
+        worker already pulled keeps running.
         """
+        recalled = []
         while True:
             try:
                 task = self._task_queue.get(timeout=0.05)
             except (queue_module.Empty, OSError):
-                break
+                return recalled
             batch_id, _, _, _, _, items = task
-            if batch_id != batch.batch_id:
-                continue  # stale chunk from a past batch: drop it
-            for index, _, _ in items:
-                if not batch.done[index]:
-                    batch.cancelled.add(index)
-                    batch.outcomes[index].cancelled = True
+            if batch_id == batch.batch_id:
+                recalled.extend(index for index, _, _ in items
+                                if not batch.done[index])
 
     # -- event handling -----------------------------------------------------
 
@@ -898,7 +928,7 @@ class WorkerPool:
                 handle.last_beat = time.monotonic()
                 return
 
-    def _pump(self, batch, on_outcome=None):
+    def _pump(self, batch):
         """Drain every queued result message without blocking."""
         while True:
             try:
@@ -929,18 +959,13 @@ class WorkerPool:
             else:
                 outcome.error = message[4]
                 outcome.error_class = message[5] or "WorkerError"
+            self._supervisor.record_completion()
             # A drain may have recalled this trace while its chunk was
             # being stolen; the real result wins over the cancellation.
-            batch.cancelled.discard(index)
-            outcome.cancelled = False
-            batch.done[index] = True
-            self._supervisor.record_completion()
-            if on_outcome is not None:
-                on_outcome(outcome)
+            batch.finish(outcome)
             outcome.blob = None
 
-    def _reap(self, batch, tracing, engine_config, tape=None,
-              on_outcome=None):
+    def _reap(self, batch):
         """Contain dead, hung, and over-deadline workers; keep pool full."""
         now = time.monotonic()
         for slot, handle in list(self._handles.items()):
@@ -956,48 +981,37 @@ class WorkerPool:
                     and self.trace_timeout is not None \
                     and now - handle.inflight_since > self.trace_timeout:
                 # Kill the stuck worker; its trace gets one more chance.
-                self._stop_process(handle.process)
-                self._handle_casualty(
-                    handle, batch, tracing, engine_config, tape,
-                    "trace exceeded the %.3gs per-trace timeout"
-                    % self.trace_timeout,
-                    requeue=True, error_class="TimeoutError",
-                    on_outcome=on_outcome)
-                alive = False
+                casualty = ("TimeoutError",
+                            "trace exceeded the %.3gs per-trace timeout"
+                            % self.trace_timeout)
             elif alive and self.hang_timeout is not None \
                     and now - handle.last_beat > self.hang_timeout:
                 # Distinct from the per-trace deadline: the *process*
                 # went silent (SIGSTOP, wedged syscall) — the trace may
                 # not even have started.
                 self.stats["hangs"] += 1
+                casualty = ("WorkerHangError", "worker heartbeat lost for "
+                            "%.3gs" % self.hang_timeout)
+            elif not alive:
+                casualty = ("WorkerCrashError",
+                            "worker process died (exit code %s)"
+                            % handle.process.exitcode)
+            else:
+                continue
+            if alive:
                 self._stop_process(handle.process)
-                self._handle_casualty(
-                    handle, batch, tracing, engine_config, tape,
-                    "worker heartbeat lost for %.3gs" % self.hang_timeout,
-                    requeue=True, error_class="WorkerHangError",
-                    on_outcome=on_outcome)
-                alive = False
-            elif not alive and not handle.finished:
-                self._handle_casualty(
-                    handle, batch, tracing, engine_config, tape,
-                    "worker process died (exit code %s)"
-                    % handle.process.exitcode,
-                    requeue=True, error_class="WorkerCrashError",
-                    on_outcome=on_outcome)
-            if not alive:
-                del self._handles[slot]
-                if not batch.complete:
-                    self._supervisor.record_death(slot, now)
+            self._handle_casualty(handle, batch, *casualty)
+            del self._handles[slot]
+            if not batch.complete:
+                self._supervisor.record_death(slot, now)
 
-    def _handle_casualty(self, handle, batch, tracing, engine_config, tape,
-                         reason, requeue, error_class, on_outcome=None):
+    def _handle_casualty(self, handle, batch, error_class, reason):
         # The worker is dead by now, so its shared-memory slots are the
         # authoritative record of what it had in flight (a result put
         # just before death may still land; _pump wins that race because
         # completed outcomes are never overwritten here).
         index = self._current[handle.slot]
         chunk_id = self._chunk_current[handle.slot]
-        handle.finished = True
         # Chunk-mates the dead worker never started (or whose results
         # died in its outbox) go back on the queue as singles — they
         # were not running, so they are not charged an attempt. The
@@ -1011,45 +1025,39 @@ class WorkerPool:
                      for seen in handle.chunks_seen
                      for mate in batch.chunks.get(seen, ())
                      if mate != index and not batch.done[mate]
-                     and mate not in batch.cancelled}
+                     and not batch.outcomes[mate].cancelled}
         for mate in sorted(survivors):
-            self._dispatch(batch, [mate], tracing, engine_config, tape)
+            self._dispatch(batch, [mate])
         if index < 0 or batch.done[index]:
             return
         outcome = batch.outcomes[index]
         outcome.worker_id = handle.worker_id
-        if requeue and index not in batch.requeued:
-            batch.requeued.add(index)
+        if index not in batch.failed_on:
             batch.failed_on[index] = (handle.worker_id, error_class, reason)
             outcome.attempts += 1
-            self._dispatch(batch, [index], tracing, engine_config, tape)
+            self._dispatch(batch, [index])
             return
-        first = batch.failed_on.get(index)
-        if first is not None and first[0] != handle.worker_id \
+        first = batch.failed_on[index]
+        if first[0] != handle.worker_id \
                 and error_class in QUARANTINE_CLASSES \
                 and first[1] in QUARANTINE_CLASSES:
             # Two containment failures on two different workers: this
             # trace is poison. Quarantine it with a diagnosis bundle
             # instead of charging the pool for it ever again.
-            outcome.quarantined = self._diagnose(
-                handle, batch, index, outcome, first, error_class, reason)
+            outcome.quarantined = self._diagnose(handle, outcome, first,
+                                                 error_class, reason)
             self.stats["quarantined"] += 1
             perf.record("pool.quarantined", False)
         outcome.error = reason
         outcome.error_class = error_class
-        batch.cancelled.discard(index)
-        outcome.cancelled = False
-        batch.done[index] = True
-        if on_outcome is not None:
-            on_outcome(outcome)
+        batch.finish(outcome)
 
-    def _diagnose(self, handle, batch, index, outcome, first, error_class,
-                  reason):
+    def _diagnose(self, handle, outcome, first, error_class, reason):
         """The quarantine diagnosis bundle for a poison trace."""
         injector = chaos.current()
         return {
             "label": outcome.label,
-            "index": index,
+            "index": outcome.index,
             "attempts": outcome.attempts,
             "workers": [first[0], handle.worker_id],
             "error_class": error_class,
@@ -1065,60 +1073,6 @@ class WorkerPool:
                        "seed": injector.seed}
                       if injector is not None else None),
         }
-
-    # -- degraded (in-process) execution -------------------------------------
-
-    def _run_degraded(self, batch, engine_config, tape, on_outcome=None,
-                      drain=None):
-        """Breaker tripped: finish the batch in-process, serially.
-
-        Workers died repeatedly with no completed trace in between —
-        respawning further would burn processes for nothing. The
-        remainder runs inline through :func:`replay_trace` on a factory
-        built in the parent. Its outcomes carry the report but no blob
-        (a journaling caller encodes it) and no telemetry slice; a
-        drain request still cancels anything not yet started.
-        """
-        warnings.warn(
-            "worker pool degraded to in-process execution after %d "
-            "consecutive worker deaths" % self._supervisor.consecutive_deaths,
-            RuntimeWarning, stacklevel=2)
-        perf.record("pool.degraded", False)
-        self.stats["degraded"] += 1
-        for slot, handle in list(self._handles.items()):
-            if handle.process.is_alive():
-                self._stop_process(handle.process)
-            handle.finished = True
-            del self._handles[slot]
-        # Purge queued chunks so a future batch never sees stale work.
-        while True:
-            try:
-                self._task_queue.get_nowait()
-            except (queue_module.Empty, OSError):
-                break
-        config = engine_config if engine_config is not None \
-            else self.engine_config
-        factory = None
-        for index, (label, trace) in enumerate(batch.tasks):
-            if batch.done[index] or index in batch.cancelled:
-                continue
-            outcome = batch.outcomes[index]
-            if drain is not None and drain():
-                batch.cancelled.add(index)
-                outcome.cancelled = True
-                continue
-            try:
-                if factory is None:
-                    factory = self.spec.make_factory()
-                outcome.report, _ = replay_trace(factory, config, trace,
-                                                 label=label, tape=tape)
-            except BaseException as exc:
-                outcome.error = traceback.format_exc()
-                outcome.error_class = type(exc).__name__
-            outcome.worker_id = None
-            batch.done[index] = True
-            if on_outcome is not None:
-                on_outcome(outcome)
 
 
 def _default_context():

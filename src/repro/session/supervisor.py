@@ -15,9 +15,10 @@ deployment sees:
   back off; any completed trace resets the streak). When deaths keep
   coming with nothing completing in between, the breaker trips: the
   pool stops burning processes, warns, bumps the ``pool.degraded``
-  perf counter, and degrades to in-process serial execution of the
-  remaining traces — slower, but the batch still finishes and the
-  journal stays consistent.
+  perf counter, and hands the unfinished traces back to the batch
+  runner, whose serial loop replays them in-process — slower, but the
+  batch still finishes and the journal stays consistent. Each batch
+  starts with the breaker closed again.
 - **graceful drain** — :class:`GracefulDrain` converts SIGTERM/SIGINT
   into a drain *request*: admission stops, in-flight traces finish,
   the journal and telemetry flush, and the process exits nonzero with
@@ -36,7 +37,8 @@ from repro import perf
 
 #: Env var (seconds) slowing every trace down in real time — soak/test
 #: plumbing so signals and kills can land mid-run deterministically.
-#: Honored by every per-trace replay: serial, pooled, and degraded.
+#: Honored by every per-trace replay, in the serial loop (handed-back
+#: traces included) and in pool workers.
 THROTTLE_ENV = "REPRO_SOAK_THROTTLE"
 
 
@@ -62,7 +64,8 @@ class SupervisorPolicy:
         #: Ceiling on any single respawn delay.
         self.backoff_cap = float(backoff_cap)
         #: Consecutive deaths (no trace completed in between) that trip
-        #: the breaker and degrade the pool to in-process execution.
+        #: the breaker and hand the batch's remainder back for
+        #: in-process execution.
         self.breaker_deaths = int(breaker_deaths)
 
     def backoff(self, consecutive_deaths):
@@ -111,6 +114,11 @@ class WorkerSupervisor:
         self._respawn_at[slot] = now + self.policy.backoff(
             self.consecutive_deaths)
         return False
+
+    def rearm(self):
+        """Close the breaker for a new batch; the death streak restarts."""
+        self.tripped = False
+        self.consecutive_deaths = 0
 
     def record_completion(self):
         """A trace finished — workers are making progress again."""

@@ -86,6 +86,12 @@ SEGMENT_RECORDS = 1024
 WIRE_TAG = "WTP1"
 
 
+class WireSliceError(ValueError):
+    """A packed telemetry wire slice is malformed: a bad tag or shape, a
+    torn record block, or a record naming a phase, name, category or
+    string id its intern tables do not hold."""
+
+
 class StringTable:
     """Interns strings to dense small-int ids; decodes by index."""
 
@@ -373,12 +379,28 @@ def is_wire_slice(events):
 
 
 def decode_wire_slice(slice_tuple):
-    """Decode a :meth:`PackedRingBuffer.wire_slice` back into events."""
-    tag, data, args_list, names, cats = slice_tuple
-    if tag != WIRE_TAG:
-        raise ValueError("not a %s wire slice: %r" % (WIRE_TAG, tag))
+    """Decode a :meth:`PackedRingBuffer.wire_slice` back into events.
+
+    The slice crossed a process boundary, so every reference a record
+    makes is checked before it is followed; anything malformed raises
+    :class:`WireSliceError`.
+    """
+    if not is_wire_slice(slice_tuple):
+        raise WireSliceError("not a %s wire slice" % WIRE_TAG)
+    _, data, args_list, names, cats = slice_tuple
     if len(data) != len(args_list) * RECORD_SIZE:
-        raise ValueError("wire slice is torn: %d bytes for %d args slots"
-                         % (len(data), len(args_list)))
-    return [_event_from_record(record, args_list[index], names, cats)
-            for index, record in enumerate(RECORD.iter_unpack(data))]
+        raise WireSliceError("wire slice is torn: %d bytes for %d args "
+                             "slots" % (len(data), len(args_list)))
+    events = []
+    for index, record in enumerate(RECORD.iter_unpack(data)):
+        ph, flags, cat_id, name_id = record[:4]
+        event_id = record[9]
+        if ph >= len(PHASE_CHARS) or name_id >= len(names) \
+                or (flags & F_CAT and cat_id >= len(cats)) \
+                or (flags & F_STR_ID and not 0 <= event_id < len(names)):
+            raise WireSliceError(
+                "record %d of the wire slice names a phase, name, category "
+                "or string id outside its tables" % index)
+        events.append(_event_from_record(record, args_list[index], names,
+                                         cats))
+    return events

@@ -18,7 +18,7 @@ import pytest
 from repro.core.trace import WarrTrace
 from repro.session import journal as run_journal
 from repro.session import wire
-from repro.session.batch import BatchReport, BatchRunner, TraceRun
+from repro.session.batch import BatchRunner
 from repro.session.events import EventStream, _handler_for
 from repro.session.journal import read_journal, verify_exactly_once
 from repro.session.observers import PerfCountersObserver
@@ -32,7 +32,6 @@ from repro.session.pool import (
     register_factory,
     resolve_factory,
 )
-from repro.session.report import ReplayReport
 from repro.session.wire import _read_varint
 from tests.browser.helpers import build_browser
 from tests.session.test_batch import factory, record_trace
@@ -72,6 +71,15 @@ def crash_in_worker_factory():
     # worker and the trace goes to quarantine) — but behaves in the
     # parent, so a breaker-degraded inline run survives.
     if multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return build_browser(developer_mode=True)
+
+
+def crash_in_worker_while_flagged_factory():
+    # Crashes every pool-worker attempt while the flag file exists: a
+    # farm that is broken for one batch and healthy again for the next.
+    if multiprocessing.parent_process() is not None \
+            and os.path.exists(os.environ[FLAG_ENV]):
         os._exit(9)
     return build_browser(developer_mode=True)
 
@@ -452,23 +460,71 @@ class TestSupervision:
         assert pool.stats["hangs"] >= 1
 
     def test_breaker_degrades_to_in_process_execution(self):
+        reference = "tests.session.test_pool:crash_in_worker_factory"
+        traces = [record_trace("d%d" % i) for i in range(3)]
+        with WorkerPool(
+                WorkerSpec(reference), workers=1,
+                timing=TimingPolicy.no_wait(),
+                supervision={"backoff_base": 0.01, "breaker_deaths": 2}) \
+                as pool:
+            with pytest.warns(RuntimeWarning, match="degraded"):
+                batch = BatchRunner(reference, pool=pool,
+                                    timing=TimingPolicy.no_wait()).run(
+                    traces)
+        # Every worker attempt died; the breaker tripped and the
+        # runner's serial loop ran the remainder inline in the parent
+        # (where the factory works). Nothing was lost.
+        assert pool.stats["degraded"] == 1
+        assert pool.supervisor.tripped
+        assert batch.trace_count == 3 and batch.complete
+        assert [run.report.trace for run in batch.runs] == traces
+
+    def test_tripped_breaker_hands_the_remainder_back(self):
         traces = [record_trace("d%d" % i) for i in range(3)]
         tasks = [(t.label, t) for t in traces]
+        finished = []
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_in_worker_factory"),
                 workers=1, timing=TimingPolicy.no_wait(),
                 supervision={"backoff_base": 0.01, "breaker_deaths": 2}) \
                 as pool:
             with pytest.warns(RuntimeWarning, match="degraded"):
-                outcomes, _ = pool.run(tasks)
-        # Every worker attempt died; the breaker tripped and the
-        # remainder ran inline in the parent (where the factory works).
+                outcomes, _ = pool.run(tasks, on_outcome=finished.append)
+            assert pool._handles == {}  # every worker was stopped
         assert pool.stats["degraded"] == 1
         assert pool.supervisor.tripped
-        done_inline = [o for o in outcomes if o.ok]
-        assert done_inline and all(o.worker_id is None for o in done_inline)
-        # Nothing was lost: every trace has a final outcome.
-        assert all(o.ok or o.error_class for o in outcomes)
+        # Handed back: no report, no error, not cancelled, never
+        # journaled. The two traces whose workers died keep the attempt
+        # their requeue charged.
+        assert finished == []
+        for outcome in outcomes:
+            assert outcome.report is None and outcome.error is None
+            assert outcome.error_class is None and not outcome.cancelled
+        assert [o.attempts for o in outcomes] == [2, 2, 1]
+
+    def test_breaker_rearms_for_the_next_batch(self, flag_path):
+        # Regression: a tripped breaker was never reset, so every later
+        # batch on the warm pool killed its respawned workers at once
+        # and ran inline, even once the workers were healthy again.
+        reference = "tests.session.test_pool:" \
+            "crash_in_worker_while_flagged_factory"
+        open(flag_path, "w").close()
+        traces = [record_trace("r%d" % i) for i in range(3)]
+        with WorkerPool(
+                WorkerSpec(reference), workers=1,
+                timing=TimingPolicy.no_wait(),
+                supervision={"backoff_base": 0.01, "breaker_deaths": 2}) \
+                as pool:
+            with pytest.warns(RuntimeWarning, match="degraded"):
+                first = BatchRunner(reference, pool=pool,
+                                    timing=TimingPolicy.no_wait()).run(
+                    traces)
+            assert first.complete and pool.stats["degraded"] == 1
+            os.remove(flag_path)
+            outcomes, _ = pool.run([(t.label, t) for t in traces])
+        assert pool.stats["degraded"] == 1
+        assert not pool.supervisor.tripped
+        assert all(o.ok and o.worker_id is not None for o in outcomes)
 
     def test_drain_cancels_queued_traces_but_finishes_inflight(self,
                                                                monkeypatch):
@@ -503,7 +559,7 @@ class TestSupervision:
         pool.start()
         batch = _BatchState(pool._next_batch_id, tasks)
         pool._next_batch_id += 1
-        pool._dispatch(batch, [0, 1], False, None)
+        pool._dispatch(batch, [0, 1])
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline \
                 and pool._result_queue.qsize() < 2:
@@ -528,26 +584,6 @@ class TestResultDrain:
 
 
 class TestMerging:
-    def test_batch_report_merge_concatenates_and_sums(self):
-        trace = record_trace("m")
-        shards = []
-        for hits in (3, 5):
-            shard = BatchReport()
-            report = ReplayReport(trace)
-            shard.add(TraceRun("m-%d" % hits, trace, report))
-            shard.perf_counters = {
-                "xpath.compile": {"hits": hits, "misses": 1,
-                                  "hit_rate": hits / (hits + 1.0)},
-            }
-            shards.append(shard)
-        merged = BatchReport.merge(shards)
-        assert merged.trace_count == 2
-        assert [run.label for run in merged.runs] == ["m-3", "m-5"]
-        counts = merged.perf_counters["xpath.compile"]
-        assert counts["hits"] == 8
-        assert counts["misses"] == 2
-        assert counts["hit_rate"] == 0.8
-
     def test_perf_counter_merge_recomputes_hit_rate(self):
         merged = PerfCountersObserver.merge([
             {"a": {"hits": 1, "misses": 0, "hit_rate": 1.0}},
@@ -722,3 +758,40 @@ class TestFarmPath:
         assert resumed.resumed_count == 3
         assert [run.report.to_dict() for run in resumed.runs] \
             == [run.report.to_dict() for run in batch.runs]
+
+    def test_drain_stops_the_handed_back_remainder(self, tmp_path):
+        # The breaker trips, the runner's serial loop takes over, and a
+        # drain fires once the first inline trace has finished: the
+        # rest of the remainder is not admitted, and resume finishes it.
+        reference = "tests.session.test_pool:crash_in_worker_factory"
+        traces = [record_trace("h%d" % i) for i in range(3)]
+        labels = ["h0", "h1", "h2"]
+        path = str(tmp_path / "run.wj2")
+
+        def drain():
+            return bool(read_journal(path).finishes)
+
+        with WorkerPool(WorkerSpec(reference), workers=1,
+                        timing=TimingPolicy.no_wait(),
+                        supervision={"backoff_base": 0.01,
+                                     "breaker_deaths": 2}) as pool:
+            with pytest.warns(RuntimeWarning, match="degraded"):
+                batch = BatchRunner(reference, pool=pool, journal=path,
+                                    timing=TimingPolicy.no_wait()).run(
+                    traces, labels=labels, drain=drain)
+        assert batch.drained
+        assert [run.label for run in batch.runs] == ["h0"]
+        snapshot = read_journal(path)
+        events = [event.kind for event in snapshot.events]
+        assert events == ["degraded", "drain"]
+        (record,) = snapshot.finishes
+        # h0 lost a worker before the trip: its requeue counts.
+        assert (record.label, record.attempts, record.worker_id) \
+            == ("h0", 2, None)
+        assert not verify_exactly_once(path, labels)["exactly_once"]
+        resumed = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                              journal=path, resume=True).run(
+            traces, labels=labels)
+        assert resumed.complete and resumed.resumed_count == 1
+        verdict = verify_exactly_once(path, expected_labels=labels)
+        assert verdict["exactly_once"], verdict

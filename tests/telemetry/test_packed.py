@@ -16,24 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.events import RingBuffer, TraceEvent
 from repro.telemetry.packed import (
     F_ARGS,
     F_CAT,
     F_DUR,
+    PH_ASYNC_BEGIN,
     PH_COMPLETE,
+    PH_COUNTER,
     PH_INSTANT,
     RECORD_SIZE,
     SEGMENT_RECORDS,
+    WIRE_TAG,
     PackedRingBuffer,
     Sampler,
     StringTable,
+    WireSliceError,
     decode_wire_slice,
     is_wire_slice,
     materialize_args,
 )
 from repro.telemetry.tracer import Tracer
 from repro.util.clock import VirtualClock
+from tests.session.test_wire import _mutation, mutate
 
 
 class TestStringTable:
@@ -262,6 +266,19 @@ class TestWireSlice:
         with pytest.raises(ValueError):
             decode_wire_slice(("BOGUS", data, args, names, cats))
 
+    def test_out_of_range_references_raise_the_typed_error(self):
+        buffer = PackedRingBuffer(4)
+        self._fill(buffer, 2)
+        tag, data, args, names, cats = buffer.wire_slice(0)
+        bad_phase = bytearray(data)
+        bad_phase[0] = 250
+        for broken in ((tag, data, args, [], cats),
+                       (tag, data, args, names, []),
+                       (tag, bytes(bad_phase), args, names, cats),
+                       (tag, data, args, names)):
+            with pytest.raises(WireSliceError):
+                decode_wire_slice(broken)
+
     def test_interned_tables_stay_per_worker(self):
         """Two workers' tables intern in different orders; the decoded
         events still carry each worker's own strings — the property the
@@ -448,3 +465,57 @@ class TestSamplingDeterminismAcrossProcesses:
                            end_us=index + 1.0, track=(1, 1),
                            cat="session")
         assert ",".join(event.name for event in other.buffer) != local
+
+
+# -- decoder fuzzing ------------------------------------------------------
+
+
+def _seed_slice():
+    """A wire slice using every optional field: durations, categories,
+    args, virtual time, and integer and string async ids."""
+    buffer = PackedRingBuffer(8)
+    session = buffer.cats.intern("session")
+    buffer.append(PH_COMPLETE, "locate", session, 1, 2, 1.0, 0.5, 3.0,
+                  {"line": "click"}, None)
+    buffer.append(PH_ASYNC_BEGIN, "load", buffer.cats.intern("net"), 1, 2,
+                  2.0, None, None, None, "req-1")
+    buffer.append(PH_ASYNC_BEGIN, "fetch", session, 1, 3, 3.0, None, None,
+                  None, 7)
+    buffer.append(PH_COUNTER, "hits", None, 1, 2, 4.0, None, 5.0,
+                  {"n": 1}, None)
+    return buffer.wire_slice(0)
+
+
+SEED_SLICE = _seed_slice()
+
+
+def decode_or_slice_error(slice_tuple):
+    try:
+        decode_wire_slice(slice_tuple)
+    except WireSliceError:
+        pass
+
+
+class TestDecoderFuzz:
+    """Arbitrary and mutated slices decode or raise WireSliceError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.just(WIRE_TAG), st.text(max_size=4)),
+           st.lists(st.binary(min_size=RECORD_SIZE, max_size=RECORD_SIZE),
+                    max_size=4),
+           st.integers(min_value=-1, max_value=1),
+           st.lists(st.text(max_size=3), max_size=3),
+           st.lists(st.text(max_size=3), max_size=3))
+    def test_arbitrary_slices(self, tag, records, skew, names, cats):
+        data = b"".join(records)
+        args = [None] * max(0, len(records) + skew)
+        decode_or_slice_error((tag, data, args, names, cats))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_mutation, min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=3))
+    def test_mutated_valid_slices(self, mutations, names_kept, cats_kept):
+        tag, data, args, names, cats = SEED_SLICE
+        decode_or_slice_error((tag, mutate(data, mutations), args,
+                               names[:names_kept], cats[:cats_kept]))
