@@ -69,9 +69,12 @@ from repro.core.chromedriver import ChromeDriverConfig
 from repro.core.recorder import WarrRecorder
 from repro.core.replayer import TimingMode, WarrReplayer
 from repro.core.trace import WarrTrace
-from repro.net.tape import Tape
+from repro.net.tape import Tape, TapeError
 from repro.net.transport import PLAYBACK, RECORD, TapeConfig
 from repro.session.batch import BatchRunner
+from repro.session.journal import JournalError
+from repro.session.wire import WireError
+from repro.util.errors import TraceFormatError
 from repro.weberr.runner import WebErr
 from repro.workloads.sessions import (
     dashboard_session,
@@ -752,11 +755,20 @@ def build_parser():
     return parser
 
 
+#: What the file decoders raise on malformed input: reported as one
+#: error line and exit status 2, like a bad argument, not a traceback.
+INPUT_ERRORS = (JournalError, TraceFormatError, TapeError, WireError)
+
+
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, out)
+    try:
+        return args.func(args, out)
+    except INPUT_ERRORS as error:
+        print("%s: error: %s" % (parser.prog, error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

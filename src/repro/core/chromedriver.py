@@ -81,9 +81,16 @@ class ChromeDriverClient:
 
     # -- element lookup --------------------------------------------------------
 
+    @property
+    def context(self):
+        """Where this client resolves XPaths: its subtree root, or its
+        frame's document."""
+        root = self.root_element
+        return root if root is not None else self.engine.document
+
     def find(self, expression, relaxation=None):
         """Resolve an XPath within this client's frame (or subtree)."""
-        context = self.root_element if self.root_element is not None else self.engine.document
+        context = self.context
         if relaxation is None:
             matches = evaluate(expression, context)
             if not matches:

@@ -174,6 +174,32 @@ def _predicate_mask(path):
     return observes_attributes, observes_text
 
 
+def _observed_mask(expression):
+    """The predicate mask of ``expression``, cached on its compiled path.
+
+    Structure is always observed (it decides which elements exist and
+    their positions); attribute/text counters only when some predicate
+    reads them. Every relaxation candidate carries a *subset* of the
+    original's predicates, so masking on the original expression is
+    conservative for the whole ladder.
+    """
+    path = parse_xpath(expression)
+    mask = path._observed_mask
+    if mask is None:
+        mask = path._observed_mask = _predicate_mask(path)
+    return mask
+
+
+def _generations(document, mask):
+    """``document``'s (structure, attribute, text) counters under ``mask``."""
+    observes_attributes, observes_text = mask
+    return (
+        document.structure_generation,
+        document.attribute_generation if observes_attributes else -1,
+        document.text_generation if observes_text else -1,
+    )
+
+
 class RelaxationEngine:
     """Resolves a recorded XPath against a live document."""
 
@@ -181,7 +207,11 @@ class RelaxationEngine:
         self.enabled = enabled
         #: (expression, used_description) log for reporting/ablation.
         self.resolutions = []
-        #: expression key -> (context, generations, element, description).
+        #: expression key -> (context, document, mask, generations,
+        #: element, description). ``mask`` is the expression's
+        #: (observes attributes, observes text) predicate mask and
+        #: ``document`` the context's owning Document, both stored so a
+        #: hit neither compiles the expression nor walks its predicates.
         #: ``generations`` records the document's (structure, attribute,
         #: text) counters at resolution time, masked down to the kinds
         #: the expression's predicates can observe — so an id-locator
@@ -189,6 +219,28 @@ class RelaxationEngine:
         #: element insertion/removal (including detaching the memoized
         #: element) always invalidates the entry.
         self._memo = {}
+
+    def recall(self, expression, context):
+        """The memoized (element, description) for ``expression``, or None.
+
+        A hit needs the same resolution context (a Document, or the
+        root Element of a src-less iframe) and unchanged masked
+        generations of its document; it counts as a ``relax.resolve``
+        hit and is logged like any resolution. A miss records nothing:
+        :meth:`resolve` counts it when it resolves the expression.
+        Always None with relaxation or the fast path disabled.
+        """
+        if not self.enabled or not perf.fast_path_enabled():
+            return None
+        key = expression if isinstance(expression, str) else expression.to_xpath()
+        entry = self._memo.get(key)
+        if entry is None or entry[0] is not context:
+            return None
+        if entry[3] != _generations(entry[1], entry[2]):
+            return None
+        perf.record("relax.resolve", hit=True)
+        self.resolutions.append((expression, entry[5]))
+        return entry[4], entry[5]
 
     def resolve(self, expression, document):
         """Find the element ``expression`` points at in ``document``.
@@ -212,15 +264,18 @@ class RelaxationEngine:
             self.resolutions.append((expression, description))
             return element, description
 
-        key = expression if isinstance(expression, str) else expression.to_xpath()
-        generations = self._observed_generations(expression, document)
-        if generations is not None:
-            hit = self._memo.get(key)
-            if hit is not None and hit[0] is document and hit[1] == generations:
-                perf.record("relax.resolve", hit=True)
-                self.resolutions.append((expression, hit[3]))
-                return hit[2], hit[3]
+        found = self.recall(expression, document)
+        if found is not None:
+            return found
+        owner = document if isinstance(document, Document) \
+            else document.owner_document
+        # Memoizing without an owning Document would be unsafe: there
+        # is no counter to invalidate on.
+        memoizable = isinstance(owner, Document)
+        if memoizable:
             perf.record("relax.resolve", hit=False)
+            mask = _observed_mask(expression)
+            generations = _generations(owner, mask)
 
         # The common, DOM-stable case: the original expression still
         # matches uniquely — no relaxation ladder is built at all.
@@ -232,8 +287,11 @@ class RelaxationEngine:
             element, description = self._resolve_by_scan(
                 expression, document, skip_original=True, fallback=fallback
             )
-        if generations is not None:
-            self._memo[key] = (document, generations, element, description)
+        if memoizable:
+            key = expression if isinstance(expression, str) \
+                else expression.to_xpath()
+            self._memo[key] = (document, owner, mask, generations, element,
+                               description)
         self.resolutions.append((expression, description))
         return element, description
 
@@ -254,34 +312,6 @@ class RelaxationEngine:
             "no element matches %r even after relaxation" % expression
         )
 
-    @staticmethod
-    def _observed_generations(expression, context):
-        """The document generations this expression's result depends on.
-
-        Structure is always observed (it decides which elements exist
-        and their positions); attribute/text counters only when some
-        predicate reads them. Every relaxation candidate carries a
-        *subset* of the original's predicates, so masking on the
-        original expression is conservative for the whole ladder.
-        Returns None when the context has no owning Document (memoizing
-        would be unsafe — there is no counter to invalidate on).
-        """
-        document = context if isinstance(context, Document) \
-            else context.owner_document
-        if not isinstance(document, Document):
-            return None
-        path = parse_xpath(expression)
-        mask = path._observed_mask
-        if mask is None:
-            mask = path._observed_mask = _predicate_mask(path)
-        observes_attributes, observes_text = mask
-        return (
-            document.structure_generation,
-            document.attribute_generation if observes_attributes else -1,
-            document.text_generation if observes_text else -1,
-        )
-
     def relaxed_count(self):
         """How many resolutions needed a non-original candidate."""
         return sum(1 for _, used in self.resolutions if used != "original")
-

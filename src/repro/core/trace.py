@@ -124,7 +124,12 @@ class WarrTrace:
     def load(cls, path):
         """Read a trace from a file."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as error:
+                raise TraceFormatError(
+                    "%s is not UTF-8 text: %s" % (path, error))
+        return cls.from_text(text)
 
     def __eq__(self, other):
         """Content equality: same start URL and same command sequence.

@@ -142,7 +142,8 @@ class SessionEngine:
         except (DriverError, XPathSyntaxError) as error:
             return self._fail(command, error, stream)
         handlers = stream.handlers
-        kind = SessionEvent.RELAXED if location.relaxed else SessionEvent.LOCATED
+        relaxed = location.relaxed
+        kind = SessionEvent.RELAXED if relaxed else SessionEvent.LOCATED
         if handlers[kind]:
             stream.emit(SessionEvent(kind, command=command,
                                      detail=location.detail,
@@ -163,7 +164,7 @@ class SessionEngine:
         if handlers[SessionEvent.ACTED]:
             stream.emit(SessionEvent(SessionEvent.ACTED, command=command,
                                      detail=location.detail))
-        if location.relaxed:
+        if relaxed:
             return CommandResult(command, CommandResult.RELAXED,
                                  detail=location.detail)
         return CommandResult(command, CommandResult.OK)
@@ -317,10 +318,11 @@ class SessionRun:
         and marks the run halted; it is not re-raised, so stepping
         callers can keep iterating and simply observe ``self.halted``.
         """
+        engine = self.engine
         stream = self.stream
         handlers = stream.handlers
-        clock = self.browser.clock
-        target = self.engine.timing.target(self._anchor, command)
+        clock = engine.browser.clock
+        target = engine.timing.target(self._anchor, command)
         wait_ms = max(0.0, target - clock.now())
         tracer = telemetry.current()
         if tracer is not handlers.tracer:
@@ -336,8 +338,12 @@ class SessionRun:
         if handlers[SessionEvent.COMMAND_STARTED]:
             stream.emit(SessionEvent(SessionEvent.COMMAND_STARTED,
                                      command=command, data={"due": target}))
+        healing = engine.retry.enabled
         try:
-            result = self._execute_healing(command, stream)
+            if healing:
+                result = self._execute_healing(command, stream)
+            else:
+                result = engine.execute(self.driver, command, stream)
         except ReplayHaltedError as error:
             result = CommandResult(command, CommandResult.FAILED, error=error)
             stream.emit(SessionEvent(SessionEvent.COMMAND_FINISHED,
@@ -351,9 +357,13 @@ class SessionRun:
             stream.emit(SessionEvent(SessionEvent.COMMAND_FINISHED,
                                      command=command, result=result))
         if result.succeeded:
-            url = self.driver.tab.url if self.driver.has_session else None
-            self.checkpoint.advance(command, url)
-        decision = self.engine.failure.decide(result)
+            # Only crash recovery reads the checkpoint, and only the
+            # healing loop recovers crashes.
+            if healing:
+                url = self.driver.tab.url if self.driver.has_session else None
+                self.checkpoint.advance(command, url)
+            return result
+        decision = engine.failure.decide(result)
         if decision == FailurePolicy.STOP:
             self.stopped = True
         elif decision == FailurePolicy.HALT:

@@ -123,9 +123,13 @@ class LocatorPolicy:
 
         Returns a :class:`Location`; raises
         :class:`~repro.util.errors.ElementNotFoundError` when even the
-        relaxation ladder matches nothing.
+        relaxation ladder matches nothing. Without an implicit wait, a
+        locator whose frame and observed DOM generations are unchanged
+        since its last resolution is answered from the relaxation memo
+        alone (:meth:`~repro.core.relaxation.RelaxationEngine.recall`).
         """
         client = driver.master.active_client
+        found = None
         if self.implicit_wait_ms > 0:
             try:
                 element, _ = client.find(xpath, None)
@@ -149,7 +153,9 @@ class LocatorPolicy:
                     return Location(client, element)
                 except ElementNotFoundError:
                     continue
-        element, description = client.find(xpath, driver.relaxation)
+        else:
+            found = driver.relaxation.recall(xpath, client.context)
+        element, description = found or client.find(xpath, driver.relaxation)
         if description != "original":
             return Location(client, element, Location.RELAXED,
                             detail=description)

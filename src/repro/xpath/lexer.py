@@ -31,6 +31,11 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.value)
 
 
+#: Integer literals are ASCII: ``str.isdigit`` also accepts characters
+#: such as ``"²"`` that ``int`` rejects.
+_DIGITS = frozenset("0123456789")
+
+
 def _is_name_char(char):
     return char.isalnum() or char in "-_."
 
@@ -95,9 +100,9 @@ def tokenize(expression):
             tokens.append(Token(STRING, expression[i + 1:end], i))
             i = end + 1
             continue
-        if char.isdigit():
+        if char in _DIGITS:
             start = i
-            while i < length and expression[i].isdigit():
+            while i < length and expression[i] in _DIGITS:
                 i += 1
             tokens.append(Token(INTEGER, int(expression[start:i]), start))
             continue

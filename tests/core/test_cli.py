@@ -189,3 +189,41 @@ class TestWebErrCommand:
                                 "--max-tests", "8"])
         assert code == 0
         assert "[navigation]" in output
+
+
+class TestMalformedInput:
+    """A file a decoder rejects is one error line and exit status 2."""
+
+    @pytest.fixture
+    def garbage(self, tmp_path):
+        path = tmp_path / "garbage.bin"
+        path.write_bytes(b"\xc9not a trace, tape or journal\x00\xff\n")
+        return path
+
+    def assert_rejected(self, argv, capsys, message):
+        code, output = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert output == ""
+        assert err.startswith("repro: error: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_journal_rejects_a_non_journal(self, garbage, capsys):
+        self.assert_rejected(["journal", str(garbage)], capsys,
+                             "is not a WJ2 journal")
+
+    def test_replay_rejects_undecodable_bytes(self, garbage, capsys):
+        self.assert_rejected(["replay", str(garbage), "--app", "sites"],
+                             capsys, "is not UTF-8 text")
+
+    def test_replay_rejects_a_headerless_trace(self, tmp_path, capsys):
+        path = tmp_path / "x.warr"
+        path.write_text("click //div\n")
+        self.assert_rejected(["replay", str(path), "--app", "sites"],
+                             capsys, "missing trace header")
+
+    def test_tape_inspect_rejects_a_non_tape(self, garbage, capsys):
+        self.assert_rejected(["tape", "inspect", str(garbage)], capsys,
+                             "not a WT1 tape")

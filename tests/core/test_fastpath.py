@@ -10,6 +10,7 @@ and off requiring identical outcomes.
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.apps.dashboard import DashboardApplication
@@ -21,6 +22,8 @@ from repro.apps.sites import SitesApplication
 from repro.core.recorder import WarrRecorder
 from repro.core.relaxation import RelaxationEngine
 from repro.core.replayer import TimingMode, WarrReplayer
+from repro.core.webdriver import WebDriver
+from repro.dom.node import VOID_ELEMENTS
 from repro.dom.parser import parse_html
 from repro.dom.serialize import serialize
 from repro.layout.engine import LayoutEngine
@@ -36,7 +39,9 @@ from repro.workloads.sessions import (
     portal_authenticate_session,
     sites_edit_session,
 )
+from repro.util.errors import DriverError, ElementNotFoundError
 from repro.xpath.parser import parse_xpath
+from tests.browser.helpers import build_browser, url
 
 HTML = """
 <html><body>
@@ -216,11 +221,200 @@ class TestRelaxationMemo:
         engine.resolve(expression, doc)
         path = parse_xpath(expression)
         assert path._observed_mask == (False, True)
-        compiles = sum(perf.stats.counter("xpath.compile"))
+        compiles = perf.stats.counter("xpath.compile")
+        hits = resolve_hits()
         engine.resolve(expression, doc)
-        # The memo hit still compiles through the cache, once.
-        assert sum(perf.stats.counter("xpath.compile")) == compiles + 1
+        # The memo entry keeps the mask read off the compiled path at
+        # the miss, so a hit compiles nothing, not even a cache lookup.
+        assert resolve_hits() == hits + 1
+        assert perf.stats.counter("xpath.compile") == compiles
         assert parse_xpath(expression) is path
+
+
+#: A page with an id-churning target, text and attribute locators, a
+#: src iframe (its own document) and a src-less one (a scoped subtree
+#: of this document).
+MEMO_HTML = """<html><head><title>Memo</title></head><body>
+<div id="main"><span id="start" name="go">start</span>
+  <p id="inline">main</p><input name="who"></div>
+<div><span>plain</span><span>other</span></div>
+<iframe id="child" src="/memo-inner"></iframe>
+<iframe id="bare"><p id="inline">bare</p><span name="go">x</span></iframe>
+</body></html>"""
+
+MEMO_INNER_HTML = """<html><head><title>Inner</title></head><body>
+<p id="inline">inner</p><span name="go">inner start</span>
+</body></html>"""
+
+MEMO_LOCATORS = [
+    '//span[@id="start"]',
+    '//p[@id="inline"]',
+    '//span[@name="go"]',
+    '//div/span[2]',
+    '//span[text()="plain"]',
+    '//body/div/input[@name="who"]',
+]
+
+
+def _memo_driver():
+    browser = build_browser(extra_routes={
+        "/memo": lambda request: MEMO_HTML,
+        "/memo-inner": lambda request: MEMO_INNER_HTML,
+    })
+    driver = WebDriver(browser)
+    driver.get(url("/memo"))
+    return driver
+
+
+def _locate(driver, xpath):
+    """(client, element, strategy, detail) of one locate, or the error
+    class when nothing matches."""
+    try:
+        location = driver.locator.resolve(driver, xpath)
+    except ElementNotFoundError as error:
+        return type(error)
+    return (location.client, location.element, location.strategy,
+            location.detail)
+
+
+def _locate_checked(driver, xpath):
+    """Locate with the memo, against the uncached chain, then again.
+
+    The memoized answer must equal the fast-path-off answer, and the
+    repeat (nothing changed in between) must be a memo hit.
+    """
+    fast = _locate(driver, xpath)
+    with perf.fast_path(False):
+        slow = _locate(driver, xpath)
+    assert fast == slow, xpath
+    hits = resolve_hits()
+    again = _locate(driver, xpath)
+    assert again == fast, xpath
+    if isinstance(fast, tuple):
+        assert resolve_hits() == hits + 1, xpath
+    return fast
+
+
+def _mutation_target(driver, index, located):
+    """An element chosen by ``index``: negative picks one of the
+    ``located`` elements, others any element of any frame's document."""
+    elements = [element for engine
+                in driver.tab.renderer.engine.all_engines()
+                for element in engine.document.all_elements()
+                if element.tag not in ("html", "head", "body", "iframe")]
+    if index < 0 and located:
+        return located[index % len(located)]
+    return elements[index % len(elements)]
+
+
+def _apply(driver, step, located):
+    kind, index, value = step
+    if kind == "switch":
+        try:
+            if value == "default":
+                driver.switch_to_default()
+            else:
+                driver.switch_to_frame('//iframe[@id="%s"]' % value)
+        except (DriverError, ElementNotFoundError):
+            pass  # not visible from the active frame
+        return
+    if kind == "navigate":
+        driver.get(url(value))
+        return
+    target = _mutation_target(driver, index, located)
+    document = target.owner_document
+    if kind == "attribute":
+        name, _, text = value.partition("=")
+        target.set_attribute(name, text)
+    elif kind == "text":
+        if target.tag not in VOID_ELEMENTS:
+            target.text_content = value
+    elif kind == "insert":
+        new = document.create_element(value, {"name": "go"})
+        target.parent.insert_before(new, target)
+    elif kind == "move":
+        target.remove()
+        destination = _mutation_target(driver, abs(index) + 1, located)
+        if not target.contains(destination) and destination.parent:
+            destination.parent.append_child(target)
+    else:
+        target.remove()
+
+
+#: Half the mutations hit an element the last locates returned.
+_TARGETS = st.one_of(st.integers(-3, -1), st.integers(0, 40))
+
+_MEMO_STEPS = st.one_of(
+    st.tuples(st.just("attribute"), _TARGETS,
+              st.sampled_from(["id=start", "id=w7_start", "id=inline",
+                               "name=go", "name=stop", "data-k=v"])),
+    st.tuples(st.just("text"), _TARGETS,
+              st.sampled_from(["plain", "start", "typing"])),
+    st.tuples(st.just("insert"), _TARGETS,
+              st.sampled_from(["span", "p", "div"])),
+    st.tuples(st.sampled_from(["move", "detach"]), _TARGETS,
+              st.none()),
+    st.tuples(st.just("switch"), st.none(),
+              st.sampled_from(["child", "bare", "default"])),
+    st.tuples(st.just("navigate"), st.none(),
+              st.sampled_from(["/memo", "/frame"])),
+)
+
+
+class TestLocateMemo:
+    """The locate stage's memo hit equals the uncached chain's answer."""
+
+    @given(steps=st.lists(_MEMO_STEPS, max_size=12),
+           locators=st.lists(st.sampled_from(MEMO_LOCATORS), min_size=1,
+                             max_size=3, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_hits_equal_the_fast_path_off_answer(self, steps,
+                                                      locators):
+        with perf.fast_path(True):
+            driver = _memo_driver()
+            located = []
+            for step in [None] + steps:
+                if step is not None:
+                    _apply(driver, step, located)
+                located = []
+                for xpath in locators:
+                    found = _locate_checked(driver, xpath)
+                    if isinstance(found, tuple):
+                        located.append(found[1])
+
+    def test_memo_never_serves_a_previous_document(self, fast_on):
+        driver = _memo_driver()
+        xpath = '//span[@id="start"]'
+        first = driver.find_element(xpath)
+        assert driver.find_element(xpath) is first
+        hits = resolve_hits()
+        # The same page again: a new document, most likely with the
+        # same generation counters as the one the entry was made on.
+        driver.get(url("/memo"))
+        second = driver.find_element(xpath)
+        assert second is not first
+        assert second.owner_document is driver.tab.document
+        assert resolve_hits() == hits
+
+    def test_memo_never_serves_a_previous_frame(self, fast_on):
+        driver = _memo_driver()
+        xpath = '//p[@id="inline"]'
+        main = driver.find_element(xpath)
+        assert main.text_content == "main"
+        hits = resolve_hits()
+        driver.switch_to_frame('//iframe[@id="child"]')
+        inner = driver.find_element(xpath)
+        assert inner.text_content == "inner"
+        assert inner.owner_document is not main.owner_document
+        driver.switch_to_default()
+        driver.switch_to_frame('//iframe[@id="bare"]')
+        bare = driver.find_element(xpath)
+        assert bare.text_content == "bare"
+        driver.switch_to_default()
+        assert driver.find_element(xpath) is main
+        # Every frame switch changed the context, so nothing since the
+        # first locate was served from the memo.
+        assert resolve_hits() == hits
 
 
 EXPRESSIONS = [

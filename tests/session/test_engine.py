@@ -6,7 +6,12 @@ from repro.core.trace import WarrTrace
 from repro.session.engine import SessionEngine
 from repro.session.events import SessionEvent
 from repro.session.observers import EventLogObserver
-from repro.session.policies import FailurePolicy, LocatorPolicy, TimingPolicy
+from repro.session.policies import (
+    FailurePolicy,
+    LocatorPolicy,
+    RetryPolicy,
+    TimingPolicy,
+)
 from repro.session.report import CommandResult
 from repro.util.errors import XPathSyntaxError
 from tests.browser.helpers import build_browser, url
@@ -135,6 +140,31 @@ class TestFailureModes:
             assert isinstance(report.results[0].error, XPathSyntaxError)
             assert isinstance(report.results[1].error, XPathSyntaxError)
             assert not report.halted
+
+    def test_straight_line_step_keeps_failure_semantics(self):
+        # Without retries, step runs the command once, outside the
+        # healing loop, and keeps no crash-recovery checkpoint.
+        for failure, stopped, halted in (
+                (FailurePolicy.continue_on_failure(), False, False),
+                (FailurePolicy.stop_on_failure(), True, False),
+                (FailurePolicy.halt_on_failure(), True, True)):
+            browser = build_browser(developer_mode=True)
+            engine = SessionEngine(browser, failure=failure,
+                                   retry=RetryPolicy.none())
+            log = EventLogObserver(kinds=[SessionEvent.HALTED])
+            trace = self._trace()
+            run = engine.start(trace, observers=[log])
+            result = run.step(trace[0])
+            assert result.status == CommandResult.FAILED
+            assert result.retries == 0
+            assert (run.stopped, run.halted) == (stopped, halted)
+            assert len(log.events) == int(halted)
+            if not stopped:
+                assert run.step(trace[1]).status == CommandResult.OK
+            assert run.checkpoint.url == url("/")
+            assert run.checkpoint.commands == []
+            report = run.finish()
+            assert report.halted == halted
 
     def test_navigation_failure_halts_before_commands(self):
         trace = WarrTrace(start_url="http://nowhere.example/",

@@ -70,6 +70,12 @@ def test_unexpected_character_raises():
         lexer.tokenize("//div[#]")
 
 
+def test_non_ascii_digit_is_a_syntax_error():
+    for expression in ('//a[contains(@href,\u00b2"x")]', "//li[1\u00b2]"):
+        with pytest.raises(XPathSyntaxError):
+            lexer.tokenize(expression)
+
+
 def test_value_of_string_excludes_quotes():
     tokens = lexer.tokenize('"hello world"')
     assert tokens[0].value == "hello world"
