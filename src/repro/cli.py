@@ -99,6 +99,20 @@ APPS = {
 }
 
 
+class UnreadableInput(Exception):
+    """An input file the command could not open or read."""
+
+
+def _read_input(loader, path):
+    """``loader(path)``, reporting an unreadable ``path`` as an input
+    error (``cannot read PATH: reason``) rather than a traceback."""
+    try:
+        return loader(path)
+    except OSError as error:
+        raise UnreadableInput("cannot read %s: %s"
+                              % (path, error.strerror or error))
+
+
 def _app_entry(name):
     try:
         return APPS[name]
@@ -153,7 +167,7 @@ def _print_tape_outcome(tape_session, out):
 
 def cmd_replay(args, out):
     app_class, _, _ = _app_entry(args.app)
-    trace = WarrTrace.load(args.trace)
+    trace = _read_input(WarrTrace.load, args.trace)
     tape = _tape_config_from_args(args)
     playback = tape is not None and tape.mode == PLAYBACK
     browser, _ = make_browser([app_class], seed=args.seed,
@@ -234,7 +248,7 @@ def cmd_batch(args, out):
     _app_entry(args.app)  # validate before any worker inherits the name
     if args.resume and not args.journal:
         raise SystemExit("--resume needs --journal PATH")
-    traces = [WarrTrace.load(path) for path in args.traces]
+    traces = [_read_input(WarrTrace.load, path) for path in args.traces]
     tape = _tape_config_from_args(args)
     playback = tape is not None and tape.mode == PLAYBACK
 
@@ -298,7 +312,7 @@ def cmd_journal(args, out):
     """Inspect a WJ2 run journal and verify exactly-once accounting."""
     from repro.session import journal as run_journal
 
-    snapshot = run_journal.read_journal(args.journal)
+    snapshot = _read_input(run_journal.read_journal, args.journal)
     config = snapshot.config or {}
     print("journal: %s" % args.journal, file=out)
     if config:
@@ -350,7 +364,7 @@ def cmd_soak(args, out):
 def cmd_trace(args, out):
     """Replay under tracing and summarize the recorded timeline."""
     app_class, _, _ = _app_entry(args.app)
-    trace = WarrTrace.load(args.trace)
+    trace = _read_input(WarrTrace.load, args.trace)
     browser, _ = make_browser([app_class], seed=args.seed,
                               developer_mode=True)
     replayer = WarrReplayer(browser, timing=_timing_from_args(args))
@@ -366,7 +380,7 @@ def cmd_trace(args, out):
 
 
 def cmd_inspect(args, out):
-    trace = WarrTrace.load(args.trace)
+    trace = _read_input(WarrTrace.load, args.trace)
     print("trace: %s" % args.trace, file=out)
     print("start url: %s" % trace.start_url, file=out)
     if trace.label:
@@ -382,7 +396,7 @@ def cmd_inspect(args, out):
 
 def cmd_weberr(args, out):
     app_class, _, _ = _app_entry(args.app)
-    trace = WarrTrace.load(args.trace)
+    trace = _read_input(WarrTrace.load, args.trace)
 
     def factory():
         browser, _ = make_browser([app_class], seed=args.seed,
@@ -435,7 +449,7 @@ def cmd_chaos(args, out):
 def cmd_tape_record(args, out):
     """Replay a trace live while snapshotting every exchange to tape."""
     app_class, _, _ = _app_entry(args.app)
-    trace = WarrTrace.load(args.trace)
+    trace = _read_input(WarrTrace.load, args.trace)
     browser, _ = make_browser([app_class], seed=args.seed,
                               developer_mode=True)
     config = TapeConfig.record(args.out,
@@ -454,7 +468,7 @@ def cmd_tape_record(args, out):
 def cmd_tape_replay(args, out):
     """Replay a trace hermetically: responses come off the tape only."""
     app_class, _, _ = _app_entry(args.app)
-    trace = WarrTrace.load(args.trace)
+    trace = _read_input(WarrTrace.load, args.trace)
     browser, _ = make_browser([app_class], seed=args.seed,
                               developer_mode=True, client_only=True)
     config = TapeConfig.playback(args.tape)
@@ -480,7 +494,7 @@ def cmd_tape_inspect(args, out):
     """Print tape statistics; optionally export the JSON form."""
     import json
 
-    tape = Tape.load(args.tape)
+    tape = _read_input(Tape.load, args.tape)
     stats = tape.stats()
     print("tape: %s" % args.tape, file=out)
     if tape.label:
@@ -513,7 +527,7 @@ def cmd_tape_compact(args, out):
     """Drop orphaned blobs and rewrite the tape."""
     import os
 
-    tape = Tape.load(args.tape)
+    tape = _read_input(Tape.load, args.tape)
     dropped = tape.compact()
     destination = args.out or args.tape
     tape.save(destination)
@@ -755,9 +769,11 @@ def build_parser():
     return parser
 
 
-#: What the file decoders raise on malformed input: reported as one
-#: error line and exit status 2, like a bad argument, not a traceback.
-INPUT_ERRORS = (JournalError, TraceFormatError, TapeError, WireError)
+#: What the file decoders raise on malformed input, and what an
+#: unreadable input path raises: reported as one error line and exit
+#: status 2, like a bad argument, not a traceback.
+INPUT_ERRORS = (JournalError, TraceFormatError, TapeError, WireError,
+                UnreadableInput)
 
 
 def main(argv=None, out=None):

@@ -122,14 +122,21 @@ class WarrTrace:
 
     @classmethod
     def load(cls, path):
-        """Read a trace from a file."""
+        """Read a trace from a file.
+
+        A malformed file raises :class:`TraceFormatError` whose message
+        starts with ``path``, so a batch of many files names the bad one.
+        """
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 text = handle.read()
             except UnicodeDecodeError as error:
                 raise TraceFormatError(
                     "%s is not UTF-8 text: %s" % (path, error))
-        return cls.from_text(text)
+        try:
+            return cls.from_text(text)
+        except TraceFormatError as error:
+            raise TraceFormatError("%s: %s" % (path, error)) from None
 
     def __eq__(self, other):
         """Content equality: same start URL and same command sequence.

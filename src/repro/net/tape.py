@@ -29,12 +29,7 @@ import json
 
 from repro.net.http import HttpResponse
 from repro.net.transport import body_hash, request_fingerprint
-from repro.session.wire import (
-    WireError,
-    _read_varint,
-    _StringTable,
-    _write_varint,
-)
+from repro.session.wire import BodyReader, _StringTable, _write_varint
 
 #: Tape format tag; bump when the layout changes incompatibly.
 TAPE_MAGIC = b"WT1"
@@ -299,14 +294,14 @@ class Tape:
         if blob[:len(TAPE_MAGIC)] != TAPE_MAGIC:
             raise TapeError("bad magic; not a %s tape"
                             % TAPE_MAGIC.decode())
-        reader = _TapeReader(blob)
-        reader.pos = len(TAPE_MAGIC)
+        reader = BodyReader(blob, TapeError, "truncated tape",
+                            pos=len(TAPE_MAGIC))
         for number in range(1, reader.varint() + 1):
             reader.strings.append(reader.text("interned string %d"
                                               % number))
 
-        tape = cls(label=reader.string())
-        config_json = reader.string()
+        tape = cls(label=reader.ref())
+        config_json = reader.ref()
         if config_json is not None:
             try:
                 config = json.loads(config_json)
@@ -316,7 +311,7 @@ class Tape:
                 raise TapeError("config stamp is a JSON %s, not an object"
                                 % type(config).__name__)
             tape.config = config
-        tape.chaos_profile = reader.string()
+        tape.chaos_profile = reader.ref()
         flag = reader.byte()
         if flag > 1:
             raise TapeError("chaos seed flag is %d, not 0 or 1" % flag)
@@ -325,21 +320,21 @@ class Tape:
         for ordinal in range(reader.varint()):
             entry = TapeEntry(
                 ordinal=ordinal,
-                fingerprint=reader.string("fingerprint"),
-                method=reader.string("method"),
-                url=reader.string("url"),
+                fingerprint=reader.ref("fingerprint"),
+                method=reader.ref("method"),
+                url=reader.ref("url"),
                 status=reader.varint(),
-                content_type=reader.string(),
-                body_digest=reader.string("body digest"),
+                content_type=reader.ref(),
+                body_digest=reader.ref("body digest"),
                 headers={},
             )
             for _ in range(reader.varint()):
-                name = reader.string("header name")
-                entry.headers[name] = reader.string("header value")
+                name = reader.ref("header name")
+                entry.headers[name] = reader.ref("header value")
             tape.entries.append(entry)
             tape._index.setdefault(entry.fingerprint, []).append(entry)
         for _ in range(reader.varint()):
-            digest = reader.string("blob digest")
+            digest = reader.ref("blob digest")
             tape.blobs._blobs[digest] = reader.text("blob %s"
                                                     % digest[:12])
         tape.blobs.logical_bytes = reader.varint()
@@ -380,56 +375,3 @@ class Tape:
                       sort_keys=True)
             handle.write("\n")
         return path
-
-
-class _TapeReader:
-    __slots__ = ("blob", "pos", "strings")
-
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-        self.strings = []
-
-    def varint(self):
-        try:
-            value, self.pos = _read_varint(self.blob, self.pos)
-        except WireError as exc:
-            raise TapeError("%s at byte %d" % (exc, self.pos))
-        return value
-
-    def byte(self):
-        if self.pos >= len(self.blob):
-            raise TapeError("truncated tape")
-        value = self.blob[self.pos]
-        self.pos += 1
-        return value
-
-    def take(self, count):
-        if self.pos + count > len(self.blob):
-            raise TapeError("truncated tape")
-        chunk = self.blob[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def text(self, what):
-        """A length-prefixed UTF-8 string."""
-        data = self.take(self.varint())
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise TapeError("%s is not valid UTF-8" % what)
-
-    def string(self, required=None):
-        """A string reference: 0 is None, otherwise 1-based table index.
-
-        ``required`` names the field when None is not allowed there.
-        """
-        ref = self.varint()
-        if ref == 0:
-            if required is not None:
-                raise TapeError("%s is missing" % required)
-            return None
-        try:
-            return self.strings[ref - 1]
-        except IndexError:
-            raise TapeError("string reference %d outside table" % ref)

@@ -54,7 +54,12 @@ import json
 import os
 import zlib
 
-from repro.session.wire import WireError, _read_varint, _write_varint
+from repro.session.wire import (
+    BodyReader,
+    WireError,
+    _read_varint,
+    _write_varint,
+)
 
 #: Format tag; bump when the layout changes incompatibly.
 MAGIC = b"WJ2"
@@ -235,50 +240,12 @@ class JournalSnapshot:
 # -- reading ------------------------------------------------------------------
 
 
-class _BodyReader:
-    __slots__ = ("body", "pos", "strings")
-
-    def __init__(self, body, strings):
-        self.body = body
-        self.pos = 0
-        self.strings = strings
-
-    def varint(self):
-        value, self.pos = _read_varint(self.body, self.pos)
-        return value
-
-    def byte(self):
-        if self.pos >= len(self.body):
-            raise JournalError("record body truncated")
-        value = self.body[self.pos]
-        self.pos += 1
-        return value
-
-    def take(self, count):
-        if self.pos + count > len(self.body):
-            raise JournalError("record body truncated")
-        chunk = self.body[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def text(self):
-        return self.take(self.varint()).decode("utf-8")
-
-    def ref(self):
-        """Interned string reference: 0 = None, else 1-based index."""
-        ref = self.varint()
-        if ref == 0:
-            return None
-        try:
-            return self.strings[ref - 1]
-        except IndexError:
-            raise JournalError("string reference %d outside table" % ref)
-
-    def maybe_json(self):
-        length = self.varint()
-        if length == 0:
-            return None
-        return json.loads(self.take(length).decode("utf-8"))
+def _maybe_json(reader):
+    """An optional length-prefixed JSON payload (length 0 is None)."""
+    length = reader.varint()
+    if length == 0:
+        return None
+    return json.loads(reader.take(length).decode("utf-8"))
 
 
 def read_journal(path):
@@ -325,8 +292,8 @@ def read_journal(path):
         try:
             _decode_body(body, snapshot)
         except (ValueError, RecursionError) as exc:
-            # JournalError, WireError, UnicodeDecodeError and
-            # JSONDecodeError are all ValueErrors; deep JSON recurses.
+            # JournalError, UnicodeDecodeError and JSONDecodeError
+            # are all ValueErrors; deep JSON recurses.
             raise JournalError("malformed record at offset %d: %s"
                                % (frame_start, exc))
         snapshot.valid_length = pos
@@ -350,14 +317,16 @@ def _check_config(config):
 
 
 def _decode_body(body, snapshot):
-    reader = _BodyReader(body, snapshot.strings)
+    reader = BodyReader(body, JournalError, "record body truncated",
+                        snapshot.strings)
     kind = reader.byte()
     if kind == _CONFIG:
         if snapshot.config is not None:
             raise JournalError("second config record")
-        snapshot.config = _check_config(json.loads(reader.text()))
+        snapshot.config = _check_config(
+            json.loads(reader.text("config record")))
     elif kind == _INTERN:
-        snapshot.strings.append(reader.text())
+        snapshot.strings.append(reader.text("interned string"))
     elif kind == _START:
         snapshot.starts.append(StartRecord(
             reader.varint(), reader.ref(), reader.varint()))
@@ -375,7 +344,7 @@ def _decode_body(body, snapshot):
         blob = reader.take(reader.varint()) if flags & 1 else None
         error_class = reader.ref() if flags & 2 else None
         error = reader.ref() if flags & 2 else None
-        diagnosis = reader.maybe_json() if flags & 4 else None
+        diagnosis = _maybe_json(reader) if flags & 4 else None
         snapshot.finishes.append(FinishRecord(
             index, label, _STATUSES[status_code], attempts=attempts,
             worker_id=None if worker_field == 0 else worker_field - 1,
@@ -383,7 +352,7 @@ def _decode_body(body, snapshot):
             diagnosis=diagnosis))
     elif kind == _EVENT:
         snapshot.events.append(JournalEvent(reader.ref(),
-                                            reader.maybe_json()))
+                                            _maybe_json(reader)))
     else:
         raise JournalError("unknown journal record type %d" % kind)
     if reader.pos != len(body):

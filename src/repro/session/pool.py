@@ -50,8 +50,8 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
   so a SIGTERM-masking worker cannot wedge the reaper;
 - respawns back off exponentially, and repeated deaths with no
   progress trip a circuit breaker: the pool stops its workers and
-  hands the unfinished traces back (warning + ``pool.degraded``
-  counter) to the batch runner's serial loop — the batch still finishes;
+  hands the unfinished traces back (warning + ``stats["degraded"]``)
+  to the batch runner's serial loop — the batch still finishes;
 - with ``heartbeat=N`` each worker posts liveness beats over the
   result pipe; a silent worker (SIGSTOP, wedged C call) is detected
   and contained even when no per-trace deadline is set;
@@ -80,7 +80,7 @@ import traceback
 import warnings
 from multiprocessing.connection import wait as _connection_wait
 
-from repro import chaos, perf
+from repro import chaos
 from repro.session import wire
 from repro.session.events import SessionObserver
 from repro.session.supervisor import (
@@ -839,7 +839,6 @@ class WorkerPool:
                     "worker pool degraded to in-process execution after "
                     "%d consecutive worker deaths"
                     % self._supervisor.consecutive_deaths, RuntimeWarning)
-                perf.record("pool.degraded", False)
                 self.stats["degraded"] += 1
                 for handle in self._handles.values():
                     if handle.process.is_alive():
@@ -1047,7 +1046,6 @@ class WorkerPool:
             outcome.quarantined = self._diagnose(handle, outcome, first,
                                                  error_class, reason)
             self.stats["quarantined"] += 1
-            perf.record("pool.quarantined", False)
         outcome.error = reason
         outcome.error_class = error_class
         batch.finish(outcome)

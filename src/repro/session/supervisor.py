@@ -14,11 +14,11 @@ deployment sees:
   slot's respawn after a capped-exponential delay (consecutive deaths
   back off; any completed trace resets the streak). When deaths keep
   coming with nothing completing in between, the breaker trips: the
-  pool stops burning processes, warns, bumps the ``pool.degraded``
-  perf counter, and hands the unfinished traces back to the batch
-  runner, whose serial loop replays them in-process — slower, but the
-  batch still finishes and the journal stays consistent. Each batch
-  starts with the breaker closed again.
+  pool stops burning processes, warns, counts the trip in
+  ``WorkerPool.stats["degraded"]``, and hands the unfinished traces
+  back to the batch runner, whose serial loop replays them in-process
+  — slower, but the batch still finishes and the journal stays
+  consistent. Each batch starts with the breaker closed again.
 - **graceful drain** — :class:`GracefulDrain` converts SIGTERM/SIGINT
   into a drain *request*: admission stops, in-flight traces finish,
   the journal and telemetry flush, and the process exits nonzero with
@@ -33,7 +33,6 @@ import signal
 import threading
 import time
 
-from repro import perf
 
 #: Env var (seconds) slowing every trace down in real time — soak/test
 #: plumbing so signals and kills can land mid-run deterministically.
@@ -107,7 +106,6 @@ class WorkerSupervisor:
         now = time.monotonic() if now is None else now
         self.deaths += 1
         self.consecutive_deaths += 1
-        perf.record("pool.respawn", False)
         if self.consecutive_deaths >= self.policy.breaker_deaths:
             self.tripped = True
             return True

@@ -87,6 +87,71 @@ def _read_varint(blob, pos):
             raise WireError("varint too long")
 
 
+class BodyReader:
+    """Bounds-checked cursor over a varint + interned-string body.
+
+    The WJ2 journal and the WT1 tape decode their bodies with it. Every
+    read past the end, bad varint, bad UTF-8 or dangling string
+    reference raises ``error`` — the decoder's own typed error class —
+    and a read past the end carries the decoder's ``truncated``
+    message. :meth:`ref` resolves against ``strings``, the body's
+    1-based interned string table.
+    """
+
+    __slots__ = ("blob", "pos", "strings", "error", "truncated")
+
+    def __init__(self, blob, error, truncated, strings=None, pos=0):
+        self.blob = blob
+        self.pos = pos
+        self.strings = strings if strings is not None else []
+        self.error = error
+        self.truncated = truncated
+
+    def varint(self):
+        try:
+            value, self.pos = _read_varint(self.blob, self.pos)
+        except WireError as exc:
+            raise self.error("%s at byte %d" % (exc, self.pos))
+        return value
+
+    def byte(self):
+        if self.pos >= len(self.blob):
+            raise self.error(self.truncated)
+        value = self.blob[self.pos]
+        self.pos += 1
+        return value
+
+    def take(self, count):
+        if self.pos + count > len(self.blob):
+            raise self.error(self.truncated)
+        chunk = self.blob[self.pos:self.pos + count]
+        self.pos += count
+        return chunk
+
+    def text(self, what="string"):
+        """A length-prefixed UTF-8 string; ``what`` names it in errors."""
+        data = self.take(self.varint())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error("%s is not valid UTF-8" % what)
+
+    def ref(self, required=None):
+        """A string reference: 0 is None, otherwise 1-based table index.
+
+        ``required`` names the field when None is not allowed there.
+        """
+        ref = self.varint()
+        if ref == 0:
+            if required is not None:
+                raise self.error("%s is missing" % required)
+            return None
+        try:
+            return self.strings[ref - 1]
+        except IndexError:
+            raise self.error("string reference %d outside table" % ref)
+
+
 class _StringTable:
     """Interned strings, referenced by 1-based index (0 = None)."""
 

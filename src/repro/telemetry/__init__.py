@@ -28,10 +28,12 @@ binary ring buffer (see :mod:`repro.telemetry.packed`) and
 ``categories="production"`` restricts recording to the session
 narrative, network, chaos, and recorder lanes — the telemetry
 benchmark pins that configuration below 10% replay overhead. Any
-category set, plus deterministic sampling, is selectable::
+category set is selectable, and a ``name:rate`` term samples that
+category deterministically::
 
-    with telemetry.tracing(out="trace.json", categories="production",
-                           sample={"session": 0.25}, sample_seed=7):
+    with telemetry.tracing(out="trace.json",
+                           categories="production,dispatch:0.1",
+                           sample_seed=7):
         runner.run(traces)
 
 (``--trace-categories`` on the CLI). The default remains ``"all"``.
@@ -40,11 +42,7 @@ category set, plus deterministic sampling, is selectable::
 from contextlib import contextmanager
 
 from repro import perf
-from repro.telemetry.events import (
-    DEFAULT_BUFFER_SIZE,
-    RingBuffer,
-    TraceEvent,
-)
+from repro.telemetry.events import DEFAULT_BUFFER_SIZE, TraceEvent
 from repro.telemetry.export import (
     dumps,
     to_trace_dict,
@@ -138,19 +136,19 @@ def uninstall():
 
 @contextmanager
 def tracing(out=None, buffer_size=DEFAULT_BUFFER_SIZE, clock=None,
-            tracer=None, categories=None, sample=None, sample_seed=0):
+            tracer=None, categories=None, sample_seed=0):
     """Enable tracing for a ``with`` block.
 
     Installs ``tracer`` (or a fresh one with ``buffer_size``, the
     optional VirtualClock ``clock``, and the ``categories`` /
-    ``sample`` / ``sample_seed`` emit-guard configuration — see
+    ``sample_seed`` emit-guard configuration — see
     :class:`~repro.telemetry.tracer.Tracer`), uninstalls it on exit,
     and — when ``out`` is given — writes the Chrome trace JSON there.
     Yields the tracer.
     """
     active = tracer if tracer is not None else Tracer(
         buffer_size=buffer_size, clock=clock, categories=categories,
-        sample=sample, sample_seed=sample_seed)
+        sample_seed=sample_seed)
     install(active)
     try:
         yield active
@@ -173,7 +171,6 @@ __all__ = [
     "PRODUCTION_CATEGORIES",
     "PackedRingBuffer",
     "RECORDER_TRACK",
-    "RingBuffer",
     "SESSION_TRACK",
     "Sampler",
     "StringTable",

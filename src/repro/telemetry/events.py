@@ -1,4 +1,4 @@
-"""Trace events and the bounded ring buffer that holds them.
+"""Trace events: the decoded form of the tracer's packed records.
 
 The event model is the Chrome trace-event format (the interchange
 format of catapult's trace_viewer and Perfetto): every event carries a
@@ -22,12 +22,12 @@ IPC queue residency begins on the browser side and ends when the
 renderer picks the message up, so it cannot be a synchronous span on
 either thread's stack.
 
-Events are recorded into a :class:`RingBuffer` so an always-on tracer
-is bounded: when the buffer fills, the oldest events are dropped and
-the drop count is reported in the exported file's ``otherData``.
+Events are recorded into a bounded packed ring
+(:class:`~repro.telemetry.packed.PackedRingBuffer`) so an always-on
+tracer is bounded: when the buffer fills, the oldest events are dropped
+and the drop count is reported in the exported file's ``otherData``.
+:class:`TraceEvent` is what that ring decodes to at export.
 """
-
-from collections import deque
 
 #: Phase constants (Chrome trace-event ``ph`` values).
 PHASE_COMPLETE = "X"
@@ -92,51 +92,4 @@ class TraceEvent:
     def __repr__(self):
         return "TraceEvent(%s %r ts=%.1f pid=%d tid=%d)" % (
             self.ph, self.name, self.ts, self.pid, self.tid,
-        )
-
-
-class RingBuffer:
-    """Bounded FIFO of trace events; drops the oldest when full.
-
-    ``total`` counts every event ever appended, so consumers can detect
-    drops (``total - len(buffer)``) and take incremental slices with
-    :meth:`since` (the batch runner exports one slice per trace).
-    """
-
-    def __init__(self, capacity=DEFAULT_BUFFER_SIZE):
-        if capacity < 1:
-            raise ValueError("ring buffer needs capacity >= 1")
-        self.capacity = capacity
-        self._events = deque(maxlen=capacity)
-        self.total = 0
-
-    def append(self, event):
-        self._events.append(event)
-        self.total += 1
-
-    @property
-    def dropped(self):
-        """How many events were evicted to keep the buffer bounded."""
-        return self.total - len(self._events)
-
-    def since(self, mark):
-        """Events appended after ``mark`` (a prior :attr:`total` value).
-
-        Events already evicted are silently absent from the slice.
-        """
-        skip = max(0, mark - self.dropped)
-        if skip == 0:
-            return list(self._events)
-        return [event for index, event in enumerate(self._events)
-                if index >= skip]
-
-    def __len__(self):
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def __repr__(self):
-        return "RingBuffer(%d/%d, %d dropped)" % (
-            len(self._events), self.capacity, self.dropped,
         )

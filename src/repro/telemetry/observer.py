@@ -36,17 +36,10 @@ those dicts and strings are only built if the trace is actually
 exported.
 """
 
+from functools import partial
 from time import perf_counter as _perf_counter
 
 from repro.session.events import SessionEvent, SessionObserver
-from repro.telemetry.packed import (
-    F_ARGS,
-    F_CAT,
-    F_DUR,
-    F_VT,
-    PH_COMPLETE,
-    RECORD_SIZE,
-)
 from repro.telemetry.tracks import COUNTERS_TRACK, SESSION_TRACK
 
 
@@ -77,28 +70,10 @@ def _drain(fast, pending):
     the time the next command finishes — and measures at several times
     its instruction count. Batching loads that state once per
     ``_BATCH`` commands; the per-command hot path is two tuples and a
-    ``list.append``. ``fast`` is the observer's compiled tuple.
+    ``list.append``. ``fast`` is the observer's compiled
+    :meth:`~repro.telemetry.packed.PackedRingBuffer.append_completes`.
     """
-    buffer, flags, flags_vt, cat_id, name_id, pid, tid, origin = fast
-    total = buffer.total
-    capacity = buffer.capacity
-    pack = buffer._pack
-    # _grow extends these in place, so the local bindings stay valid.
-    args_slots = buffer._args
-    data = buffer._data
-    for start, end, vt, args in pending:
-        slot = total % capacity
-        if slot >= buffer._alloc:
-            buffer._grow(slot + 1)
-        args_slots[slot] = args
-        dur = end - start
-        pack(data, slot * RECORD_SIZE, PH_COMPLETE,
-             flags if vt is None else flags_vt, cat_id, name_id, pid, tid,
-             int((start - origin) * 1e9 + 0.5),
-             int(dur * 1e9 + 0.5) if dur > 0.0 else 0,
-             0.0 if vt is None else vt, 0)
-        total += 1
-    buffer.total = total
+    fast(pending)
     del pending[:]
 
 
@@ -116,8 +91,7 @@ class TracingObserver(SessionObserver):
     #: and gets a single ``page.errors`` count instant instead.
     ERROR_CAT = "session.error"
 
-    def __init__(self, track=SESSION_TRACK):
-        self.track = track
+    def __init__(self):
         #: Names of currently open B spans, innermost last.
         self._open = []
         #: The in-flight command's COMMAND_STARTED event and the raw
@@ -164,14 +138,12 @@ class TracingObserver(SessionObserver):
         Kinds that could only ever emit into a filtered-out category
         are removed outright, so their (frequent) events cost one
         failed dict lookup instead of a handler call. When the
-        ``session`` category records unsampled into a packed buffer on
-        a plain (pid, tid) track — the always-on production shape —
-        the per-command handlers additionally bypass the tracer's
-        generic emit methods and batch their records for
-        :func:`_drain` (``self._fast``); any sampler, a legacy object
-        buffer, or an object-resolved track falls back to the generic
-        path, which keeps identical semantics at a couple hundred ns
-        more per event.
+        ``session`` category records unsampled, the per-command
+        handlers additionally bypass the tracer's generic emit methods
+        and batch their records for :func:`_drain` (``self._fast``); a
+        sampled ``session`` category falls back to the generic path,
+        which keeps identical semantics at a couple hundred ns more
+        per event.
         """
         if self._pending and self._fast is not None:
             # Records batched for a previously installed tracer flush
@@ -192,37 +164,32 @@ class TracingObserver(SessionObserver):
             del table[SessionEvent.PAGE_ERROR]
         self._table = table
         self._fast = None
-        if tracer.packed and type(self.track) is tuple:
-            state = tracer._cat_state.get(self.CAT)
-            if state is None:
-                state = tracer._resolve_cat(self.CAT)
-            if state is not False and state[0] is None:
-                pid, tid = self.track
-                buffer = tracer.buffer
-                flags = F_CAT | F_DUR | F_ARGS
-                self._fast = (buffer, flags, flags | F_VT,
-                              state[1], buffer.names.intern("command"),
-                              pid, tid, tracer._origin)
-                if not self._phases:
-                    # Phases filtered too (the production shape): no
-                    # locate/act span can ever be open around a
-                    # command, so the per-command handlers shrink to
-                    # attribute stores and one list append.
-                    table[SessionEvent.COMMAND_STARTED] = (
-                        TracingObserver._on_command_started_fast)
-                    table[SessionEvent.COMMAND_FINISHED] = (
-                        TracingObserver._on_command_finished_fast)
+        state = tracer._cat_state.get(self.CAT)
+        if state is None:
+            state = tracer._resolve_cat(self.CAT)
+        if state is not False and state[0] is None:
+            self._fast = partial(tracer.buffer.append_completes, "command",
+                                 state[1], *SESSION_TRACK, tracer._origin)
+            if not self._phases:
+                # Phases filtered too (the production shape): no
+                # locate/act span can ever be open around a command, so
+                # the per-command handlers shrink to attribute stores
+                # and one list append.
+                table[SessionEvent.COMMAND_STARTED] = (
+                    TracingObserver._on_command_started_fast)
+                table[SessionEvent.COMMAND_FINISHED] = (
+                    TracingObserver._on_command_finished_fast)
 
     # -- span plumbing ------------------------------------------------------
 
     def _begin(self, tracer, name, args=None, cat=CAT):
-        tracer.begin(name, track=self.track, cat=cat, args=args)
+        tracer.begin(name, track=SESSION_TRACK, cat=cat, args=args)
         self._open.append(name)
 
     def _end(self, tracer, args=None):
         name = self._open.pop()
         cat = self.PHASE_CAT if name in ("locate", "act") else self.CAT
-        tracer.end(name, track=self.track, cat=cat, args=args)
+        tracer.end(name, track=SESSION_TRACK, cat=cat, args=args)
 
     def _close_phases(self, tracer, args=None):
         """Close any open locate/act span (back down to the command)."""
@@ -247,7 +214,7 @@ class TracingObserver(SessionObserver):
         })
 
     def _on_navigated(self, event, tracer):
-        tracer.instant("navigated", track=self.track, cat=self.CAT,
+        tracer.instant("navigated", track=SESSION_TRACK, cat=self.CAT,
                        args={"url": event.data["url"]})
 
     def _on_command_started(self, event, tracer):
@@ -284,7 +251,7 @@ class TracingObserver(SessionObserver):
 
     def _on_failed(self, event, tracer):
         self._close_phases(tracer)
-        tracer.instant("command.failed", track=self.track, cat=self.CAT,
+        tracer.instant("command.failed", track=SESSION_TRACK, cat=self.CAT,
                        args={"error": str(event.error)})
 
     def _on_command_finished(self, event, tracer):
@@ -298,7 +265,7 @@ class TracingObserver(SessionObserver):
             fast = self._fast
             if fast is None:
                 tracer.complete("command", tracer.to_us(self._cmd_start),
-                                track=self.track, cat=self.CAT, args=args)
+                                track=SESSION_TRACK, cat=self.CAT, args=args)
                 return
             clock = tracer.clock
             pending = self._pending
@@ -324,14 +291,14 @@ class TracingObserver(SessionObserver):
     def _on_halted(self, event, tracer):
         if self._pending:
             _drain(self._fast, self._pending)
-        tracer.instant("session.halted", track=self.track,
+        tracer.instant("session.halted", track=SESSION_TRACK,
                        cat=self.CAT, args={"reason": event.detail})
 
     def _on_page_error(self, event, tracer):
         # Deferred like to_line: formatting the error message is paid
         # at export, not in the replay loop (a chatty page can emit
         # hundreds of these).
-        tracer.instant("page.error", track=self.track, cat=self.ERROR_CAT,
+        tracer.instant("page.error", track=SESSION_TRACK, cat=self.ERROR_CAT,
                        args={"error": event.data["error"].__str__})
 
     def _on_perf_delta(self, event, tracer):
@@ -350,7 +317,7 @@ class TracingObserver(SessionObserver):
             # (the report carries the error details).
             errors = len(event.data["report"].page_errors)
             if errors:
-                tracer.instant("page.errors", track=self.track,
+                tracer.instant("page.errors", track=SESSION_TRACK,
                                cat=self.CAT, args={"count": errors})
         while self._open:
             self._end(tracer)

@@ -22,7 +22,8 @@ at export time. This module is that treatment for ``repro.telemetry``:
   plus their intern tables across the process boundary instead of one
   dict per event.
 
-Record layout (``struct`` format ``=BBHIIIqqdq``, 48 bytes)::
+Record layout (``struct`` format ``=BBHIIIqqdq``, 48 bytes; no other
+module reads or writes it)::
 
     ph      u8   phase code (index into PHASE_CHARS)
     flags   u8   which optional fields are present (F_* bits)
@@ -186,12 +187,12 @@ def _event_from_record(record, args, names, cats):
 
 
 class PackedRingBuffer:
-    """Bounded packed event storage; drops the oldest when full.
+    """The tracer's bounded event store; drops the oldest when full.
 
-    API-compatible with the legacy object ring
-    (:class:`~repro.telemetry.events.RingBuffer`): ``total`` counts
-    every append ever made, ``dropped`` is what overwrite-oldest
-    evicted, iteration and :meth:`since` yield decoded
+    ``total`` counts every append ever made, so consumers can detect
+    drops and take incremental slices with :meth:`since` (the batch
+    runner exports one slice per trace); ``dropped`` is what
+    overwrite-oldest evicted. Iteration and :meth:`since` yield decoded
     :class:`~repro.telemetry.events.TraceEvent` objects.
     """
 
@@ -257,24 +258,38 @@ class PackedRingBuffer:
                    int(ts_us * 1000.0 + 0.5), dur, vt_ms, eid)
         self.total = total + 1
 
-    def append_raw(self, ph, flags, cat_id, name_id, pid, tid, ts_ns,
-                   dur_ns, vt_ms, args):
-        """Pre-compiled append: the emitter already did the thinking.
+    def append_completes(self, name, cat_id, pid, tid, origin, spans):
+        """Pack one complete (``X``) record per span, back to back.
 
-        The caller supplies a complete ``flags`` byte, interned ids,
-        and integer-nanosecond timestamps, so this is just the slot
-        bookkeeping and one ``pack_into`` — the shape the observer's
-        per-command fast path compiles down to. No ``F_ID`` payloads
-        (the id field packs as 0).
+        ``spans`` holds ``(start, end, vt_ms, args)`` tuples whose
+        ``start``/``end`` are raw ``perf_counter()`` seconds, converted
+        against the tracer's ``origin``; every record shares ``name``,
+        the pre-interned ``cat_id`` and the ``(pid, tid)`` track. The
+        session observer batches its per-command records through here
+        (see ``repro.telemetry.observer._drain`` for why batching pays).
         """
+        flags = F_CAT | F_DUR | F_ARGS
+        flags_vt = flags | F_VT
+        name_id = self._intern(name)
         total = self.total
-        slot = total % self.capacity
-        if slot >= self._alloc:
-            self._grow(slot + 1)
-        self._args[slot] = args
-        self._pack(self._data, slot * RECORD_SIZE, ph, flags, cat_id,
-                   name_id, pid, tid, ts_ns, dur_ns, vt_ms, 0)
-        self.total = total + 1
+        capacity = self.capacity
+        pack = self._pack
+        # _grow extends these in place, so the local bindings stay valid.
+        args_slots = self._args
+        data = self._data
+        for start, end, vt, args in spans:
+            slot = total % capacity
+            if slot >= self._alloc:
+                self._grow(slot + 1)
+            args_slots[slot] = args
+            dur = end - start
+            pack(data, slot * RECORD_SIZE, PH_COMPLETE,
+                 flags if vt is None else flags_vt, cat_id, name_id, pid,
+                 tid, int((start - origin) * 1e9 + 0.5),
+                 int(dur * 1e9 + 0.5) if dur > 0.0 else 0,
+                 0.0 if vt is None else vt, 0)
+            total += 1
+        self.total = total
 
     def _grow(self, needed):
         """Extend the backing store (record slots double up to capacity).

@@ -1,12 +1,11 @@
 """The process-wide tracer.
 
 One :class:`Tracer` records every instrumented boundary into a bounded
-ring buffer — by default the packed binary ring
-(:class:`~repro.telemetry.packed.PackedRingBuffer`), so an emission is
-interning plus one ``pack_into``, not object construction. Timestamps
-are wall-clock microseconds (``perf_counter``) relative to the
-tracer's start, matching the Chrome trace-event ``ts`` convention;
-when a :class:`~repro.util.clock.VirtualClock` is attached
+packed binary ring (:class:`~repro.telemetry.packed.PackedRingBuffer`),
+so an emission is interning plus one ``pack_into``, not object
+construction. Timestamps are wall-clock microseconds (``perf_counter``)
+relative to the tracer's start, matching the Chrome trace-event ``ts``
+convention; when a :class:`~repro.util.clock.VirtualClock` is attached
 (:attr:`Tracer.clock`), every event additionally carries the virtual
 time (``vt_ms`` in its exported ``args``), so the simulated timeline
 and the real one can be correlated in the viewer.
@@ -17,11 +16,12 @@ Three mechanisms keep the always-on cost flat:
   lookup per emit: a disabled category's state is ``False`` and the
   emit returns before touching the clock or the buffer. Call sites
   with non-trivial argument setup ask :meth:`Tracer.wants` first.
-- **deterministic sampling** — ``sample=`` (a global rate or a
-  per-category dict) drives a seeded per-category
-  :class:`~repro.telemetry.packed.Sampler`. Only *leaf* phases are
-  sampled (``X``/``i``/``C``); begin/end and async pairs always
-  record, so sampling can never unbalance the span structure.
+- **deterministic sampling** — a ``name:rate`` term in the
+  ``categories=`` spec (``"session,dispatch:0.1"``) drives a seeded
+  per-category :class:`~repro.telemetry.packed.Sampler`
+  (``sample_seed=``). Only *leaf* phases are sampled (``X``/``i``/
+  ``C``); begin/end and async pairs always record, so sampling can
+  never unbalance the span structure.
 - **interning and memoization** — names and categories become
   small-int table ids; track objects resolve through
   ``registry.for_object`` once and hit a per-tracer memo after that.
@@ -41,7 +41,7 @@ tracing on.
 import time
 from time import perf_counter as _perf_counter
 
-from repro.telemetry.events import DEFAULT_BUFFER_SIZE, RingBuffer, TraceEvent
+from repro.telemetry.events import DEFAULT_BUFFER_SIZE
 from repro.telemetry.packed import (
     PH_ASYNC_BEGIN,
     PH_ASYNC_END,
@@ -50,10 +50,8 @@ from repro.telemetry.packed import (
     PH_COUNTER,
     PH_END,
     PH_INSTANT,
-    PHASE_CHARS,
     PackedRingBuffer,
     Sampler,
-    materialize_args,
 )
 from repro.telemetry.tracks import SESSION_TRACK, TrackRegistry
 
@@ -143,22 +141,18 @@ class _Span:
 
 
 class Tracer:
-    """Records trace events into a bounded ring buffer.
+    """Records trace events into a bounded packed ring buffer.
 
-    ``packed=True`` (the default) stores fixed-width binary records
-    decoded only at export; ``packed=False`` keeps the legacy
-    object-per-event ring — the reference implementation the packed
-    path's round-trip tests compare against.
+    Events are fixed-width binary records, decoded only at export.
+    ``categories`` is a spec for :func:`parse_category_spec`; its
+    ``name:rate`` terms sample those categories, seeded by
+    ``sample_seed``.
     """
 
     def __init__(self, buffer_size=DEFAULT_BUFFER_SIZE, clock=None,
-                 registry=None, origin=None, categories=None, sample=None,
-                 sample_seed=0, packed=True):
-        self.packed = bool(packed)
-        if self.packed:
-            self.buffer = PackedRingBuffer(buffer_size)
-        else:
-            self.buffer = RingBuffer(buffer_size)
+                 registry=None, origin=None, categories=None,
+                 sample_seed=0):
+        self.buffer = PackedRingBuffer(buffer_size)
         self.registry = registry if registry is not None else TrackRegistry()
         #: Optional VirtualClock stamped into every event's args. The
         #: batch runner repoints this per run (one clock per browser).
@@ -166,22 +160,13 @@ class Tracer:
         self._origin = time.perf_counter() if origin is None else origin
         #: None means every category records; a frozenset enables only
         #: its members (events with no category always record).
-        self.categories, spec_rates = parse_category_spec(categories)
-        # Explicit sample= entries win over rates embedded in the spec.
-        if sample is None:
-            self._sample = spec_rates
-        elif isinstance(sample, dict):
-            self._sample = {**spec_rates, **sample}
-        else:
-            # A bare number is the default rate for every category.
-            self._sample = {**spec_rates, None: float(sample)}
+        self.categories, self._rates = parse_category_spec(categories)
         self.sample_seed = int(sample_seed)
-        #: cat -> False (disabled) | (sampler_or_None, cat_id, cat).
+        #: cat -> False (disabled) | (sampler_or_None, cat_id).
         self._cat_state = {}
         #: id(track object) -> (pid, tid); pins keep the ids stable.
         self._tracks = {}
         self._track_pins = []
-        self._emit = self._emit_packed if self.packed else self._emit_legacy
 
     # -- time ---------------------------------------------------------------
 
@@ -214,12 +199,11 @@ class Tracer:
         if cats is not None and cat is not None and cat not in cats:
             state = False
         else:
-            rate = self._sample.get(cat, self._sample.get(None))
-            sampler = (Sampler(cat or "", rate, self.sample_seed)
+            rate = self._rates.get(cat)
+            sampler = (Sampler(cat, rate, self.sample_seed)
                        if rate is not None and rate < 1.0 else None)
-            cat_id = (self.buffer.cats.intern(cat)
-                      if self.packed and cat is not None else None)
-            state = (sampler, cat_id, cat)
+            cat_id = self.buffer.cats.intern(cat) if cat is not None else None
+            state = (sampler, cat_id)
         self._cat_state[cat] = state
         return state
 
@@ -235,12 +219,12 @@ class Tracer:
             self._track_pins.append(track)
         return entry
 
-    # The packed emit bodies are deliberately flattened into the hot
-    # public methods (begin/end/complete/instant): at ~1 us per event,
-    # every spare call frame on this path is measurable. The colder
-    # async/counter methods still route through the _emit dispatcher.
+    # The emit body is deliberately flattened into the hot public
+    # methods (begin/end/complete/instant): at ~1 us per event, every
+    # spare call frame on this path is measurable. The colder
+    # async/counter methods share _emit.
 
-    def _emit_packed(self, name, ph, ts, track, dur, state, args, event_id):
+    def _emit(self, name, ph, track, state, args, event_id):
         if track is None:
             pid, tid = SESSION_TRACK
         elif type(track) is tuple:
@@ -248,26 +232,10 @@ class Tracer:
         else:
             pid, tid = self._track(track)
         clock = self.clock
-        self.buffer.append(ph, name, state[1], pid, tid, ts, dur,
+        self.buffer.append(ph, name, state[1], pid, tid,
+                           (_perf_counter() - self._origin) * 1e6, None,
                            clock.now() if clock is not None else None,
                            args, event_id)
-        return None
-
-    def _emit_legacy(self, name, ph, ts, track, dur, state, args, event_id):
-        if track is None:
-            pid, tid = SESSION_TRACK
-        elif type(track) is tuple:
-            pid, tid = track
-        else:
-            pid, tid = self._track(track)
-        clock = self.clock
-        # Same materialization the packed path defers to export: fresh
-        # dict, deferred callables and encoder tuples resolved.
-        args = materialize_args(
-            args, clock.now() if clock is not None else None)
-        self.buffer.append(TraceEvent(name, PHASE_CHARS[ph], ts, pid, tid,
-                                      dur=dur, cat=state[2], args=args,
-                                      id=event_id))
         return None
 
     def begin(self, name, track=None, cat=None, args=None):
@@ -277,9 +245,6 @@ class Tracer:
             state = self._resolve_cat(cat)
         if state is False:
             return None
-        if not self.packed:
-            return self._emit_legacy(name, PH_BEGIN, self.now_us(), track,
-                                     None, state, args, None)
         if track is None:
             pid, tid = SESSION_TRACK
         elif type(track) is tuple:
@@ -300,9 +265,6 @@ class Tracer:
             state = self._resolve_cat(cat)
         if state is False:
             return None
-        if not self.packed:
-            return self._emit_legacy(name, PH_END, self.now_us(), track,
-                                     None, state, args, None)
         if track is None:
             pid, tid = SESSION_TRACK
         elif type(track) is tuple:
@@ -332,9 +294,6 @@ class Tracer:
         dur = end_us - start_us
         if dur < 0.0:
             dur = 0.0
-        if not self.packed:
-            return self._emit_legacy(name, PH_COMPLETE, start_us, track,
-                                     dur, state, args, None)
         if track is None:
             pid, tid = SESSION_TRACK
         elif type(track) is tuple:
@@ -364,8 +323,8 @@ class Tracer:
             state = self._resolve_cat(cat)
         if state is False:
             return None
-        return self._emit(name, PH_ASYNC_BEGIN, self.now_us(), track, None,
-                          state, args, event_id)
+        return self._emit(name, PH_ASYNC_BEGIN, track, state, args,
+                          event_id)
 
     def async_end(self, name, event_id, track=None, cat=None, args=None):
         """Close the async span opened with the same cat + id."""
@@ -374,8 +333,7 @@ class Tracer:
             state = self._resolve_cat(cat)
         if state is False:
             return None
-        return self._emit(name, PH_ASYNC_END, self.now_us(), track, None,
-                          state, args, event_id)
+        return self._emit(name, PH_ASYNC_END, track, state, args, event_id)
 
     def instant(self, name, track=None, cat=None, args=None):
         """A zero-duration tick on the track."""
@@ -387,9 +345,6 @@ class Tracer:
         sampler = state[0]
         if sampler is not None and not sampler.keep():
             return None
-        if not self.packed:
-            return self._emit_legacy(name, PH_INSTANT, self.now_us(), track,
-                                     None, state, args, None)
         if track is None:
             pid, tid = SESSION_TRACK
         elif type(track) is tuple:
@@ -413,8 +368,8 @@ class Tracer:
         sampler = state[0]
         if sampler is not None and not sampler.keep():
             return None
-        return self._emit(name, PH_COUNTER, self.now_us(), track, None,
-                          state, dict(values), None)
+        return self._emit(name, PH_COUNTER, track, state, dict(values),
+                          None)
 
     def span(self, name, track=None, cat=None, args=None):
         """Context manager recording the body as an ``X`` event."""

@@ -227,3 +227,21 @@ class TestMalformedInput:
     def test_tape_inspect_rejects_a_non_tape(self, garbage, capsys):
         self.assert_rejected(["tape", "inspect", str(garbage)], capsys,
                              "not a WT1 tape")
+
+    @pytest.mark.parametrize("argv", [
+        ["journal", "{path}"],
+        ["tape", "inspect", "{path}"],
+        ["replay", "{path}", "--app", "sites"],
+    ])
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "nope")
+        self.assert_rejected([arg.format(path=path) for arg in argv],
+                             capsys, "cannot read %s: " % path)
+
+    def test_batch_names_the_bad_file(self, recorded_trace, tmp_path,
+                                      capsys):
+        bad = tmp_path / "bad.warr"
+        bad.write_text("click //div\n")
+        self.assert_rejected(["batch", str(recorded_trace), str(bad),
+                              str(recorded_trace), "--app", "sites"],
+                             capsys, "error: %s: missing trace header" % bad)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.telemetry.events import RingBuffer, TraceEvent
+from repro.telemetry.events import TraceEvent
+from repro.telemetry.packed import PH_INSTANT, PackedRingBuffer
 
 
 class TestTraceEvent:
@@ -28,42 +29,48 @@ class TestTraceEvent:
         assert TraceEvent("tick", "i", 0.0, 1, 1).to_dict()["s"] == "t"
 
 
+def _fill(buffer, numbers):
+    for number in numbers:
+        buffer.append(PH_INSTANT, str(number), None, 1, 1, 0.0, None, None,
+                      None, None)
+
+
+def _numbers(events):
+    return [int(event.name) for event in events]
+
+
 class TestRingBuffer:
+    """The tracer's bounded ring, through the surface batch slicing uses."""
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            RingBuffer(0)
+            PackedRingBuffer(0)
 
     def test_appends_within_capacity(self):
-        buffer = RingBuffer(4)
-        for n in range(3):
-            buffer.append(n)
-        assert list(buffer) == [0, 1, 2]
+        buffer = PackedRingBuffer(4)
+        _fill(buffer, range(3))
+        assert _numbers(buffer) == [0, 1, 2]
         assert buffer.total == 3
         assert buffer.dropped == 0
 
     def test_drops_oldest_when_full(self):
-        buffer = RingBuffer(3)
-        for n in range(5):
-            buffer.append(n)
-        assert list(buffer) == [2, 3, 4]
+        buffer = PackedRingBuffer(3)
+        _fill(buffer, range(5))
+        assert _numbers(buffer) == [2, 3, 4]
         assert buffer.total == 5
         assert buffer.dropped == 2
 
     def test_since_slices_incrementally(self):
-        buffer = RingBuffer(10)
-        for n in range(4):
-            buffer.append(n)
+        buffer = PackedRingBuffer(10)
+        _fill(buffer, range(4))
         mark = buffer.total
-        for n in range(4, 7):
-            buffer.append(n)
-        assert buffer.since(mark) == [4, 5, 6]
-        assert buffer.since(0) == [0, 1, 2, 3, 4, 5, 6]
+        _fill(buffer, range(4, 7))
+        assert _numbers(buffer.since(mark)) == [4, 5, 6]
+        assert _numbers(buffer.since(0)) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_since_survives_eviction(self):
-        buffer = RingBuffer(3)
-        for n in range(3):
-            buffer.append(n)
+        buffer = PackedRingBuffer(3)
+        _fill(buffer, range(3))
         mark = buffer.total  # 3; events 0..2 held
-        for n in range(3, 8):
-            buffer.append(n)  # evicts everything pre-mark and more
-        assert buffer.since(mark) == [5, 6, 7]
+        _fill(buffer, range(3, 8))  # evicts everything pre-mark and more
+        assert _numbers(buffer.since(mark)) == [5, 6, 7]

@@ -1,12 +1,11 @@
 """The packed binary ring: records, interning, sampling, wire slices.
 
-The packed path's contract is equivalence: everything the legacy
-object-per-event ring records, the 48-byte binary records reproduce at
-decode — same fields, same rounding, same args — while the hot path
-stays a handful of integer writes. These tests pin the unit behaviors
-(interning, overwrite-oldest counters, lazy growth, deferred args) and
-the equivalence itself, property-tested across generated emit
-sequences.
+The tracer's one store is the 48-byte binary record ring, decoded only
+at export. These tests pin the unit behaviors (interning,
+overwrite-oldest counters, lazy growth, deferred args), check the
+tracer against a small reference model of what each emit must export
+— property-tested across generated emit sequences — and pin one fixed
+sequence as golden decoded records.
 """
 
 import subprocess
@@ -17,9 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry.packed import (
-    F_ARGS,
-    F_CAT,
-    F_DUR,
     PH_ASYNC_BEGIN,
     PH_COMPLETE,
     PH_COUNTER,
@@ -35,7 +31,7 @@ from repro.telemetry.packed import (
     is_wire_slice,
     materialize_args,
 )
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import PRODUCTION_CATEGORIES, Tracer
 from repro.util.clock import VirtualClock
 from tests.session.test_wire import _mutation, mutate
 
@@ -202,20 +198,27 @@ class TestPackedRingBuffer:
         assert buffer._alloc == buffer.capacity
         assert len(buffer._args) == buffer.capacity
 
-    def test_append_raw_matches_append(self):
-        """The observer's precompiled shape decodes like the generic one."""
-        generic = PackedRingBuffer(8)
-        raw = PackedRingBuffer(8)
+    def test_append_completes_matches_append(self):
+        """The observer's batched shape decodes like the generic one."""
+        generic = PackedRingBuffer(4)
+        batched = PackedRingBuffer(4)
         cat_id = generic.cats.intern("session")
-        assert raw.cats.intern("session") == cat_id
-        name_id = raw.names.intern("command")
-        args = {"status": "ok"}
-        generic.append(PH_COMPLETE, "command", cat_id, 3, 4, 10.5, 2.25,
-                       None, dict(args), None)
-        raw.append_raw(PH_COMPLETE, F_CAT | F_DUR | F_ARGS, cat_id,
-                       name_id, 3, 4, 10500, 2250, 0.0, dict(args))
-        (expected,), (actual,) = list(generic), list(raw)
-        assert actual.to_dict() == expected.to_dict()
+        assert batched.cats.intern("session") == cat_id
+        origin = 100.0
+        spans = [(origin + index * 1e-5, origin + index * 1e-5 + 2.25e-6,
+                  None if index % 2 else 7.5, {"i": index})
+                 for index in range(6)]
+        for start, end, vt, args in spans:
+            generic.append(PH_COMPLETE, "command", cat_id, 3, 4,
+                           (start - origin) * 1e6, (end - start) * 1e6, vt,
+                           args, None)
+        batched.append_completes("command", cat_id, 3, 4, origin,
+                                 spans[:4])
+        batched.append_completes("command", cat_id, 3, 4, origin,
+                                 spans[4:])
+        assert batched.total == generic.total == 6
+        assert [event.to_dict() for event in batched] == [
+            event.to_dict() for event in generic]
 
     def test_deferred_args_resolved_per_decode(self):
         buffer = PackedRingBuffer(8)
@@ -297,7 +300,7 @@ class TestWireSlice:
             ("alpha", "net"), ("beta", "session"), ("alpha", "net")]
 
 
-# -- packed ≡ legacy equivalence ------------------------------------------
+# -- the tracer against a reference model ---------------------------------
 
 _NAMES = st.sampled_from(["locate", "act", "dispatch", "reflow"])
 _CATS = st.sampled_from([None, "session", "net", "dispatch"])
@@ -320,42 +323,44 @@ _OPS = st.lists(
     ),
     max_size=60)
 
+#: Every op runs on this (pid, tid) track.
+_TRACK = (1, 2)
+
 
 def _run_ops(tracer, ops):
-    track = (1, 2)
     for op in ops:
         kind = op[0]
         if kind == "complete":
             _, name, cat, args, start, dur = op
-            tracer.complete(name, start, end_us=start + dur, track=track,
+            tracer.complete(name, start, end_us=start + dur, track=_TRACK,
                             cat=cat, args=dict(args) if args else args)
         elif kind == "instant":
             _, name, cat, args = op
-            tracer.instant(name, track=track, cat=cat,
+            tracer.instant(name, track=_TRACK, cat=cat,
                            args=dict(args) if args else args)
         elif kind == "begin":
             _, name, cat, args = op
-            tracer.begin(name, track=track, cat=cat,
+            tracer.begin(name, track=_TRACK, cat=cat,
                          args=dict(args) if args else args)
         elif kind == "end":
             _, name, cat, args = op
-            tracer.end(name, track=track, cat=cat,
+            tracer.end(name, track=_TRACK, cat=cat,
                        args=dict(args) if args else args)
         elif kind == "async":
             _, name, cat, event_id = op
-            tracer.async_begin(name, event_id, track=track, cat=cat)
-            tracer.async_end(name, event_id, track=track, cat=cat)
+            tracer.async_begin(name, event_id, track=_TRACK, cat=cat)
+            tracer.async_end(name, event_id, track=_TRACK, cat=cat)
         elif kind == "counter":
             _, name, cat, value = op
-            tracer.counter(name, {"v": value}, track=track, cat=cat)
+            tracer.counter(name, {"v": value}, track=_TRACK, cat=cat)
 
 
-def _comparable(tracer):
+def _exported(tracer):
     """Exported dicts with the wall-clock-dependent fields stripped.
 
     ``complete`` timestamps are caller-supplied and must round-trip
-    exactly; every other phase stamps ``now_us()``, which two tracers
-    can never share.
+    exactly; every other phase stamps ``now_us()``, which no model can
+    predict.
     """
     out = []
     for event in tracer.buffer:
@@ -366,61 +371,163 @@ def _comparable(tracer):
     return out
 
 
-class TestPackedLegacyEquivalence:
+def _quantized(us):
+    """A float microsecond value as the exporter shows it: stored as
+    integer nanoseconds (rounded half up), printed to 3 decimals."""
+    return round(int(us * 1000.0 + 0.5) / 1000.0, 3)
+
+
+def _model(ops, categories=None, rates=None, seed=0, vt=None):
+    """What :func:`_run_ops` must export, derived from the contract.
+
+    A category outside ``categories`` (None: all) records nothing; an
+    event without a category always records. A ``rates`` entry samples
+    that category's *leaf* events (``X``/``i``/``C``) through a seeded
+    :class:`Sampler` advanced once per candidate, while begin/end and
+    async pairs always record. ``vt`` is the virtual clock's reading,
+    stamped as ``vt_ms`` into every event's args.
+    """
+    rates = rates or {}
+    samplers = {}
+    out = []
+
+    def emit(name, ph, cat, args, ts=None, dur=None, event_id=None):
+        if categories is not None and cat is not None \
+                and cat not in categories:
+            return
+        if ph in "XiC" and cat in rates:
+            if cat not in samplers:
+                samplers[cat] = Sampler(cat, rates[cat], seed)
+            if not samplers[cat].keep():
+                return
+        data = {"name": name, "ph": ph, "pid": _TRACK[0], "tid": _TRACK[1]}
+        if ts is not None:
+            data["ts"] = _quantized(ts)
+        if dur is not None:
+            data["dur"] = _quantized(dur)
+        if cat is not None:
+            data["cat"] = cat
+        if args is not None or vt is not None:
+            data["args"] = dict(args or {})
+            if vt is not None:
+                data["args"]["vt_ms"] = vt
+        if event_id is not None:
+            data["id"] = event_id
+        if ph == "i":
+            data["s"] = "t"
+        out.append(data)
+
+    for op in ops:
+        kind, name, cat = op[:3]
+        if kind == "complete":
+            _, _, _, args, start, dur = op
+            emit(name, "X", cat, args, ts=start,
+                 dur=max((start + dur) - start, 0.0))
+        elif kind in ("instant", "begin", "end"):
+            emit(name, {"instant": "i", "begin": "B", "end": "E"}[kind],
+                 cat, op[3])
+        elif kind == "async":
+            emit(name, "b", cat, None, event_id=op[3])
+            emit(name, "e", cat, None, event_id=op[3])
+        elif kind == "counter":
+            emit(name, "C", cat, {"v": op[3]})
+    return out
+
+
+class TestTracerModel:
     @settings(max_examples=60, deadline=None)
     @given(ops=_OPS)
-    def test_round_trip_matches_legacy(self, ops):
-        packed = Tracer(buffer_size=256, packed=True)
-        legacy = Tracer(buffer_size=256, packed=False)
-        _run_ops(packed, ops)
-        _run_ops(legacy, ops)
-        assert _comparable(packed) == _comparable(legacy)
+    def test_round_trip_matches_model(self, ops):
+        tracer = Tracer(buffer_size=256)
+        _run_ops(tracer, ops)
+        assert _exported(tracer) == _model(ops)
 
     @settings(max_examples=30, deadline=None)
     @given(ops=_OPS)
-    def test_round_trip_matches_with_category_filter(self, ops):
-        packed = Tracer(buffer_size=256, packed=True,
-                        categories="production")
-        legacy = Tracer(buffer_size=256, packed=False,
-                        categories="production")
-        _run_ops(packed, ops)
-        _run_ops(legacy, ops)
-        assert _comparable(packed) == _comparable(legacy)
+    def test_round_trip_matches_model_with_category_filter(self, ops):
+        tracer = Tracer(buffer_size=256, categories="production")
+        _run_ops(tracer, ops)
+        assert _exported(tracer) == _model(
+            ops, categories=PRODUCTION_CATEGORIES)
 
     @settings(max_examples=30, deadline=None)
     @given(ops=_OPS)
-    def test_round_trip_matches_under_sampling(self, ops):
-        packed = Tracer(buffer_size=256, packed=True, sample=0.5,
+    def test_round_trip_matches_model_under_sampling(self, ops):
+        tracer = Tracer(buffer_size=256,
+                        categories="session:0.5,net,dispatch:0.25",
                         sample_seed=9)
-        legacy = Tracer(buffer_size=256, packed=False, sample=0.5,
-                        sample_seed=9)
-        _run_ops(packed, ops)
-        _run_ops(legacy, ops)
-        assert _comparable(packed) == _comparable(legacy)
+        _run_ops(tracer, ops)
+        assert _exported(tracer) == _model(
+            ops, categories={"session", "net", "dispatch"},
+            rates={"session": 0.5, "dispatch": 0.25}, seed=9)
 
     @settings(max_examples=30, deadline=None)
     @given(ops=_OPS)
-    def test_virtual_clock_stamped_identically(self, ops):
-        packed = Tracer(buffer_size=256, packed=True,
-                        clock=VirtualClock(start=250.0))
-        legacy = Tracer(buffer_size=256, packed=False,
-                        clock=VirtualClock(start=250.0))
-        _run_ops(packed, ops)
-        _run_ops(legacy, ops)
-        assert _comparable(packed) == _comparable(legacy)
+    def test_virtual_clock_stamped_per_model(self, ops):
+        tracer = Tracer(buffer_size=256, clock=VirtualClock(start=250.0))
+        _run_ops(tracer, ops)
+        assert _exported(tracer) == _model(ops, vt=250.0)
+
+
+#: One fixed op sequence: every phase, three categories, int and string
+#: async ids, and durations whose sub-nanosecond part rounds up (2.2506
+#: us) and down (0.0004996 us).
+_GOLDEN_OPS = [
+    ("begin", "locate", "session", {"k": 1}),
+    ("complete", "reflow", "layout", None, 10.0, 2.2506),
+    ("complete", "act", "session", {"n": -3}, 1234.5678904, 0.0004996),
+    ("instant", "dispatch", None, None),
+    ("async", "fetch", "net", "req-1"),
+    ("async", "queue", "session", 4),
+    ("counter", "dispatch", "net", 7),
+    ("end", "locate", "session", None),
+]
+
+_GOLDEN_RECORDS = [
+    {"name": "locate", "ph": "B", "pid": 1, "tid": 2, "cat": "session",
+     "args": {"k": 1, "vt_ms": 250.0}},
+    {"name": "reflow", "ph": "X", "ts": 10.0, "pid": 1, "tid": 2,
+     "dur": 2.251, "cat": "layout", "args": {"vt_ms": 250.0}},
+    {"name": "act", "ph": "X", "ts": 1234.568, "pid": 1, "tid": 2,
+     "dur": 0.0, "cat": "session", "args": {"n": -3, "vt_ms": 250.0}},
+    {"name": "dispatch", "ph": "i", "pid": 1, "tid": 2,
+     "args": {"vt_ms": 250.0}, "s": "t"},
+    {"name": "fetch", "ph": "b", "pid": 1, "tid": 2, "cat": "net",
+     "args": {"vt_ms": 250.0}, "id": "req-1"},
+    {"name": "fetch", "ph": "e", "pid": 1, "tid": 2, "cat": "net",
+     "args": {"vt_ms": 250.0}, "id": "req-1"},
+    {"name": "queue", "ph": "b", "pid": 1, "tid": 2, "cat": "session",
+     "args": {"vt_ms": 250.0}, "id": 4},
+    {"name": "queue", "ph": "e", "pid": 1, "tid": 2, "cat": "session",
+     "args": {"vt_ms": 250.0}, "id": 4},
+    {"name": "dispatch", "ph": "C", "pid": 1, "tid": 2, "cat": "net",
+     "args": {"v": 7, "vt_ms": 250.0}},
+    {"name": "locate", "ph": "E", "pid": 1, "tid": 2, "cat": "session",
+     "args": {"vt_ms": 250.0}},
+]
+
+
+class TestGoldenRecords:
+    def test_fixed_ops_decode_to_golden_records(self):
+        tracer = Tracer(buffer_size=16, clock=VirtualClock(start=250.0))
+        _run_ops(tracer, _GOLDEN_OPS)
+        assert _exported(tracer) == _GOLDEN_RECORDS
+
+    def test_model_agrees_with_the_golden_records(self):
+        assert _model(_GOLDEN_OPS, vt=250.0) == _GOLDEN_RECORDS
 
 
 class TestCallerArgsNeverMutated:
     """vt_ms stamping must never leak into the caller's dict.
 
-    Regression pin: the legacy emit used to stamp ``vt_ms`` into the
-    args dict it was handed, so a caller reusing one dict across
-    emits saw it silently grow.
+    Regression pin: an earlier emit path stamped ``vt_ms`` into the
+    args dict it was handed, so a caller reusing one dict across emits
+    saw it silently grow.
     """
 
-    def _assert_pristine(self, packed):
+    def test_packed_path(self):
         clock = VirtualClock(start=99.0)
-        tracer = Tracer(buffer_size=16, packed=packed, clock=clock)
+        tracer = Tracer(buffer_size=16, clock=clock)
         caller_args = {"detail": "kept"}
         tracer.instant("tick", track=(1, 1), args=caller_args)
         tracer.complete("span", 0.0, end_us=5.0, track=(1, 1),
@@ -430,18 +537,13 @@ class TestCallerArgsNeverMutated:
         assert span.args == {"detail": "kept", "vt_ms": 99.0}
         assert caller_args == {"detail": "kept"}
 
-    def test_packed_path(self):
-        self._assert_pristine(packed=True)
-
-    def test_legacy_path(self):
-        self._assert_pristine(packed=False)
-
 
 class TestSamplingDeterminismAcrossProcesses:
     def test_same_seed_keeps_same_events_in_a_subprocess(self):
         script = (
             "from repro.telemetry.tracer import Tracer\n"
-            "tracer = Tracer(buffer_size=512, sample=0.5, sample_seed=21)\n"
+            "tracer = Tracer(buffer_size=512, categories='session:0.5',\n"
+            "                sample_seed=21)\n"
             "for index in range(200):\n"
             "    tracer.complete('e%d' % index, float(index),\n"
             "                    end_us=index + 1.0, track=(1, 1),\n"
@@ -451,7 +553,8 @@ class TestSamplingDeterminismAcrossProcesses:
             [sys.executable, "-c", script], capture_output=True,
             text=True, check=True,
             env={"PYTHONPATH": "src", "PYTHONHASHSEED": "random"})
-        tracer = Tracer(buffer_size=512, sample=0.5, sample_seed=21)
+        tracer = Tracer(buffer_size=512, categories="session:0.5",
+                        sample_seed=21)
         for index in range(200):
             tracer.complete("e%d" % index, float(index),
                             end_us=index + 1.0, track=(1, 1),
@@ -459,7 +562,8 @@ class TestSamplingDeterminismAcrossProcesses:
         local = ",".join(event.name for event in tracer.buffer)
         assert result.stdout.strip() == local
         # And a different seed really changes the kept set.
-        other = Tracer(buffer_size=512, sample=0.5, sample_seed=22)
+        other = Tracer(buffer_size=512, categories="session:0.5",
+                       sample_seed=22)
         for index in range(200):
             other.complete("e%d" % index, float(index),
                            end_us=index + 1.0, track=(1, 1),

@@ -101,13 +101,6 @@ class TestCategorySpecRates:
         assert first == second  # same seed keeps the same events
         assert 60 < len(first) < 140  # ~half of 200
 
-    def test_explicit_sample_overrides_spec_rate(self):
-        tracer = Tracer(categories="dispatch:0.0",
-                        sample={"dispatch": 1.0})
-        for index in range(5):
-            tracer.instant("d%d" % index, cat="dispatch")
-        assert len(list(tracer.buffer)) == 5
-
 
 class TestTrackRegistry:
     def test_none_and_tuple_resolution(self):
