@@ -108,13 +108,13 @@ def measure_modes(trace):
     pools = {}
     modes = [("serial", {"mode": "serial", "workers": 1}, {})]
     for workers in SCALE_SERIES:
-        pool = WorkerPool(spec, workers,
-                          timing=TimingPolicy.no_wait()).start()
+        pool = WorkerPool(spec, workers).start()
         # Warm off the clock: every worker imports the stack, builds
         # its factory, and replays once before timing starts. A tripped
         # breaker hands traces back unrun, so check every outcome.
-        outcomes, _ = pool.run([("warmup-%d" % i, trace)
-                                for i in range(2 * workers)])
+        outcomes, _ = pool.run(
+            [("warmup-%d" % i, trace) for i in range(2 * workers)],
+            engine_config={"timing": TimingPolicy.no_wait()})
         assert all(outcome.ok for outcome in outcomes), outcomes
         pools[workers] = pool
         modes.append(("pool-%d" % workers,

@@ -55,6 +55,7 @@ experiments use) with the recorder attached.
 """
 
 import argparse
+import math
 import sys
 
 from repro import telemetry
@@ -113,6 +114,40 @@ def _read_input(loader, path):
                               % (path, error.strerror or error))
 
 
+def _check_playback_tapes(tape, labels=(None,)):
+    """Report a playback tape that cannot be read before any replay
+    starts: one ``cannot read PATH`` input error, not a traceback."""
+    if tape is None or tape.mode != PLAYBACK:
+        return
+    for label in labels:
+        _read_input(lambda path: open(path, "rb").close(),
+                    tape.tape_path(label))
+
+
+def _worker_count(text):
+    """``--workers``: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "need a whole number >= 1, got %r" % text)
+    return value
+
+
+def _timeout_seconds(text):
+    """``--trace-timeout``: a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            "need a finite number of seconds > 0, got %r" % text)
+    return value
+
+
 def _app_entry(name):
     try:
         return APPS[name]
@@ -169,6 +204,7 @@ def cmd_replay(args, out):
     app_class, _, _ = _app_entry(args.app)
     trace = _read_input(WarrTrace.load, args.trace)
     tape = _tape_config_from_args(args)
+    _check_playback_tapes(tape)
     playback = tape is not None and tape.mode == PLAYBACK
     browser, _ = make_browser([app_class], seed=args.seed,
                               developer_mode=not args.user_browser,
@@ -250,6 +286,7 @@ def cmd_batch(args, out):
         raise SystemExit("--resume needs --journal PATH")
     traces = [_read_input(WarrTrace.load, path) for path in args.traces]
     tape = _tape_config_from_args(args)
+    _check_playback_tapes(tape, args.traces)
     playback = tape is not None and tape.mode == PLAYBACK
 
     if args.workers > 1:
@@ -472,6 +509,7 @@ def cmd_tape_replay(args, out):
     browser, _ = make_browser([app_class], seed=args.seed,
                               developer_mode=True, client_only=True)
     config = TapeConfig.playback(args.tape)
+    _check_playback_tapes(config)
     tape_session = config.attach(browser.network)
     tape = tape_session.tape
     if tape.chaos_profile is not None:
@@ -601,11 +639,12 @@ def build_parser():
                             "(default), 'production', or a comma-"
                             "separated list, with optional 'name:rate' "
                             "sampling terms")
-    batch.add_argument("--workers", type=int, default=1, metavar="N",
+    batch.add_argument("--workers", type=_worker_count, default=1,
+                       metavar="N",
                        help="replay across N worker processes "
                             "(default 1 = in-process)")
-    batch.add_argument("--trace-timeout", type=float, default=None,
-                       metavar="SECONDS",
+    batch.add_argument("--trace-timeout", type=_timeout_seconds,
+                       default=None, metavar="SECONDS",
                        help="with --workers > 1: kill and re-queue (once) "
                             "any trace replaying longer than this")
     batch.add_argument("--tape", default=None, metavar="DIR",

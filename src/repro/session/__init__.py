@@ -27,7 +27,6 @@ from repro.session.pool import (
     PoolOutcome,
     WorkerPool,
     WorkerSpec,
-    register_factory,
     resolve_factory,
 )
 from repro.session.journal import (
@@ -39,7 +38,6 @@ from repro.session.journal import (
 )
 from repro.session.supervisor import (
     GracefulDrain,
-    SupervisorPolicy,
     WorkerSupervisor,
 )
 from repro.session.wire import WireError, decode_report, encode_report
@@ -66,7 +64,6 @@ __all__ = [
     "PoolOutcome",
     "WorkerPool",
     "WorkerSpec",
-    "register_factory",
     "resolve_factory",
     "JournalError",
     "RunJournal",
@@ -74,7 +71,6 @@ __all__ = [
     "trace_digest",
     "verify_exactly_once",
     "GracefulDrain",
-    "SupervisorPolicy",
     "WorkerSupervisor",
     "WireError",
     "decode_report",

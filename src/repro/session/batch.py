@@ -212,9 +212,10 @@ class BatchRunner:
     session's event stream — in-process only, so they are rejected when
     ``workers > 1`` (results merge parent-side instead).
 
-    ``trace_timeout`` (seconds, ``workers > 1`` only) bounds any single
-    trace: an over-deadline trace gets its worker killed and is
-    re-queued once before being reported failed.
+    ``trace_timeout`` (seconds, pooled only) bounds any single trace:
+    an over-deadline trace gets its worker killed and is re-queued once
+    before being reported failed. It rides with each batch, so a
+    borrowed ``pool`` enforces it too.
 
     ``journal`` (a file path) makes the run durable: every trace's
     start and final outcome is appended, fsync'd, to a WJ2 run journal
@@ -480,13 +481,10 @@ class BatchRunner:
                 "standing observers cannot follow sessions into worker "
                 "processes; run with workers=1, or merge per-session "
                 "results parent-side (see PerfCountersObserver.merge)")
-        engine_config = self._engine_config()
         pool = self.pool
         owned = pool is None
         if owned:
-            pool = WorkerPool(self.browser_factory, self.workers,
-                              trace_timeout=self.trace_timeout,
-                              **engine_config)
+            pool = WorkerPool(self.browser_factory, self.workers)
         tracing_on = trace_dir is not None
         if tracing_on:
             os.makedirs(trace_dir, exist_ok=True)
@@ -502,7 +500,8 @@ class BatchRunner:
                 list(zip(labels, traces)),
                 tracing=(self.trace_categories or True) if tracing_on
                 else False,
-                engine_config=engine_config, tape=self.tape,
+                engine_config=self._engine_config(),
+                trace_timeout=self.trace_timeout, tape=self.tape,
                 on_outcome=hooks.finish,
                 drain=hooks.drain_requested if hooks.drain is not None
                 else None, texts=texts)

@@ -46,15 +46,16 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
   worker's stderr tail, the active chaos ``(profile, seed)`` stamp)
   instead of burning workers forever — poison traces are data, not
   retries;
-- worker kills escalate ``terminate() → join(kill_grace) → kill()``,
+- worker kills escalate ``terminate() → join(KILL_GRACE) → kill()``,
   so a SIGTERM-masking worker cannot wedge the reaper;
 - respawns back off exponentially, and repeated deaths with no
   progress trip a circuit breaker: the pool stops its workers and
   hands the unfinished traces back (warning + ``stats["degraded"]``)
   to the batch runner's serial loop — the batch still finishes;
 - with ``heartbeat=N`` each worker posts liveness beats over the
-  result pipe; a silent worker (SIGSTOP, wedged C call) is detected
-  and contained even when no per-trace deadline is set;
+  result pipe; a worker silent for ``HANG_BEATS`` beats (SIGSTOP,
+  wedged C call) is detected and contained even when no per-trace
+  deadline is set;
 - ``run(..., drain=flag)`` supports graceful drain: queued chunks are
   recalled, in-flight traces finish, and cancelled outcomes are
   reported as such so a journal-backed batch can resume them later.
@@ -84,67 +85,44 @@ from repro import chaos
 from repro.session import wire
 from repro.session.events import SessionObserver
 from repro.session.supervisor import (
-    SupervisorPolicy,
     WorkerSupervisor,
     start_heartbeat,
     tail_text,
     throttle_seconds,
 )
-from repro.telemetry.events import DEFAULT_BUFFER_SIZE
 
 #: Error classes eligible for quarantine: the trace took its worker
 #: down (or past a deadline) twice — a worker-side Python exception is
 #: deterministic app behavior, not poison.
 QUARANTINE_CLASSES = ("TimeoutError", "WorkerCrashError", "WorkerHangError")
 
-#: Builders registered under a plain name for WorkerSpec resolution.
-_factory_builders = {}
-
-
-def register_factory(name, builder=None):
-    """Register ``builder`` under ``name`` for :class:`WorkerSpec` use.
-
-    Usable directly or as a decorator::
-
-        @register_factory("sites")
-        def sites_factory(): ...
-
-    Registration is per-process module state: under the default
-    ``fork`` start method workers inherit it, but under ``spawn`` the
-    registering module must be imported in the child too — prefer
-    dotted-path references for specs that must survive ``spawn``.
-    """
-    if builder is None:
-        def decorator(function):
-            _factory_builders[name] = function
-            return function
-        return decorator
-    _factory_builders[name] = builder
-    return builder
+#: Parent-side polling cadence (seconds) while a deadline, heartbeat
+#: watch, or drain flag is armed; also close()'s retirement poll.
+POLL_INTERVAL = 0.05
+#: How long close() waits for workers to retire, and how long a
+#: SIGKILLed process may take to be reaped (seconds).
+DRAIN_TIMEOUT = 10.0
+#: SIGTERM → SIGKILL escalation grace (seconds).
+KILL_GRACE = 1.0
+#: Heartbeats a worker may miss before it counts as hung.
+HANG_BEATS = 6
 
 
 def resolve_factory(reference):
     """Resolve a factory reference to a callable.
 
-    Accepts a registered builder name, a dotted path
-    (``"package.module:attribute"`` or ``"package.module.attribute"``),
-    or a callable (returned unchanged).
+    Accepts a callable (returned unchanged) or a ``"module:attribute"``
+    path.
     """
     if callable(reference):
         return reference
     if not isinstance(reference, str):
         raise TypeError("factory reference must be a callable or str, "
                         "got %r" % (reference,))
-    if reference in _factory_builders:
-        return _factory_builders[reference]
-    if ":" in reference:
-        module_name, _, attribute = reference.partition(":")
-    elif "." in reference:
-        module_name, _, attribute = reference.rpartition(".")
-    else:
-        raise ValueError(
-            "unknown factory %r: not a registered builder, and not a "
-            "dotted 'module:attr' path" % reference)
+    module_name, colon, attribute = reference.partition(":")
+    if not colon:
+        raise ValueError("unknown factory %r: not a 'module:attr' path"
+                         % reference)
     module = importlib.import_module(module_name)
     try:
         target = getattr(module, attribute)
@@ -169,13 +147,10 @@ class WorkerSpec:
     factory.
     """
 
-    def __init__(self, factory, factory_args=(), factory_kwargs=None,
-                 trace_buffer_size=DEFAULT_BUFFER_SIZE):
+    def __init__(self, factory, factory_args=(), factory_kwargs=None):
         self.factory = factory
         self.factory_args = tuple(factory_args)
         self.factory_kwargs = dict(factory_kwargs or {})
-        #: Ring-buffer capacity of each worker's private tracer.
-        self.trace_buffer_size = trace_buffer_size
 
     def make_factory(self):
         """Resolve and (if a builder) apply the recipe; in-process too."""
@@ -250,24 +225,23 @@ class PoolOutcome:
         return "PoolOutcome(%d, %r, %s)" % (self.index, self.label, state)
 
 
-def plan_chunks(count, workers, chunk_size=None):
+def plan_chunks(count, workers):
     """Split task indexes ``0..count-1`` into dispatch chunks.
 
     The head of the batch goes out in large chunks (one queue round-trip
     amortized over many traces); the last ~``2 * workers`` traces go out
     as size-1 chunks so the batch's finish line stays level — a worker
     stuck behind a big final chunk would otherwise idle the rest of the
-    pool. ``chunk_size`` overrides the computed head-chunk size.
+    pool.
     """
     if count <= 0:
         return []
     workers = max(1, workers)
     tail = min(count, workers * 2)
     head = count - tail
-    if chunk_size is None:
-        # Aim for ~2 head chunks per worker so dynamic stealing can
-        # still rebalance, without one round-trip per trace.
-        chunk_size = max(1, -(-head // (workers * 2)))
+    # Aim for ~2 head chunks per worker so dynamic stealing can still
+    # rebalance, without one round-trip per trace.
+    chunk_size = max(1, -(-head // (workers * 2)))
     chunks = []
     position = 0
     while position < head:
@@ -318,7 +292,9 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
     pool worker call it. Returns
     ``(report, mark)``, where ``mark`` is the tracer position before
     the session (None without ``tracer``) so the caller can slice the
-    session's events out of the buffer. Exceptions propagate.
+    session's events out of the buffer. ``engine_config`` holds
+    :class:`SessionEngine` keyword arguments; None means its defaults.
+    Exceptions propagate.
     """
     from repro.session.engine import SessionEngine
 
@@ -338,7 +314,7 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
         mark = tracer.mark()
     try:
         engine = SessionEngine(browser, observers=observers,
-                               **engine_config)
+                               **(engine_config or {}))
         report = engine.run(trace)
     finally:
         # Reset even when the engine raises: a stale clock would stamp
@@ -394,9 +370,8 @@ def _farm_kill_stream(worker_id):
         injector.seed, "chaos.worker.%d" % worker_id)), rate
 
 
-def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
-                 result_queue, current, chunk_current, progress,
-                 heartbeat=None, stderr_path=None):
+def _worker_main(slot, worker_id, spec, task_queue, result_queue, current,
+                 chunk_current, progress, heartbeat=None, stderr_path=None):
     """Worker loop: serve chunks until the shutdown sentinel.
 
     The worker persists across batches: the browser factory is built
@@ -438,8 +413,6 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
         if task is None:
             break
         batch_id, chunk_id, tracing, engine_config, tape, items = task
-        if engine_config is None:
-            engine_config = default_engine_config
         chunk_current[slot] = chunk_id
         # ``tracing`` is False, True (all categories) or a category
         # spec; a batch with a different spec gets a fresh tracer.
@@ -450,8 +423,7 @@ def _worker_main(slot, worker_id, spec, default_engine_config, task_queue,
             tracer = None
             dropped_sent = 0
         if tracing and tracer is None:
-            tracer = Tracer(buffer_size=spec.trace_buffer_size,
-                            categories=cats)
+            tracer = Tracer(categories=cats)
             tracer_cats = cats
             telemetry.install(tracer)
         for index, label, trace_text in items:
@@ -533,10 +505,11 @@ class _BatchState:
 
     __slots__ = ("batch_id", "tasks", "texts", "outcomes", "done",
                  "dropped", "chunks", "failed_on", "tracing",
-                 "engine_config", "tape", "on_outcome")
+                 "engine_config", "trace_timeout", "tape", "on_outcome")
 
     def __init__(self, batch_id, tasks, texts=None, tracing=False,
-                 engine_config=None, tape=None, on_outcome=None):
+                 engine_config=None, trace_timeout=None, tape=None,
+                 on_outcome=None):
         self.batch_id = batch_id
         #: ``(label, trace)`` pairs and each trace's text, in order.
         self.tasks = tasks
@@ -544,6 +517,8 @@ class _BatchState:
                       else [trace.to_text() for _, trace in tasks])
         self.tracing = tracing or False
         self.engine_config = engine_config
+        #: Per-trace deadline (seconds) for this batch; None = none.
+        self.trace_timeout = trace_timeout
         self.tape = tape
         self.on_outcome = on_outcome
         self.outcomes = [PoolOutcome(index, label)
@@ -573,53 +548,30 @@ class _BatchState:
 class WorkerPool:
     """Replays traces across N persistent, supervised worker processes.
 
-    ``spec`` describes the browser factory; the engine policy objects
-    (all picklable strategy objects) configure every worker's
-    :class:`~repro.session.engine.SessionEngine` exactly as the serial
-    batch runner would. Workers spawn lazily on the first :meth:`run`
-    (or eagerly via :meth:`start`) and persist until :meth:`close` —
-    use the pool as a context manager, or let a
-    :class:`~repro.session.batch.BatchRunner` own an ephemeral one.
+    ``spec`` describes the browser factory. The pool owns the processes;
+    each batch brings its own policies to :meth:`run`. Workers spawn
+    lazily on the first :meth:`run` (or eagerly via :meth:`start`) and
+    persist until :meth:`close` — use the pool as a context manager, or
+    let a :class:`~repro.session.batch.BatchRunner` own an ephemeral
+    one.
 
-    Supervision knobs: ``kill_grace`` bounds the SIGTERM→SIGKILL
-    escalation, ``heartbeat`` (seconds) turns on worker liveness beats
-    with ``hang_timeout`` (default ``6 * heartbeat``) as the silence
-    budget, and ``supervision`` (a
-    :class:`~repro.session.supervisor.SupervisorPolicy`) tunes respawn
-    backoff and the degradation breaker.
+    ``heartbeat`` (seconds) turns on worker liveness beats; a worker
+    silent for ``HANG_BEATS`` beats is contained as hung. Respawn
+    backoff and the degradation breaker are the module constants of
+    :mod:`repro.session.supervisor`.
     """
 
-    def __init__(self, spec, workers, driver_config=None, timing=None,
-                 locator=None, failure=None, retry=None, trace_timeout=None,
-                 poll_interval=0.05, drain_timeout=10.0, context=None,
-                 chunk_size=None, kill_grace=1.0, heartbeat=None,
-                 hang_timeout=None, supervision=None):
+    def __init__(self, spec, workers, heartbeat=None):
         if workers < 1:
             raise ValueError("need at least one worker")
         if not isinstance(spec, WorkerSpec):
             spec = WorkerSpec(spec)
         self.spec = spec.validate()
         self.workers = int(workers)
-        self.engine_config = {
-            "driver_config": driver_config,
-            "timing": timing,
-            "locator": locator,
-            "failure": failure,
-            "retry": retry,
-        }
-        pickle.dumps(self.engine_config)  # fail fast on unpicklable policy
-        self.trace_timeout = trace_timeout
-        self.poll_interval = poll_interval
-        self.drain_timeout = drain_timeout
-        self.chunk_size = chunk_size
-        self.kill_grace = kill_grace
         self.heartbeat = heartbeat
-        self.hang_timeout = (hang_timeout if hang_timeout is not None
-                             else (heartbeat * 6 if heartbeat else None))
-        self._supervisor = WorkerSupervisor(
-            supervision if isinstance(supervision, SupervisorPolicy)
-            or supervision is None else SupervisorPolicy(**supervision))
-        self._context = context if context is not None else _default_context()
+        self.hang_timeout = heartbeat * HANG_BEATS if heartbeat else None
+        self._supervisor = WorkerSupervisor()
+        self._context = _default_context()
         self._started = False
         self._closed = False
         self._handles = {}          # slot -> _WorkerHandle
@@ -678,10 +630,9 @@ class WorkerPool:
                        if self._stderr_dir else None)
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, worker_id, self.spec, self.engine_config,
-                  self._task_queue, self._result_queue, self._current,
-                  self._chunk_current, self._progress, self.heartbeat,
-                  stderr_path),
+            args=(slot, worker_id, self.spec, self._task_queue,
+                  self._result_queue, self._current, self._chunk_current,
+                  self._progress, self.heartbeat, stderr_path),
             daemon=True)
         process.start()
         self._handles[slot] = _WorkerHandle(slot, worker_id, process,
@@ -702,14 +653,14 @@ class WorkerPool:
         """Escalating kill: ``terminate → join(grace) → kill``.
 
         A worker that masks SIGTERM (or is wedged in a signal-immune
-        state) gets SIGKILL after ``kill_grace`` — the reaper must
+        state) gets SIGKILL after ``KILL_GRACE`` — the reaper must
         never block on a process's cooperation.
         """
         process.terminate()
-        process.join(self.kill_grace)
+        process.join(KILL_GRACE)
         if process.is_alive():
             process.kill()
-            process.join(self.drain_timeout)
+            process.join(DRAIN_TIMEOUT)
 
     def close(self):
         """Retire the workers and release the queues (idempotent).
@@ -725,11 +676,11 @@ class WorkerPool:
         live = [h for h in self._handles.values() if h.process.is_alive()]
         for _ in live:
             self._task_queue.put(None)
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         pending = {h.worker_id for h in live}
         while pending and time.monotonic() < deadline:
             try:
-                message = self._result_queue.get(timeout=self.poll_interval)
+                message = self._result_queue.get(timeout=POLL_INTERVAL)
             except queue_module.Empty:
                 pending = {wid for wid in pending
                            if any(h.worker_id == wid and h.process.is_alive()
@@ -768,8 +719,9 @@ class WorkerPool:
 
     # -- batch execution -----------------------------------------------------
 
-    def run(self, tasks, tracing=False, engine_config=None, tape=None,
-            on_outcome=None, drain=None, texts=None):
+    def run(self, tasks, tracing=False, engine_config=None,
+            trace_timeout=None, tape=None, on_outcome=None, drain=None,
+            texts=None):
         """Replay every ``(label, trace)`` task; returns
         ``(outcomes, dropped_events)`` with outcomes in input order.
 
@@ -786,10 +738,13 @@ class WorkerPool:
 
         May be called repeatedly on a live pool — workers, their
         imported modules, and their browser factories stay warm between
-        calls. ``engine_config`` overrides the pool's default policy set
-        for this batch only (it is shipped with each chunk), and
-        ``tape`` (a :class:`~repro.net.transport.TapeConfig`) puts every
-        trace in this batch on a tape mode. ``tracing`` is False (off),
+        calls. Each batch carries its own policies: ``engine_config``
+        (:class:`~repro.session.engine.SessionEngine` keyword arguments,
+        shipped with each chunk; None means the engine's defaults),
+        ``trace_timeout`` (seconds: an over-deadline trace gets its
+        worker killed and is re-queued once), and ``tape`` (a
+        :class:`~repro.net.transport.TapeConfig`) puts every trace in
+        this batch on a tape mode. ``tracing`` is False (off),
         True (every category), or a category spec for each worker's
         tracer. ``on_outcome`` is called once per task the moment its
         outcome is final (the crash-safe journaling hook). ``drain`` is
@@ -797,22 +752,19 @@ class WorkerPool:
         (cancelled outcomes), finishes what is in flight, and returns.
         """
         batch = _BatchState(self._next_batch_id, list(tasks), texts,
-                            tracing, engine_config, tape, on_outcome)
+                            tracing, engine_config, trace_timeout, tape,
+                            on_outcome)
         self._next_batch_id += 1
         if not batch.tasks:
             return batch.outcomes, 0
-        if engine_config is not None:
-            pickle.dumps(engine_config)  # fail fast, like the default set
-        if tape is not None:
-            pickle.dumps(tape)
+        pickle.dumps((engine_config, tape))  # fail fast in the parent
         self.start()
         # Each batch starts with a closed breaker: a trip in an earlier
         # batch must not condemn workers that are healthy now.
         self._supervisor.rearm()
         self._replenish()
         self.stats["batches"] += 1
-        for indexes in plan_chunks(len(batch.tasks), self.workers,
-                                   self.chunk_size):
+        for indexes in plan_chunks(len(batch.tasks), self.workers):
             self._dispatch(batch, indexes)
         draining = False
         while not batch.complete:
@@ -827,7 +779,7 @@ class WorkerPool:
                     batch.outcomes[index].cancelled = True
                 continue  # re-check completion before sleeping
             self._spawn_due()
-            self._wait_for_activity(drain)
+            self._wait_for_activity(batch, drain)
             self._pump(batch)
             self._reap(batch)
             if self._supervisor.tripped:
@@ -887,7 +839,7 @@ class WorkerPool:
                 self.stats["respawns"] += 1
                 self._spawn(slot)
 
-    def _wait_for_activity(self, drain=None):
+    def _wait_for_activity(self, batch, drain=None):
         """Sleep until a result arrives or a worker dies.
 
         Blocks indefinitely when it safely can: the result pipe wakes
@@ -899,18 +851,13 @@ class WorkerPool:
         a flag; it does not write to the pipe).
         """
         candidates = []
-        if self.trace_timeout is not None or self.hang_timeout is not None \
+        if batch.trace_timeout is not None or self.hang_timeout is not None \
                 or drain is not None:
-            candidates.append(self.poll_interval)
+            candidates.append(POLL_INTERVAL)
         due = self._supervisor.next_due_in()
         if due is not None:
-            candidates.append(max(0.005, min(due, self.poll_interval)))
+            candidates.append(max(0.005, min(due, POLL_INTERVAL)))
         timeout = min(candidates) if candidates else None
-        reader = getattr(self._result_queue, "_reader", None)
-        if reader is None:  # unexpected Queue implementation: poll
-            time.sleep(timeout if timeout is not None else self.poll_interval)
-            self.stats["wakeups"] += 1
-            return
         # Every handle's sentinel, dead or alive: a worker that died
         # after _reap's liveness check but before this wait would
         # otherwise be silently excluded — and with no deadline armed
@@ -918,7 +865,7 @@ class WorkerPool:
         # dead sentinel is permanently ready, so the wait returns at
         # once and the next _reap buries the body.
         sentinels = [h.process.sentinel for h in self._handles.values()]
-        _connection_wait([reader] + sentinels, timeout)
+        _connection_wait([self._result_queue._reader] + sentinels, timeout)
         self.stats["wakeups"] += 1
 
     def _note_beat(self, worker_id):
@@ -967,6 +914,7 @@ class WorkerPool:
     def _reap(self, batch):
         """Contain dead, hung, and over-deadline workers; keep pool full."""
         now = time.monotonic()
+        trace_timeout = batch.trace_timeout
         for slot, handle in list(self._handles.items()):
             chunk = self._chunk_current[slot]
             if chunk >= 0:
@@ -977,12 +925,12 @@ class WorkerPool:
                 handle.inflight_since = now if inflight >= 0 else None
             alive = handle.process.is_alive()
             if alive and handle.inflight_since is not None \
-                    and self.trace_timeout is not None \
-                    and now - handle.inflight_since > self.trace_timeout:
+                    and trace_timeout is not None \
+                    and now - handle.inflight_since > trace_timeout:
                 # Kill the stuck worker; its trace gets one more chance.
                 casualty = ("TimeoutError",
                             "trace exceeded the %.3gs per-trace timeout"
-                            % self.trace_timeout)
+                            % trace_timeout)
             elif alive and self.hang_timeout is not None \
                     and now - handle.last_beat > self.hang_timeout:
                 # Distinct from the per-trace deadline: the *process*
@@ -1074,7 +1022,7 @@ class WorkerPool:
 
 
 def _default_context():
-    """Prefer ``fork`` (cheap, inherits registered builders); fall back
+    """Prefer ``fork`` (cheap, inherits the parent's imports); fall back
     to the platform default where fork is unavailable."""
     try:
         return multiprocessing.get_context("fork")

@@ -49,35 +49,20 @@ def throttle_seconds():
         return 0.0
 
 
-class SupervisorPolicy:
-    """Tunables for worker respawn and the degradation breaker."""
+#: First-respawn delay (seconds); doubles per consecutive death.
+BACKOFF_BASE = 0.05
+#: Ceiling on any single respawn delay (seconds).
+BACKOFF_CAP = 2.0
+#: Consecutive deaths (no trace completed in between) that trip the
+#: breaker and hand the batch's remainder back for in-process execution.
+BREAKER_DEATHS = 6
 
-    def __init__(self, backoff_base=0.05, backoff_cap=2.0,
-                 breaker_deaths=6):
-        if backoff_base < 0 or backoff_cap < backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_cap")
-        if breaker_deaths < 1:
-            raise ValueError("breaker_deaths must be >= 1")
-        #: First-respawn delay; doubles per consecutive death.
-        self.backoff_base = float(backoff_base)
-        #: Ceiling on any single respawn delay.
-        self.backoff_cap = float(backoff_cap)
-        #: Consecutive deaths (no trace completed in between) that trip
-        #: the breaker and hand the batch's remainder back for
-        #: in-process execution.
-        self.breaker_deaths = int(breaker_deaths)
 
-    def backoff(self, consecutive_deaths):
-        """Respawn delay after the N-th consecutive death (N >= 1)."""
-        if consecutive_deaths <= 1:
-            return self.backoff_base
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** (consecutive_deaths - 1)))
-
-    def __repr__(self):
-        return ("SupervisorPolicy(base=%gs, cap=%gs, breaker=%d)"
-                % (self.backoff_base, self.backoff_cap,
-                   self.breaker_deaths))
+def backoff(consecutive_deaths):
+    """Respawn delay after the N-th consecutive death (N >= 1)."""
+    if consecutive_deaths <= 1:
+        return BACKOFF_BASE
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** (consecutive_deaths - 1)))
 
 
 class WorkerSupervisor:
@@ -87,8 +72,7 @@ class WorkerSupervisor:
     "when may this slot respawn?" and "has the breaker tripped?".
     """
 
-    def __init__(self, policy=None):
-        self.policy = policy if policy is not None else SupervisorPolicy()
+    def __init__(self):
         #: Worker deaths since the pool started (lifetime count).
         self.deaths = 0
         #: Deaths since the last completed trace (breaker input).
@@ -106,11 +90,10 @@ class WorkerSupervisor:
         now = time.monotonic() if now is None else now
         self.deaths += 1
         self.consecutive_deaths += 1
-        if self.consecutive_deaths >= self.policy.breaker_deaths:
+        if self.consecutive_deaths >= BREAKER_DEATHS:
             self.tripped = True
             return True
-        self._respawn_at[slot] = now + self.policy.backoff(
-            self.consecutive_deaths)
+        self._respawn_at[slot] = now + backoff(self.consecutive_deaths)
         return False
 
     def rearm(self):

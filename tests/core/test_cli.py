@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import io
+import os
 
 import pytest
 
@@ -160,6 +161,27 @@ class TestBatch:
         assert code == 0
         assert "batch: 1/1 trace(s) complete" in output
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--workers", "-2"),
+        ("--workers", "two"),
+        ("--trace-timeout", "0"),
+        ("--trace-timeout", "-1"),
+        ("--trace-timeout", "nan"),
+        ("--trace-timeout", "inf"),
+    ])
+    def test_batch_rejects_a_bad_pool_setting(self, recorded_trace, capsys,
+                                              flag, value):
+        # A usage error at argument parsing: no traceback, and no pool
+        # that would kill (and then quarantine) every trace.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["batch", str(recorded_trace), "--app", "sites",
+                     "--workers", "2", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s: " % flag in err
+        assert "Traceback" not in err
+
 
 class TestInspect:
     def test_inspect_prints_stats(self, recorded_trace):
@@ -232,11 +254,19 @@ class TestMalformedInput:
         ["journal", "{path}"],
         ["tape", "inspect", "{path}"],
         ["replay", "{path}", "--app", "sites"],
+        ["replay", "{trace}", "--app", "sites", "--tape", "{path}"],
+        ["tape", "replay", "{trace}", "--app", "sites", "--tape", "{path}"],
+        ["batch", "{trace}", "--app", "sites", "--tape", "{path}"],
     ])
-    def test_missing_file_is_one_error_line(self, tmp_path, capsys, argv):
+    def test_missing_file_is_one_error_line(self, recorded_trace, tmp_path,
+                                            capsys, argv):
         path = str(tmp_path / "nope")
-        self.assert_rejected([arg.format(path=path) for arg in argv],
-                             capsys, "cannot read %s: " % path)
+        # A batch's --tape is a directory: the error names the first
+        # tape file under it that cannot be read.
+        unreadable = path + (os.sep if argv[0] == "batch" else ": ")
+        self.assert_rejected(
+            [arg.format(path=path, trace=recorded_trace) for arg in argv],
+            capsys, "cannot read %s" % unreadable)
 
     def test_batch_names_the_bad_file(self, recorded_trace, tmp_path,
                                       capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.trace import WarrTrace
 from repro.session import journal as run_journal
-from repro.session import wire
+from repro.session import supervisor, wire
 from repro.session.batch import BatchRunner
 from repro.session.events import EventStream, _handler_for
 from repro.session.journal import read_journal, verify_exactly_once
@@ -29,7 +29,6 @@ from repro.session.pool import (
     _ProgressObserver,
     _TraceMemo,
     plan_chunks,
-    register_factory,
     resolve_factory,
 )
 from repro.session.wire import _read_varint
@@ -37,6 +36,9 @@ from tests.browser.helpers import build_browser
 from tests.session.test_batch import factory, record_trace
 
 FLAG_ENV = "REPRO_TEST_POOL_FLAG"
+
+#: Engine policies for a directly-driven pool's batches.
+NO_WAIT = {"timing": TimingPolicy.no_wait()}
 
 
 def _claim_flag():
@@ -129,6 +131,13 @@ def flag_path(tmp_path, monkeypatch):
     return path
 
 
+@pytest.fixture
+def fragile_breaker(monkeypatch):
+    """Trip the breaker after 2 deaths, with near-instant respawns."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervisor, "BREAKER_DEATHS", 2)
+
+
 class TestFactoryResolution:
     def test_callable_passes_through(self):
         assert resolve_factory(factory) is factory
@@ -137,24 +146,12 @@ class TestFactoryResolution:
         resolved = resolve_factory("tests.session.test_batch:factory")
         assert resolved is factory
 
-    def test_dotted_attribute_path(self):
-        resolved = resolve_factory("tests.session.test_batch.factory")
-        assert resolved is factory
-
-    def test_registered_name(self):
-        register_factory("pool-test-factory", factory)
-        assert resolve_factory("pool-test-factory") is factory
-
-    def test_decorator_registration(self):
-        @register_factory("pool-test-decorated")
-        def decorated():
-            return None
-
-        assert resolve_factory("pool-test-decorated") is decorated
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown factory"):
             resolve_factory("no-such-factory")
+        # A dotted path needs the colon: ``module:attr``.
+        with pytest.raises(ValueError, match="unknown factory"):
+            resolve_factory("tests.session.test_batch.factory")
 
     def test_missing_attribute_rejected(self):
         with pytest.raises(ValueError, match="no attribute"):
@@ -197,10 +194,10 @@ class TestWorkerPool:
 
     def test_outcomes_come_back_in_input_order(self):
         traces = [record_trace("t%d" % i) for i in range(6)]
-        pool = WorkerPool(WorkerSpec(factory), workers=3,
-                          timing=TimingPolicy.no_wait())
-        outcomes, dropped = pool.run(
-            [(trace.label, trace) for trace in traces])
+        with WorkerPool(WorkerSpec(factory), workers=3) as pool:
+            outcomes, dropped = pool.run(
+                [(trace.label, trace) for trace in traces],
+                engine_config=NO_WAIT)
         assert dropped == 0
         assert [o.index for o in outcomes] == list(range(6))
         assert [o.label for o in outcomes] == [t.label for t in traces]
@@ -303,10 +300,10 @@ class TestContainment:
     def test_worker_exception_class_crosses_the_wire(self):
         # An exception raised inside the worker (not a kill) reports
         # its own class name, not a generic bucket.
-        pool = WorkerPool(
-            WorkerSpec("tests.session.test_pool:broken_factory"),
-            workers=1)
-        (outcome,), dropped = pool.run([("x", record_trace("x"))])
+        with WorkerPool(
+                WorkerSpec("tests.session.test_pool:broken_factory"),
+                workers=1) as pool:
+            (outcome,), dropped = pool.run([("x", record_trace("x"))])
         assert not outcome.ok
         assert outcome.error_class == "AttributeError"
 
@@ -331,20 +328,14 @@ class TestChunkPlanning:
         assert plan_chunks(3, 4) == [[0], [1], [2]]
         assert plan_chunks(0, 4) == []
 
-    def test_explicit_chunk_size_respected(self):
-        chunks = plan_chunks(20, 2, chunk_size=4)
-        head = [chunk for chunk in chunks if len(chunk) > 1]
-        assert all(len(chunk) <= 4 for chunk in head)
-
 
 class TestWarmPool:
     def test_pool_persists_across_batches(self):
         traces = [record_trace("w%d" % i) for i in range(3)]
         tasks = [(t.label, t) for t in traces]
-        with WorkerPool(WorkerSpec(factory), workers=2,
-                        timing=TimingPolicy.no_wait()) as pool:
-            first, _ = pool.run(tasks)
-            second, _ = pool.run(tasks)
+        with WorkerPool(WorkerSpec(factory), workers=2) as pool:
+            first, _ = pool.run(tasks, engine_config=NO_WAIT)
+            second, _ = pool.run(tasks, engine_config=NO_WAIT)
             assert all(o.ok for o in first + second)
             # Same worker processes served both batches: no respawn.
             assert {o.worker_id for o in second} \
@@ -362,36 +353,46 @@ class TestWarmPool:
             assert one.summary() == two.summary()
             # The borrowed pool is still live for the next campaign.
             assert pool.run([(t.label, t) for t in traces],
-                            engine_config={
-                                "driver_config": None,
-                                "timing": TimingPolicy.no_wait(),
-                                "locator": None, "failure": None,
-                                "retry": None})[0][0].ok
+                            engine_config=NO_WAIT)[0][0].ok
 
     def test_runner_policies_override_pool_defaults(self):
-        # The pool was built with no policies; the borrowing runner's
-        # no-wait timing must still reach the workers (a think-time
-        # replay at default pacing would advance the virtual clock far
-        # more than the recorded think times themselves).
+        # A pool holds no policies; the borrowing runner's no-wait
+        # timing must still reach the workers (a think-time replay at
+        # default pacing would advance the virtual clock far more than
+        # the recorded think times themselves).
         trace = record_trace("policy")
         with WorkerPool(WorkerSpec(factory), workers=1) as pool:
             batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
                                 pool=pool).run([trace])
         assert batch.complete
 
+    def test_borrowed_pool_enforces_the_runners_deadline(self,
+                                                         monkeypatch):
+        # The deadline rides with each batch, so a pool the runner
+        # borrows (rather than builds) still kills a trace that
+        # overruns the runner's trace_timeout.
+        monkeypatch.setenv("REPRO_SOAK_THROTTLE", "2")
+        trace = record_trace("late")
+        with WorkerPool(WorkerSpec(factory), workers=1) as pool:
+            batch = BatchRunner(factory, pool=pool, trace_timeout=0.5,
+                                timing=TimingPolicy.no_wait()).run([trace])
+        (failed,) = batch.failures()
+        assert failed.report.halt_error.type_name == "TimeoutError"
+
     def test_crash_mid_chunk_requeues_the_inflight_trace(self, flag_path):
-        traces = [record_trace("m%d" % i) for i in range(4)]
+        traces = [record_trace("m%d" % i) for i in range(5)]
         tasks = [(t.label, t) for t in traces]
-        # One worker, one big head chunk: the crash lands mid-chunk; the
-        # unstarted chunk-mates are re-queued untouched (one attempt)
-        # and the in-flight trace is retried exactly once.
+        # One worker, a two-trace head chunk: the crash lands on its
+        # first trace, mid-chunk; the unstarted chunk-mate is re-queued
+        # untouched (one attempt) and the in-flight trace is retried
+        # exactly once.
+        assert plan_chunks(5, 1) == [[0, 1], [2], [3], [4]]
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_once_factory"),
-                workers=1, timing=TimingPolicy.no_wait(),
-                chunk_size=4) as pool:
-            outcomes, _ = pool.run(tasks)
+                workers=1) as pool:
+            outcomes, _ = pool.run(tasks, engine_config=NO_WAIT)
         assert all(o.ok for o in outcomes)
-        assert sorted(o.attempts for o in outcomes) == [1, 1, 1, 2]
+        assert sorted(o.attempts for o in outcomes) == [1, 1, 1, 1, 2]
 
 
 class TestSupervision:
@@ -401,9 +402,9 @@ class TestSupervision:
         trace = record_trace("stuck")
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:hang_always_factory"),
-                workers=2, timing=TimingPolicy.no_wait(),
-                trace_timeout=0.4, kill_grace=0.3) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace)])
+                workers=2) as pool:
+            (outcome,), _ = pool.run([(trace.label, trace)],
+                                     engine_config=NO_WAIT, trace_timeout=0.4)
         assert not outcome.ok
         assert outcome.error_class == "TimeoutError"
         assert outcome.attempts == 2
@@ -412,8 +413,9 @@ class TestSupervision:
         trace = record_trace("poison")
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_in_worker_factory"),
-                workers=2, timing=TimingPolicy.no_wait()) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace)])
+                workers=2) as pool:
+            (outcome,), _ = pool.run([(trace.label, trace)],
+                                     engine_config=NO_WAIT)
         assert not outcome.ok
         assert outcome.error_class == "WorkerCrashError"
         bundle = outcome.quarantined
@@ -430,15 +432,15 @@ class TestSupervision:
     def test_sigterm_masking_worker_is_reaped_by_kill_escalation(self):
         # Regression for the terminate-only reaper: a SIGTERM-ignoring
         # worker would survive terminate() and wedge _reap for the full
-        # drain_timeout. The kill() escalation bounds it by kill_grace.
+        # DRAIN_TIMEOUT. The kill() escalation bounds it by KILL_GRACE.
         trace = record_trace("masked")
         start = time.monotonic()
         with WorkerPool(
                 WorkerSpec(
                     "tests.session.test_pool:sigterm_masking_hang_factory"),
-                workers=1, timing=TimingPolicy.no_wait(),
-                trace_timeout=0.4, kill_grace=0.3) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace)])
+                workers=1) as pool:
+            (outcome,), _ = pool.run([(trace.label, trace)],
+                                     engine_config=NO_WAIT, trace_timeout=0.4)
         elapsed = time.monotonic() - start
         assert not outcome.ok
         assert outcome.error_class == "TimeoutError"
@@ -452,21 +454,18 @@ class TestSupervision:
         trace = record_trace("frozen")
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:sigstop_factory"),
-                workers=1, timing=TimingPolicy.no_wait(),
-                heartbeat=0.1, hang_timeout=0.6, kill_grace=0.2) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace)])
+                workers=1, heartbeat=0.1) as pool:
+            assert pool.hang_timeout == pytest.approx(0.6)
+            (outcome,), _ = pool.run([(trace.label, trace)],
+                                     engine_config=NO_WAIT)
         assert not outcome.ok
         assert outcome.error_class == "WorkerHangError"
         assert pool.stats["hangs"] >= 1
 
-    def test_breaker_degrades_to_in_process_execution(self):
+    def test_breaker_degrades_to_in_process_execution(self, fragile_breaker):
         reference = "tests.session.test_pool:crash_in_worker_factory"
         traces = [record_trace("d%d" % i) for i in range(3)]
-        with WorkerPool(
-                WorkerSpec(reference), workers=1,
-                timing=TimingPolicy.no_wait(),
-                supervision={"backoff_base": 0.01, "breaker_deaths": 2}) \
-                as pool:
+        with WorkerPool(WorkerSpec(reference), workers=1) as pool:
             with pytest.warns(RuntimeWarning, match="degraded"):
                 batch = BatchRunner(reference, pool=pool,
                                     timing=TimingPolicy.no_wait()).run(
@@ -479,17 +478,16 @@ class TestSupervision:
         assert batch.trace_count == 3 and batch.complete
         assert [run.report.trace for run in batch.runs] == traces
 
-    def test_tripped_breaker_hands_the_remainder_back(self):
+    def test_tripped_breaker_hands_the_remainder_back(self, fragile_breaker):
         traces = [record_trace("d%d" % i) for i in range(3)]
         tasks = [(t.label, t) for t in traces]
         finished = []
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_in_worker_factory"),
-                workers=1, timing=TimingPolicy.no_wait(),
-                supervision={"backoff_base": 0.01, "breaker_deaths": 2}) \
-                as pool:
+                workers=1) as pool:
             with pytest.warns(RuntimeWarning, match="degraded"):
-                outcomes, _ = pool.run(tasks, on_outcome=finished.append)
+                outcomes, _ = pool.run(tasks, engine_config=NO_WAIT,
+                                       on_outcome=finished.append)
             assert pool._handles == {}  # every worker was stopped
         assert pool.stats["degraded"] == 1
         assert pool.supervisor.tripped
@@ -502,7 +500,8 @@ class TestSupervision:
             assert outcome.error_class is None and not outcome.cancelled
         assert [o.attempts for o in outcomes] == [2, 2, 1]
 
-    def test_breaker_rearms_for_the_next_batch(self, flag_path):
+    def test_breaker_rearms_for_the_next_batch(self, flag_path,
+                                               fragile_breaker):
         # Regression: a tripped breaker was never reset, so every later
         # batch on the warm pool killed its respawned workers at once
         # and ran inline, even once the workers were healthy again.
@@ -510,18 +509,15 @@ class TestSupervision:
             "crash_in_worker_while_flagged_factory"
         open(flag_path, "w").close()
         traces = [record_trace("r%d" % i) for i in range(3)]
-        with WorkerPool(
-                WorkerSpec(reference), workers=1,
-                timing=TimingPolicy.no_wait(),
-                supervision={"backoff_base": 0.01, "breaker_deaths": 2}) \
-                as pool:
+        with WorkerPool(WorkerSpec(reference), workers=1) as pool:
             with pytest.warns(RuntimeWarning, match="degraded"):
                 first = BatchRunner(reference, pool=pool,
                                     timing=TimingPolicy.no_wait()).run(
                     traces)
             assert first.complete and pool.stats["degraded"] == 1
             os.remove(flag_path)
-            outcomes, _ = pool.run([(t.label, t) for t in traces])
+            outcomes, _ = pool.run([(t.label, t) for t in traces],
+                                   engine_config=NO_WAIT)
         assert pool.stats["degraded"] == 1
         assert not pool.supervisor.tripped
         assert all(o.ok and o.worker_id is not None for o in outcomes)
@@ -532,11 +528,13 @@ class TestSupervision:
         traces = [record_trace("g%d" % i) for i in range(6)]
         tasks = [(t.label, t) for t in traces]
         finished = []
-        with WorkerPool(WorkerSpec(factory), workers=1,
-                        timing=TimingPolicy.no_wait(),
-                        chunk_size=1) as pool:
+        # The drain fires while the worker is still inside its first
+        # chunk: the chunk-mate in flight finishes, the queued chunks
+        # are recalled.
+        assert plan_chunks(6, 1) == [[0, 1], [2, 3], [4], [5]]
+        with WorkerPool(WorkerSpec(factory), workers=1) as pool:
             outcomes, _ = pool.run(
-                tasks, on_outcome=finished.append,
+                tasks, engine_config=NO_WAIT, on_outcome=finished.append,
                 drain=lambda: len(finished) >= 1)
         completed = [o for o in outcomes if o.ok]
         cancelled = [o for o in outcomes if o.cancelled]
@@ -554,10 +552,10 @@ class TestSupervision:
         from repro.session.pool import _BatchState
         traces = [record_trace("a%d" % i) for i in range(2)]
         tasks = [(t.label, t) for t in traces]
-        pool = WorkerPool(WorkerSpec(factory), workers=1,
-                          timing=TimingPolicy.no_wait(), chunk_size=2)
+        pool = WorkerPool(WorkerSpec(factory), workers=1)
         pool.start()
-        batch = _BatchState(pool._next_batch_id, tasks)
+        batch = _BatchState(pool._next_batch_id, tasks,
+                            engine_config=NO_WAIT)
         pool._next_batch_id += 1
         pool._dispatch(batch, [0, 1])
         deadline = time.monotonic() + 30
@@ -577,8 +575,9 @@ class TestResultDrain:
         trace = record_trace("slow")
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:slow_start_factory"),
-                workers=1, timing=TimingPolicy.no_wait()) as pool:
-            outcomes, _ = pool.run([(trace.label, trace)])
+                workers=1) as pool:
+            outcomes, _ = pool.run([(trace.label, trace)],
+                                   engine_config=NO_WAIT)
         assert outcomes[0].ok
         assert pool.stats["wakeups"] <= 5, pool.stats
 
@@ -656,8 +655,7 @@ class TestFarmPath:
         traces = [record_trace("c%d" % i) for i in range(2)]
         labels = ["c0", "c1"]
         path = str(tmp_path / "run.wj2")
-        with WorkerPool(WorkerSpec(factory), workers=1,
-                        timing=TimingPolicy.no_wait()) as pool:
+        with WorkerPool(WorkerSpec(factory), workers=1) as pool:
             def run(resume):
                 return BatchRunner(factory, timing=TimingPolicy.no_wait(),
                                    pool=pool, journal=path,
@@ -719,21 +717,19 @@ class TestFarmPath:
         monkeypatch.setattr(EventStream, "emit", _die_after_commands(3))
         trace = record_trace("poison")
         assert len(trace) > 3
-        with WorkerPool(WorkerSpec(factory), workers=2,
-                        timing=TimingPolicy.no_wait()) as pool:
-            (outcome,), _ = pool.run([(trace.label, trace)])
+        with WorkerPool(WorkerSpec(factory), workers=2) as pool:
+            (outcome,), _ = pool.run([(trace.label, trace)],
+                                     engine_config=NO_WAIT)
         assert outcome.quarantined is not None
         assert outcome.quarantined["commands_completed"] == 3
 
-    def test_degraded_run_journals_the_same_blob_form(self, tmp_path):
+    def test_degraded_run_journals_the_same_blob_form(self, tmp_path,
+                                                      fragile_breaker):
         reference = "tests.session.test_pool:crash_in_worker_factory"
         traces = [record_trace("d%d" % i) for i in range(3)]
         labels = ["d0", "d1", "d2"]
         path = str(tmp_path / "run.wj2")
-        with WorkerPool(WorkerSpec(reference), workers=1,
-                        timing=TimingPolicy.no_wait(),
-                        supervision={"backoff_base": 0.01,
-                                     "breaker_deaths": 2}) as pool:
+        with WorkerPool(WorkerSpec(reference), workers=1) as pool:
             with pytest.warns(RuntimeWarning, match="degraded"):
                 batch = BatchRunner(reference, pool=pool, journal=path,
                                     timing=TimingPolicy.no_wait()).run(
@@ -759,7 +755,8 @@ class TestFarmPath:
         assert [run.report.to_dict() for run in resumed.runs] \
             == [run.report.to_dict() for run in batch.runs]
 
-    def test_drain_stops_the_handed_back_remainder(self, tmp_path):
+    def test_drain_stops_the_handed_back_remainder(self, tmp_path,
+                                                   fragile_breaker):
         # The breaker trips, the runner's serial loop takes over, and a
         # drain fires once the first inline trace has finished: the
         # rest of the remainder is not admitted, and resume finishes it.
@@ -771,10 +768,7 @@ class TestFarmPath:
         def drain():
             return bool(read_journal(path).finishes)
 
-        with WorkerPool(WorkerSpec(reference), workers=1,
-                        timing=TimingPolicy.no_wait(),
-                        supervision={"backoff_base": 0.01,
-                                     "breaker_deaths": 2}) as pool:
+        with WorkerPool(WorkerSpec(reference), workers=1) as pool:
             with pytest.warns(RuntimeWarning, match="degraded"):
                 batch = BatchRunner(reference, pool=pool, journal=path,
                                     timing=TimingPolicy.no_wait()).run(

@@ -1,4 +1,4 @@
-"""Worker supervision: backoff policy, breaker, drain, heartbeats."""
+"""Worker supervision: backoff, breaker, drain, heartbeats."""
 
 import os
 import queue
@@ -7,49 +7,51 @@ import time
 
 import pytest
 
+from repro.session import supervisor
 from repro.session.supervisor import (
     THROTTLE_ENV,
     GracefulDrain,
-    SupervisorPolicy,
     WorkerSupervisor,
+    backoff,
     start_heartbeat,
     tail_text,
     throttle_seconds,
 )
 
 
+def _constants(monkeypatch, **values):
+    """Set supervisor constants (``BACKOFF_BASE=...``) for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(supervisor, name, value)
+
+
 class TestSupervisorPolicy:
-    def test_backoff_doubles_per_consecutive_death(self):
-        policy = SupervisorPolicy(backoff_base=0.1, backoff_cap=10.0)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.4)
-        assert policy.backoff(5) == pytest.approx(1.6)
+    """The respawn backoff the supervisor constants define."""
 
-    def test_backoff_is_capped(self):
-        policy = SupervisorPolicy(backoff_base=0.1, backoff_cap=0.5)
-        assert policy.backoff(10) == pytest.approx(0.5)
+    def test_backoff_doubles_per_consecutive_death(self, monkeypatch):
+        _constants(monkeypatch, BACKOFF_BASE=0.1, BACKOFF_CAP=10.0)
+        assert backoff(1) == pytest.approx(0.1)
+        assert backoff(2) == pytest.approx(0.2)
+        assert backoff(3) == pytest.approx(0.4)
+        assert backoff(5) == pytest.approx(1.6)
 
-    def test_zeroth_and_first_death_pay_the_base(self):
-        policy = SupervisorPolicy(backoff_base=0.25)
-        assert policy.backoff(0) == pytest.approx(0.25)
-        assert policy.backoff(1) == pytest.approx(0.25)
+    def test_backoff_is_capped(self, monkeypatch):
+        _constants(monkeypatch, BACKOFF_BASE=0.1, BACKOFF_CAP=0.5)
+        assert backoff(10) == pytest.approx(0.5)
 
-    def test_invalid_tunables_rejected(self):
-        with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_base=-1.0)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_base=1.0, backoff_cap=0.5)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(breaker_deaths=0)
+    def test_zeroth_and_first_death_pay_the_base(self, monkeypatch):
+        _constants(monkeypatch, BACKOFF_BASE=0.25)
+        assert backoff(0) == pytest.approx(0.25)
+        assert backoff(1) == pytest.approx(0.25)
 
 
 class TestWorkerSupervisor:
-    def _supervisor(self, **kwargs):
-        return WorkerSupervisor(SupervisorPolicy(**kwargs))
+    def _supervisor(self, monkeypatch, **constants):
+        _constants(monkeypatch, **constants)
+        return WorkerSupervisor()
 
-    def test_death_schedules_respawn_after_backoff(self):
-        sup = self._supervisor(backoff_base=0.5)
+    def test_death_schedules_respawn_after_backoff(self, monkeypatch):
+        sup = self._supervisor(monkeypatch, BACKOFF_BASE=0.5)
         assert not sup.record_death(slot=0, now=100.0)
         assert sup.pending_slots() == [0]
         assert sup.due_slots(now=100.1) == []
@@ -57,16 +59,16 @@ class TestWorkerSupervisor:
         # Popping a due slot removes it from the schedule.
         assert sup.pending_slots() == []
 
-    def test_consecutive_deaths_back_off_exponentially(self):
-        sup = self._supervisor(backoff_base=1.0, backoff_cap=60.0,
-                               breaker_deaths=10)
+    def test_consecutive_deaths_back_off_exponentially(self, monkeypatch):
+        sup = self._supervisor(monkeypatch, BACKOFF_BASE=1.0,
+                               BACKOFF_CAP=60.0, BREAKER_DEATHS=10)
         sup.record_death(0, now=0.0)
         sup.record_death(0, now=0.0)
         # Second consecutive death: 1.0 * 2^(2-1) = 2 seconds out.
         assert sup.next_due_in(now=0.0) == pytest.approx(2.0)
 
-    def test_completion_resets_the_streak(self):
-        sup = self._supervisor(breaker_deaths=3)
+    def test_completion_resets_the_streak(self, monkeypatch):
+        sup = self._supervisor(monkeypatch, BREAKER_DEATHS=3)
         sup.record_death(0, now=0.0)
         sup.record_death(1, now=0.0)
         sup.record_completion()
@@ -74,15 +76,16 @@ class TestWorkerSupervisor:
         assert not sup.record_death(0, now=0.0)
         assert sup.deaths == 3  # lifetime count never resets
 
-    def test_breaker_trips_on_unbroken_death_streak(self):
-        sup = self._supervisor(breaker_deaths=3)
+    def test_breaker_trips_on_unbroken_death_streak(self, monkeypatch):
+        sup = self._supervisor(monkeypatch, BREAKER_DEATHS=3)
         assert not sup.record_death(0, now=0.0)
         assert not sup.record_death(1, now=0.0)
         assert sup.record_death(2, now=0.0)
         assert sup.tripped
 
-    def test_tripped_breaker_stops_respawns(self):
-        sup = self._supervisor(backoff_base=0.0, breaker_deaths=2)
+    def test_tripped_breaker_stops_respawns(self, monkeypatch):
+        sup = self._supervisor(monkeypatch, BACKOFF_BASE=0.0,
+                               BREAKER_DEATHS=2)
         sup.record_death(0, now=0.0)
         sup.record_death(1, now=0.0)
         assert sup.tripped
