@@ -313,8 +313,11 @@ class SoakReport:
             len(self.outcomes), "passed" if self.passed else "failed")
 
 
-def _soak_env(throttle):
-    """Subprocess environment: importable ``repro`` + soak throttle."""
+def _soak_env(throttle, tmpdir):
+    """Subprocess environment: importable ``repro``, soak throttle, and
+    ``TMPDIR`` set to ``tmpdir``, so what a killed batch leaves in its
+    temp dir (a pool's ``repro-pool-*`` stderr directory) stays inside
+    the soak's work dir, where the harness removes it."""
     import os
     import repro
     from repro.session.supervisor import THROTTLE_ENV
@@ -323,6 +326,7 @@ def _soak_env(throttle):
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
+    env["TMPDIR"] = tmpdir
     if throttle:
         env[THROTTLE_ENV] = "%g" % throttle
     else:
@@ -433,13 +437,15 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
         trace.save(path)
         trace_paths.append(path)
 
+    cell_tmp = os.path.join(workdir, "tmp")
+
     def launch(journal, mode_name, resume=False, chaos_profile=None,
                slow=True):
         cmd = _batch_command(trace_paths, app, mode_name, journal,
                              resume=resume, chaos_profile=chaos_profile,
                              chaos_seed=seed)
         return subprocess.Popen(
-            cmd, env=_soak_env(throttle if slow else 0.0),
+            cmd, env=_soak_env(throttle if slow else 0.0, cell_tmp),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True)
 
@@ -463,6 +469,7 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
         for scenario in chosen:
             if scenario == "kill-worker" and mode_name != "pooled":
                 continue
+            os.makedirs(cell_tmp, exist_ok=True)
             journal = os.path.join(
                 workdir, "%s-%s.wj2" % (scenario, mode_name))
             if progress is not None:
@@ -479,6 +486,7 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
                         scenario, mode_name, False,
                         "drain exited %s (wanted 75)" % first_exit,
                         interrupted_exit=first_exit))
+                    shutil.rmtree(cell_tmp, ignore_errors=True)
                     continue
                 resume_exit = _run_to_completion(
                     launch(journal, mode_name, resume=True, slow=False),
@@ -530,6 +538,7 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
                 progress("soak %s/%s: %s (%s)"
                          % (scenario, mode_name,
                             "pass" if passed else "FAIL", detail))
+            shutil.rmtree(cell_tmp, ignore_errors=True)
     if journal_dir is None:
         shutil.rmtree(workdir, ignore_errors=True)
     return report

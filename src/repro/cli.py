@@ -6,6 +6,7 @@ The workflows a downstream user runs from a shell::
     python -m repro replay  session.warr --app sites [--no-wait]
                             [--stock-driver] [--no-relaxation]
                             [--trace-out trace.json]
+                            [--tape net.tape [--tape-mode record]]
     python -m repro batch   a.warr b.warr c.warr d.warr --app sites
                             [--workers 4] [--trace-timeout 30]
                             [--trace-dir traces/]
@@ -14,23 +15,20 @@ The workflows a downstream user runs from a shell::
     python -m repro journal run.wj2
     python -m repro soak    [--mode pooled] [--scenario kill-worker]
                             [--out soak.json]
-    python -m repro trace   session.warr --app sites --out trace.json
     python -m repro inspect session.warr
     python -m repro weberr  session.warr --app sites --campaign timing
     python -m repro chaos   --profile default flaky_net --seeds 5
                             [--no-retry] [--out report.json]
-    python -m repro tape record  session.warr --app sites --out net.tape
-    python -m repro tape replay  session.warr --app sites --tape net.tape
     python -m repro tape inspect net.tape [--json net.json] [--entries]
     python -m repro tape compact net.tape [--out smaller.tape]
 
-``tape record`` replays a trace against the live application while
-snapshotting every HTTP exchange onto a network tape; ``tape replay``
-replays the same trace hermetically — page scripts run but no
-application servers are registered, every response comes off the tape.
-``replay`` and ``batch`` accept ``--tape PATH --tape-mode
-record|playback`` to do the same inline (batch mode treats PATH as a
-directory holding one ``<label>.tape`` per trace).
+``replay`` is the one single-trace replay command. ``--tape PATH
+--tape-mode record`` replays against the live application while
+snapshotting every HTTP exchange onto a network tape; ``--tape PATH``
+alone (playback) replays the same trace hermetically — page scripts
+run but no application servers are registered, every response comes
+off the tape. ``batch`` takes the same pair, treating PATH as a
+directory holding one ``<label>.tape`` per trace.
 
 ``batch --journal`` appends every trace's start and final outcome to a
 crash-safe run journal; after a crash, a SIGTERM drain (exit code 75),
@@ -40,11 +38,11 @@ runs the whole failure matrix — killed workers, drained runs, crashed
 parents — asserting exactly-once accounting on both batch backends
 (serial and pooled).
 
-``replay --trace-out`` and the dedicated ``trace`` subcommand record a
-Chrome trace-event timeline of the replay (IPC, dispatch, layout,
-XPath, session pipeline) — load the JSON in ``chrome://tracing`` or
+``replay --trace-out`` records a Chrome trace-event timeline of the
+replay (IPC, dispatch, layout, XPath, session pipeline) and prints a
+summary of it — load the JSON in ``chrome://tracing`` or
 https://ui.perfetto.dev. ``batch --trace-dir`` writes one trace per
-session plus a merged ``batch.trace.json``. All three accept
+session plus a merged ``batch.trace.json``. Both accept
 ``--trace-categories`` (``all`` / ``production`` / a comma-separated
 list) to filter what records — ``production`` keeps the session, net,
 chaos, and recorder lanes at <10% replay overhead.
@@ -124,8 +122,8 @@ def _check_playback_tapes(tape, labels=(None,)):
                     tape.tape_path(label))
 
 
-def _worker_count(text):
-    """``--workers``: a whole number of at least 1."""
+def _positive_count(text):
+    """``--workers``, ``soak --traces``: a whole number of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -145,6 +143,18 @@ def _timeout_seconds(text):
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError(
             "need a finite number of seconds > 0, got %r" % text)
+    return value
+
+
+def _throttle_seconds(text):
+    """``soak --throttle``: a finite number of seconds, 0 or more."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(
+            "need a finite number of seconds >= 0, got %r" % text)
     return value
 
 
@@ -171,8 +181,8 @@ def cmd_record(args, out):
 
 def _tape_config_from_args(args):
     """Build the TapeConfig a ``--tape``/``--tape-mode`` pair asks for."""
-    if not getattr(args, "tape", None):
-        if getattr(args, "tape_mode", None):
+    if not args.tape:
+        if args.tape_mode:
             raise SystemExit("--tape-mode needs --tape PATH")
         return None
     mode = args.tape_mode or PLAYBACK
@@ -183,10 +193,7 @@ def _tape_config_from_args(args):
 
 
 def _print_tape_outcome(tape_session, out):
-    """One status line summarizing what the attached tape did."""
-    if tape_session is None or tape_session.transport is None:
-        return
-    transport = tape_session.transport
+    """The status line(s) summarizing what the attached tape did."""
     tape = tape_session.tape
     if tape_session.config.mode == RECORD:
         stats = tape.stats()
@@ -194,10 +201,13 @@ def _print_tape_outcome(tape_session, out):
               "dedup %.3f) to %s"
               % (stats["entries"], stats["unique_bodies"],
                  stats["dedup_ratio"], tape_session.path), file=out)
-    else:
-        print("tape: playback %d hit(s) / %d miss(es) from %s"
-              % (transport.hits, transport.misses, tape_session.path),
-              file=out)
+        return
+    if tape.chaos_profile is not None:
+        print("tape: recorded under chaos profile %r seed %s"
+              % (tape.chaos_profile, tape.chaos_seed), file=out)
+    transport = tape_session.transport
+    print("tape: playback %d hit(s) / %d miss(es) from %s"
+          % (transport.hits, transport.misses, tape_session.path), file=out)
 
 
 def cmd_replay(args, out):
@@ -218,16 +228,22 @@ def cmd_replay(args, out):
                     else None)
     try:
         if args.trace_out:
-            with telemetry.tracing(out=args.trace_out, clock=browser.clock,
-                                   categories=args.trace_categories):
+            with telemetry.tracing(
+                    clock=browser.clock,
+                    categories=args.trace_categories) as tracer:
                 report = replayer.replay(trace)
+            trace_dict = telemetry.tracer_to_dict(tracer)
+            telemetry.write_trace_dict(args.trace_out, trace_dict)
             print("trace: wrote %s" % args.trace_out, file=out)
+            for line in telemetry.trace_summary(trace_dict):
+                print(line, file=out)
         else:
             report = replayer.replay(trace)
     finally:
         if tape_session is not None:
             tape_session.finish()
-    _print_tape_outcome(tape_session, out)
+    if tape_session is not None:
+        _print_tape_outcome(tape_session, out)
     print(report.summary(), file=out)
     for line in report.perf_summary():
         print("perf: %s" % line, file=out)
@@ -398,24 +414,6 @@ def cmd_soak(args, out):
     return 0 if report.passed else 1
 
 
-def cmd_trace(args, out):
-    """Replay under tracing and summarize the recorded timeline."""
-    app_class, _, _ = _app_entry(args.app)
-    trace = _read_input(WarrTrace.load, args.trace)
-    browser, _ = make_browser([app_class], seed=args.seed,
-                              developer_mode=True)
-    replayer = WarrReplayer(browser, timing=_timing_from_args(args))
-    with telemetry.tracing(out=args.out, clock=browser.clock,
-                           categories=args.trace_categories) as tracer:
-        report = replayer.replay(trace)
-        trace_dict = telemetry.tracer_to_dict(tracer)
-    print(report.summary(), file=out)
-    print("trace: wrote %s" % args.out, file=out)
-    for line in telemetry.trace_summary(trace_dict):
-        print(line, file=out)
-    return 0 if report.complete and not report.page_errors else 1
-
-
 def cmd_inspect(args, out):
     trace = _read_input(WarrTrace.load, args.trace)
     print("trace: %s" % args.trace, file=out)
@@ -432,15 +430,9 @@ def cmd_inspect(args, out):
 
 
 def cmd_weberr(args, out):
-    app_class, _, _ = _app_entry(args.app)
     trace = _read_input(WarrTrace.load, args.trace)
-
-    def factory():
-        browser, _ = make_browser([app_class], seed=args.seed,
-                                  developer_mode=True)
-        return browser
-
-    weberr = WebErr(factory, max_tests=args.max_tests)
+    weberr = WebErr(batch_browser_factory(args.app, seed=args.seed),
+                    max_tests=args.max_tests)
     if args.campaign in ("timing", "both"):
         report = weberr.run_timing_campaign(trace)
         print("[timing] %s" % report.summary(), file=out)
@@ -481,51 +473,6 @@ def cmd_chaos(args, out):
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         print("survival report written to %s" % args.out, file=out)
     return 0 if report.session_count else 1
-
-
-def cmd_tape_record(args, out):
-    """Replay a trace live while snapshotting every exchange to tape."""
-    app_class, _, _ = _app_entry(args.app)
-    trace = _read_input(WarrTrace.load, args.trace)
-    browser, _ = make_browser([app_class], seed=args.seed,
-                              developer_mode=True)
-    config = TapeConfig.record(args.out,
-                               stamp={"app": args.app, "seed": args.seed})
-    tape_session = config.attach(browser.network)
-    replayer = WarrReplayer(browser, timing=_timing_from_args(args))
-    try:
-        report = replayer.replay(trace)
-    finally:
-        tape_session.finish()
-    _print_tape_outcome(tape_session, out)
-    print(report.summary(), file=out)
-    return 0 if report.complete and not report.page_errors else 1
-
-
-def cmd_tape_replay(args, out):
-    """Replay a trace hermetically: responses come off the tape only."""
-    app_class, _, _ = _app_entry(args.app)
-    trace = _read_input(WarrTrace.load, args.trace)
-    browser, _ = make_browser([app_class], seed=args.seed,
-                              developer_mode=True, client_only=True)
-    config = TapeConfig.playback(args.tape)
-    _check_playback_tapes(config)
-    tape_session = config.attach(browser.network)
-    tape = tape_session.tape
-    if tape.chaos_profile is not None:
-        print("tape: recorded under chaos profile %r seed %s"
-              % (tape.chaos_profile, tape.chaos_seed), file=out)
-    replayer = WarrReplayer(browser, timing=_timing_from_args(args))
-    try:
-        report = replayer.replay(trace)
-    finally:
-        tape_session.finish()
-    _print_tape_outcome(tape_session, out)
-    print(report.summary(), file=out)
-    misses = report.net_fidelity.get("tape_misses", 0)
-    if misses:
-        print("tape: %d request(s) missed the tape" % misses, file=out)
-    return 0 if report.complete and not report.page_errors else 1
 
 
 def cmd_tape_inspect(args, out):
@@ -639,7 +586,7 @@ def build_parser():
                             "(default), 'production', or a comma-"
                             "separated list, with optional 'name:rate' "
                             "sampling terms")
-    batch.add_argument("--workers", type=_worker_count, default=1,
+    batch.add_argument("--workers", type=_positive_count, default=1,
                        metavar="N",
                        help="replay across N worker processes "
                             "(default 1 = in-process)")
@@ -688,10 +635,11 @@ def build_parser():
     soak.add_argument("--scenario", nargs="*", default=None,
                       choices=["drain", "kill-worker", "crash-parent"],
                       help="failure scenario(s) to run (default: all)")
-    soak.add_argument("--traces", type=int, default=6, metavar="N",
+    soak.add_argument("--traces", type=_positive_count, default=6,
+                      metavar="N",
                       help="traces per soak run")
     soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument("--throttle", type=float, default=0.15,
+    soak.add_argument("--throttle", type=_throttle_seconds, default=0.15,
                       metavar="SECONDS",
                       help="per-trace slowdown so signals land mid-run")
     soak.add_argument("--keep-journals", default=None, metavar="DIR",
@@ -701,23 +649,6 @@ def build_parser():
     soak.add_argument("--verbose", action="store_true",
                       help="echo each subprocess's output")
     soak.set_defaults(func=cmd_soak)
-
-    tracecmd = sub.add_parser(
-        "trace", help="replay a trace file with tracing and summarize it")
-    tracecmd.add_argument("trace")
-    tracecmd.add_argument("--app", required=True, choices=sorted(APPS))
-    tracecmd.add_argument("--out", default="trace.json",
-                          help="Chrome trace JSON output path")
-    tracecmd.add_argument("--seed", type=int, default=0)
-    tracecmd.add_argument("--no-wait", action="store_true",
-                          help="replay with no inter-command delays")
-    tracecmd.add_argument("--scale", type=float, default=None,
-                          help="scale recorded delays by this factor")
-    tracecmd.add_argument("--trace-categories", default=None, metavar="SPEC",
-                          help="trace category filter: 'all' (default), "
-                               "'production', or a comma-separated list, "
-                               "with optional 'name:rate' sampling terms")
-    tracecmd.set_defaults(func=cmd_trace)
 
     inspect = sub.add_parser("inspect", help="print trace statistics")
     inspect.add_argument("trace")
@@ -759,35 +690,8 @@ def build_parser():
     chaos_cmd.set_defaults(func=cmd_chaos)
 
     tape = sub.add_parser(
-        "tape", help="record, replay, and inspect network tapes")
+        "tape", help="inspect and compact network tapes")
     tape_sub = tape.add_subparsers(dest="tape_command", required=True)
-
-    tape_record = tape_sub.add_parser(
-        "record", help="replay a trace live and snapshot the network")
-    tape_record.add_argument("trace")
-    tape_record.add_argument("--app", required=True, choices=sorted(APPS))
-    tape_record.add_argument("--out", required=True, metavar="PATH",
-                             help="tape file to write")
-    tape_record.add_argument("--seed", type=int, default=0)
-    tape_record.add_argument("--no-wait", action="store_true",
-                             help="replay with no inter-command delays")
-    tape_record.add_argument("--scale", type=float, default=None,
-                             help="scale recorded delays by this factor")
-    tape_record.set_defaults(func=cmd_tape_record)
-
-    tape_replay = tape_sub.add_parser(
-        "replay", help="replay a trace hermetically from a tape "
-                       "(no application servers)")
-    tape_replay.add_argument("trace")
-    tape_replay.add_argument("--app", required=True, choices=sorted(APPS))
-    tape_replay.add_argument("--tape", required=True, metavar="PATH",
-                             help="tape file to serve responses from")
-    tape_replay.add_argument("--seed", type=int, default=0)
-    tape_replay.add_argument("--no-wait", action="store_true",
-                             help="replay with no inter-command delays")
-    tape_replay.add_argument("--scale", type=float, default=None,
-                             help="scale recorded delays by this factor")
-    tape_replay.set_defaults(func=cmd_tape_replay)
 
     tape_inspect = tape_sub.add_parser(
         "inspect", help="print tape statistics")

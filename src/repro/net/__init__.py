@@ -19,7 +19,6 @@ from repro.net.transport import (
     LIVE,
     PLAYBACK,
     RECORD,
-    TAPE_MODES,
     LiveTransport,
     PlaybackTransport,
     RecordTransport,
@@ -54,5 +53,4 @@ __all__ = [
     "LIVE",
     "RECORD",
     "PLAYBACK",
-    "TAPE_MODES",
 ]

@@ -36,11 +36,11 @@ from repro.net.http import build_url, parse_url
 from repro.telemetry.tracks import NET_TRACK
 from repro.util.errors import NetworkError, TapeMissError
 
-#: Tape modes, surfaced through EngineConfig/BatchRunner/CLI.
+#: Transport modes (``Transport.mode``). A TapeConfig is RECORD or
+#: PLAYBACK; a session with no TapeConfig (``tape=None``) stays LIVE.
 LIVE = "live"
 RECORD = "record"
 PLAYBACK = "playback"
-TAPE_MODES = (LIVE, RECORD, PLAYBACK)
 
 #: Headers excluded from fingerprints: they vary between otherwise
 #: identical requests (clocks, request ids, credentials) and would make
@@ -290,18 +290,14 @@ class TapeConfig:
     """
 
     def __init__(self, mode, path=None, stamp=None):
-        if mode not in TAPE_MODES:
-            raise ValueError("tape mode must be one of %s, got %r"
-                             % ("/".join(TAPE_MODES), mode))
-        if mode in (RECORD, PLAYBACK) and path is None:
+        if mode not in (RECORD, PLAYBACK):
+            raise ValueError("tape mode must be %s or %s, got %r"
+                             % (RECORD, PLAYBACK, mode))
+        if path is None:
             raise ValueError("%s mode needs a tape path" % mode)
         self.mode = mode
         self.path = path
         self.stamp = dict(stamp or {})
-
-    @classmethod
-    def live(cls):
-        return cls(LIVE)
 
     @classmethod
     def record(cls, path, stamp=None):
@@ -316,8 +312,6 @@ class TapeConfig:
         label; ``.tape`` paths are used as-is)."""
         import os
 
-        if self.path is None:
-            return None
         if self.path.endswith(".tape") or label is None:
             return self.path
         return os.path.join(self.path, "%s.tape" % _safe_stem(label))
@@ -352,12 +346,9 @@ class TapeConfig:
 
         Returns a :class:`TapeSession` whose :meth:`~TapeSession.finish`
         persists a recording (and restores the previous transport).
-        LIVE mode attaches nothing and returns an inert session.
         """
         from repro.net.tape import Tape
 
-        if self.mode == LIVE:
-            return TapeSession(network, None, None, self)
         path = self.tape_path(label)
         if self.mode == RECORD:
             tape = Tape(label=label, config=self.stamp)
@@ -381,21 +372,19 @@ class TapeSession:
 
     @property
     def tape(self):
-        return getattr(self.transport, "tape", None)
+        return self.transport.tape
 
     def finish(self):
         """Save a recording (RECORD mode) and restore the old transport.
 
-        Returns the tape (None in LIVE mode). Idempotent, so callers
-        can finish in ``finally`` blocks without double-saving.
+        Returns the tape. Idempotent, so callers can finish in
+        ``finally`` blocks without double-saving.
         """
         if self.finished:
             return self.tape
         self.finished = True
-        if self.transport is None:
-            return None
         self.network.use_transport(self.previous)
-        if self.config.mode == RECORD and self.path is not None:
+        if self.config.mode == RECORD:
             import os
 
             directory = os.path.dirname(self.path)

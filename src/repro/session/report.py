@@ -9,9 +9,8 @@ Reports cross process boundaries as WR3 blobs
 (:mod:`repro.session.wire`), so everything in a report must survive
 one: live exception objects (which may drag browser internals along)
 are carried as :class:`RemoteError` stand-ins preserving the original
-type name, message and severity. Reports also round-trip through plain
-dicts (:meth:`ReplayReport.to_dict` / :meth:`ReplayReport.from_dict`):
-the JSON form ``--out`` writes, and the wire codec's test oracle.
+type name, message and severity. :meth:`ReplayReport.to_dict` renders a
+report as a plain dict: the wire codec's test oracle.
 """
 
 
@@ -44,13 +43,6 @@ def _error_to_dict(error):
     type_name = getattr(error, "type_name", None) or type(error).__name__
     return {"type": type_name, "message": str(error),
             "severity": classify(error)}
-
-
-def _error_from_dict(data):
-    if data is None:
-        return None
-    return RemoteError(data["message"], type_name=data["type"],
-                       severity=data.get("severity"))
 
 
 class CommandResult:
@@ -91,23 +83,6 @@ class CommandResult:
             "error": _error_to_dict(self.error),
             "retries": self.retries,
         }
-
-    @classmethod
-    def from_dict(cls, data, command=None):
-        """Rebuild from :meth:`to_dict` output.
-
-        ``command`` short-circuits re-parsing the serialized command
-        line when the caller already holds the command object —
-        callers must only pass it when it serializes to the same line.
-        """
-        if command is None:
-            from repro.core.commands import parse_command_line
-
-            command = parse_command_line(data["command"])
-        return cls(command, data["status"],
-                   detail=data["detail"],
-                   error=_error_from_dict(data["error"]),
-                   retries=data.get("retries", 0))
 
     def __repr__(self):
         return "CommandResult(%s, %r)" % (self.status, self.command.to_line())
@@ -195,44 +170,6 @@ class ReplayReport:
             "perf_counters": self.perf_counters,
             "net_fidelity": dict(self.net_fidelity),
         }
-
-    @classmethod
-    def from_dict(cls, data, trace=None):
-        """Rebuild a report from :meth:`to_dict` output.
-
-        Pass ``trace`` to attach an already-loaded trace object instead
-        of re-parsing the serialized copy.
-        """
-        from repro.core.trace import WarrTrace
-
-        if trace is None:
-            trace = WarrTrace.from_text(data["trace"])
-        report = cls(trace)
-        # Results line up with the trace's commands in execution order,
-        # so each command object can usually be reused instead of
-        # re-parsed; a line mismatch (e.g. a relaxation rewrote the
-        # XPath before serialization) falls back to parsing.
-        commands = list(trace)
-        results = []
-        for index, result in enumerate(data["results"]):
-            command = None
-            if index < len(commands) \
-                    and commands[index].to_line() == result["command"]:
-                command = commands[index]
-            results.append(CommandResult.from_dict(result, command=command))
-        report.results = results
-        report.halted = data["halted"]
-        report.halt_reason = data["halt_reason"]
-        report.halt_error = _error_from_dict(data.get("halt_error"))
-        report.page_errors = [_error_from_dict(error)
-                              for error in data["page_errors"]]
-        report.final_url = data["final_url"]
-        report.recoveries = data.get("recoveries", 0)
-        report.perf_counters = data["perf_counters"]
-        fidelity = dict(EMPTY_NET_FIDELITY)
-        fidelity.update(data.get("net_fidelity") or {})
-        report.net_fidelity = fidelity
-        return report
 
     def summary(self):
         return (

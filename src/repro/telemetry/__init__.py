@@ -18,10 +18,10 @@ benchmark pins that overhead below 5%. Enable it for a region::
     with telemetry.tracing(out="trace.json", clock=browser.clock):
         replayer.replay(trace)
 
-or from the shell with ``python -m repro replay --trace-out trace.json``
-/ ``python -m repro trace``. While installed, the tracer also bridges
-:mod:`repro.perf` counter activity into counter events, so cache
-effectiveness renders on the same timeline as the spans.
+or from the shell with ``python -m repro replay --trace-out trace.json``.
+While installed, the tracer also bridges :mod:`repro.perf` counter
+activity into counter events, so cache effectiveness renders on the
+same timeline as the spans.
 
 Tracing can also stay **on in production**: events land in a packed
 binary ring buffer (see :mod:`repro.telemetry.packed`) and

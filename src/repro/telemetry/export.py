@@ -101,7 +101,7 @@ def trace_summary(trace_dict, top=5):
     """Human-readable lines summarizing an exported trace object.
 
     Counts events by category, and lists the ``top`` longest complete
-    spans — the quick who-is-slow view the ``repro trace`` CLI prints.
+    spans — the quick who-is-slow view ``repro replay --trace-out`` prints.
     """
     events = trace_dict["traceEvents"]
     by_category = {}

@@ -1,15 +1,19 @@
 """The chaos-matrix harness and its CLI surface."""
 
 import json
+import subprocess
+import sys
 
 from repro.chaos.harness import (
     SessionOutcome,
     SurvivalReport,
+    _soak_env,
     default_workloads,
     run_chaos_matrix,
 )
 from repro.cli import APPS, main
 from repro.session.policies import RetryPolicy
+from repro.session.supervisor import THROTTLE_ENV
 
 
 def _portal_workloads():
@@ -62,6 +66,27 @@ class TestMatrix:
     def test_default_workloads_mirror_the_cli_registry(self):
         names = [w[0] for w in default_workloads()]
         assert names == sorted(APPS)
+
+
+class TestSoakEnv:
+    def test_tmpdir_points_into_the_soak_work_dir(self, tmp_path):
+        # A SIGKILLed batch cannot remove its pool's stderr directory;
+        # it must land where the harness cleans up after each cell.
+        cell_tmp = tmp_path / "tmp"
+        cell_tmp.mkdir()
+        env = _soak_env(0.0, str(cell_tmp))
+        assert env["TMPDIR"] == str(cell_tmp)
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import tempfile; print(tempfile.mkdtemp(prefix='repro-pool-'))"],
+            env=env, capture_output=True, text=True, check=True)
+        made = child.stdout.strip()
+        assert made.startswith(str(cell_tmp) + "/repro-pool-")
+
+    def test_throttle_is_set_only_when_slow(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(THROTTLE_ENV, "9")
+        assert THROTTLE_ENV not in _soak_env(0.0, str(tmp_path))
+        assert _soak_env(0.15, str(tmp_path))[THROTTLE_ENV] == "0.15"
 
 
 class TestOutcomeScoring:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.trace import WarrTrace
+from repro.net.tape import Tape
 
 
 def run_cli(argv):
@@ -88,6 +89,67 @@ class TestReplay:
         code, output = run_cli(["replay", str(recorded_trace),
                                 "--app", "sites", "--user-browser"])
         assert code == 0
+
+    def test_tape_record_then_playback(self, recorded_trace, tmp_path):
+        tape = str(tmp_path / "net.tape")
+        code, output = run_cli(["replay", str(recorded_trace),
+                                "--app", "sites", "--tape", tape,
+                                "--tape-mode", "record"])
+        assert code == 0
+        assert "tape: recorded " in output
+        code, output = run_cli(["replay", str(recorded_trace),
+                                "--app", "sites", "--tape", tape])
+        assert code == 0
+        assert " / 0 miss(es) from %s" % tape in output
+        assert "chaos profile" not in output
+
+    def test_playback_names_the_tapes_chaos_stamp(self, recorded_trace,
+                                                  tmp_path):
+        tape = str(tmp_path / "net.tape")
+        run_cli(["replay", str(recorded_trace), "--app", "sites",
+                 "--tape", tape, "--tape-mode", "record"])
+        stamped = Tape.load(tape)
+        stamped.stamp_chaos("flaky_net", 3)
+        stamped.save(tape)
+        code, output = run_cli(["replay", str(recorded_trace),
+                                "--app", "sites", "--tape", tape])
+        assert code == 0
+        assert "tape: recorded under chaos profile 'flaky_net' seed 3" \
+            in output
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "{trace}", "--app", "sites"],
+        ["tape", "record", "{trace}", "--app", "sites", "--out", "t.tape"],
+        ["tape", "replay", "{trace}", "--app", "sites", "--tape", "t.tape"],
+    ])
+    def test_folded_commands_are_usage_errors(self, recorded_trace, capsys,
+                                              argv):
+        # ``replay --trace-out`` and ``replay --tape`` replaced them.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([arg.format(trace=recorded_trace) for arg in argv])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestSoak:
+    @pytest.mark.parametrize("flag, value", [
+        ("--traces", "0"),
+        ("--traces", "-1"),
+        ("--traces", "two"),
+        ("--throttle", "-1"),
+        ("--throttle", "nan"),
+        ("--throttle", "inf"),
+        ("--throttle", "slow"),
+    ])
+    def test_soak_rejects_a_bad_setting(self, capsys, flag, value):
+        # A usage error before any cell runs, not a failed cell.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["soak", "--mode", "serial", "--scenario", "drain",
+                     flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s: " % flag in err
+        assert "Traceback" not in err
 
 
 class TestBatch:
@@ -255,7 +317,6 @@ class TestMalformedInput:
         ["tape", "inspect", "{path}"],
         ["replay", "{path}", "--app", "sites"],
         ["replay", "{trace}", "--app", "sites", "--tape", "{path}"],
-        ["tape", "replay", "{trace}", "--app", "sites", "--tape", "{path}"],
         ["batch", "{trace}", "--app", "sites", "--tape", "{path}"],
     ])
     def test_missing_file_is_one_error_line(self, recorded_trace, tmp_path,

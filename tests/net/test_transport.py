@@ -206,6 +206,8 @@ class TestTapeConfig:
             TapeConfig(RECORD)  # record needs a path
         with pytest.raises(ValueError):
             TapeConfig(PLAYBACK)
+        with pytest.raises(ValueError):
+            TapeConfig(LIVE, "run.tape")  # live is tape=None, not a mode
 
     def test_tape_path_file_vs_directory(self):
         config = TapeConfig.record("/tapes/run.tape")
@@ -213,11 +215,6 @@ class TestTapeConfig:
         config = TapeConfig.record("/tapes")
         assert config.tape_path("a/b.warr") == "/tapes/a_b.warr.tape"
         assert config.tape_path() == "/tapes"
-
-    def test_live_attach_is_inert(self, network):
-        session = TapeConfig.live().attach(network)
-        assert network.transport.mode == LIVE
-        assert session.finish() is None
 
     def test_record_attach_roundtrip(self, network, tmp_path):
         network.register("h.example", make_server())

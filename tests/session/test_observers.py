@@ -300,7 +300,7 @@ def _trace_counts(tmp_path, app, categories=None):
     out = str(tmp_path / ("%s.json" % app))
     assert cli_main(["record", "--app", app, "--out", path],
                     out=io.StringIO()) == 0
-    argv = ["trace", path, "--app", app, "--out", out]
+    argv = ["replay", path, "--app", app, "--trace-out", out]
     if categories is not None:
         argv += ["--trace-categories", categories]
     assert cli_main(argv, out=io.StringIO()) == 0
@@ -309,11 +309,11 @@ def _trace_counts(tmp_path, app, categories=None):
     return dict(Counter((event["name"], event["ph"]) for event in events))
 
 
-#: ``repro trace`` of ``repro record --app sites``, all categories. The
-#: same counts as before key events were built lazily, but for
-#: ``xpath.compile``: the .warr parser now compiles each locator when
-#: the file is read, before tracing starts, and a relaxation memo hit
-#: compiles nothing, so only the 3 memo misses count (2 each).
+#: ``repro replay --trace-out`` of ``repro record --app sites``, all
+#: categories. The same counts as before key events were built lazily,
+#: but for ``xpath.compile``: the .warr parser now compiles each locator
+#: when the file is read, before tracing starts, and a relaxation memo
+#: hit compiles nothing, so only the 3 memo misses count (2 each).
 GOLDEN_SITES_TRACE = {
     ("act", "B"): 14, ("act", "E"): 14, ("command", "X"): 14,
     ("dispatch blur", "X"): 1, ("dispatch click", "X"): 2,
@@ -338,7 +338,8 @@ GOLDEN_SITES_TRACE = {
     ("thread_sort_index", "M"): 8, ("xpath.evaluate", "X"): 3,
 }
 
-#: ``repro trace --trace-categories production`` of a GMail recording.
+#: ``repro replay --trace-out --trace-categories production`` of a GMail
+#: recording.
 GOLDEN_GMAIL_PRODUCTION_TRACE = {
     ("command", "X"): 48, ("navigated", "i"): 1,
     ("net.transport.live", "X"): 4, ("process_name", "M"): 1,

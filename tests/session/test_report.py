@@ -1,16 +1,15 @@
-"""Report wire format: error taxonomy and retry counts round-trip.
+"""Report taxonomy across the wire: error classes and retry counts.
 
-Pool workers ship ReplayReports to the parent as dicts, so everything
-self-healing adds to a report — per-command retry counts, error
-severity, the halt error, recovery totals — must survive
-``to_dict``/``from_dict`` intact.
+Pool workers ship ReplayReports to the parent as WR3 blobs
+(:mod:`repro.session.wire`), so everything self-healing adds to a
+report — per-command retry counts, error severity, the halt error,
+recovery totals — must survive an encode/decode round trip intact.
 """
-
-import json
 
 from repro.core.commands import ClickCommand
 from repro.core.trace import WarrTrace
 from repro.session.report import CommandResult, RemoteError, ReplayReport
+from repro.session.wire import decode_report, encode_report
 from repro.util.errors import (
     FATAL,
     PERMANENT,
@@ -27,11 +26,23 @@ def _trace():
                      commands=[ClickCommand("//a", 1, 2)])
 
 
+def _wire(report):
+    """``report`` after one trip through the WR3 codec."""
+    return decode_report(encode_report(report), report.trace)
+
+
+def _wire_result(result):
+    """``result`` after one trip through the WR3 codec."""
+    report = ReplayReport(_trace())
+    report.results = [result]
+    return _wire(report).results[0]
+
+
 class TestCommandResultRoundTrip:
     def test_retries_survive(self):
         result = CommandResult(ClickCommand("//a", 1, 2), CommandResult.OK,
                                retries=3)
-        rebuilt = CommandResult.from_dict(result.to_dict())
+        rebuilt = _wire_result(result)
         assert rebuilt.retries == 3
         assert rebuilt.succeeded
 
@@ -41,7 +52,7 @@ class TestCommandResultRoundTrip:
                                error=NetworkFaultError("injected"),
                                retries=2)
         assert result.error_class == TRANSIENT
-        rebuilt = CommandResult.from_dict(result.to_dict())
+        rebuilt = _wire_result(result)
         assert rebuilt.error_class == TRANSIENT
         assert is_transient(rebuilt.error)
         assert rebuilt.error.type_name == "NetworkFaultError"
@@ -52,20 +63,13 @@ class TestCommandResultRoundTrip:
         result = CommandResult(ClickCommand("//a", 1, 2),
                                CommandResult.FAILED,
                                error=ReplayError("nope"))
-        rebuilt = CommandResult.from_dict(result.to_dict())
+        rebuilt = _wire_result(result)
         assert rebuilt.error_class == PERMANENT
-
-    def test_missing_retries_defaults_to_zero(self):
-        # Tolerate dicts produced before the retries field existed.
-        data = CommandResult(ClickCommand("//a", 1, 2),
-                             CommandResult.OK).to_dict()
-        del data["retries"]
-        assert CommandResult.from_dict(data).retries == 0
 
     def test_error_class_none_without_error(self):
         result = CommandResult(ClickCommand("//a", 1, 2), CommandResult.OK)
         assert result.error_class is None
-        assert CommandResult.from_dict(result.to_dict()).error_class is None
+        assert _wire_result(result).error_class is None
 
 
 class TestReplayReportRoundTrip:
@@ -86,7 +90,7 @@ class TestReplayReportRoundTrip:
         return report
 
     def test_taxonomy_fields_round_trip(self):
-        rebuilt = ReplayReport.from_dict(self._report().to_dict())
+        rebuilt = _wire(self._report())
         assert rebuilt.retry_count == 4
         assert [r.retries for r in rebuilt.results] == [1, 3]
         assert rebuilt.results[1].error_class == TRANSIENT
@@ -97,17 +101,7 @@ class TestReplayReportRoundTrip:
 
     def test_round_trip_is_stable(self):
         # A second trip through the wire changes nothing.
-        once = self._report().to_dict()
-        twice = ReplayReport.from_dict(once).to_dict()
-        assert json.dumps(once, sort_keys=True) \
-            == json.dumps(twice, sort_keys=True)
-
-    def test_old_wire_dicts_still_load(self):
-        # Reports serialized before halt_error/recoveries existed.
-        data = self._report().to_dict()
-        del data["halt_error"]
-        del data["recoveries"]
-        rebuilt = ReplayReport.from_dict(data)
-        assert rebuilt.halt_error is None
-        assert rebuilt.recoveries == 0
-        assert rebuilt.retry_count == 4
+        report = self._report()
+        once = _wire(report)
+        assert once.to_dict() == report.to_dict()
+        assert _wire(once).to_dict() == report.to_dict()

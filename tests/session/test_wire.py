@@ -136,13 +136,6 @@ class TestRoundTrip:
         decoded = round_trip(engine.run(trace))
         assert decoded.complete
 
-    def test_decoded_report_rebuilds_through_from_dict(self):
-        # The JSON form and the wire form agree on every report.
-        report = app_replay("docs")
-        via_json = ReplayReport.from_dict(report.to_dict(), trace=report.trace)
-        via_wire = decode_report(encode_report(report), report.trace)
-        assert via_wire.to_dict() == via_json.to_dict()
-
     def test_halted_report_with_errors_round_trips(self):
         report = report_on(
             results=[CommandResult(TRACE[0], CommandResult.FAILED,

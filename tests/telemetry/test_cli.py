@@ -1,4 +1,4 @@
-"""The tracing CLI surface: trace, replay --trace-out, batch --trace-dir."""
+"""The tracing CLI surface: replay --trace-out, batch --trace-dir."""
 
 import io
 import json
@@ -24,11 +24,13 @@ def recorded_trace(tmp_path):
 
 
 class TestTraceCommand:
+    """``replay --trace-out``: the timeline file and the printed summary."""
+
     def test_writes_valid_trace_and_summarizes(self, recorded_trace,
                                                tmp_path):
         out = tmp_path / "trace.json"
-        code, output = run_cli(["trace", str(recorded_trace),
-                                "--app", "sites", "--out", str(out)])
+        code, output = run_cli(["replay", str(recorded_trace),
+                                "--app", "sites", "--trace-out", str(out)])
         assert code == 0
         assert "trace: wrote" in output
         assert "longest spans:" in output
@@ -38,15 +40,15 @@ class TestTraceCommand:
 
     def test_summary_counts_events(self, recorded_trace, tmp_path):
         out = tmp_path / "trace.json"
-        _, output = run_cli(["trace", str(recorded_trace),
-                             "--app", "sites", "--out", str(out)])
+        _, output = run_cli(["replay", str(recorded_trace),
+                             "--app", "sites", "--trace-out", str(out)])
         assert "trace event(s)" in output
 
     def test_summary_reports_ring_buffer_counters(self, recorded_trace,
                                                   tmp_path):
         out = tmp_path / "trace.json"
-        _, output = run_cli(["trace", str(recorded_trace),
-                             "--app", "sites", "--out", str(out)])
+        _, output = run_cli(["replay", str(recorded_trace),
+                             "--app", "sites", "--trace-out", str(out)])
         assert "ring buffer:" in output
         assert "dropped" in output
         trace_dict = json.loads(out.read_text())
@@ -55,9 +57,9 @@ class TestTraceCommand:
     def test_production_categories_filter_the_export(self, recorded_trace,
                                                      tmp_path):
         out = tmp_path / "trace.json"
-        code, _ = run_cli(["trace", str(recorded_trace), "--app", "sites",
+        code, _ = run_cli(["replay", str(recorded_trace), "--app", "sites",
                            "--trace-categories", "production",
-                           "--out", str(out)])
+                           "--trace-out", str(out)])
         assert code == 0
         events = validate_trace(json.loads(out.read_text()))
         kept = categories(events)
