@@ -54,6 +54,7 @@ experiments use) with the recorder attached.
 
 import argparse
 import math
+import os
 import sys
 
 from repro import telemetry
@@ -724,7 +725,20 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``): stop quietly with
+        # 128 + SIGPIPE, as a shell reports a writer the pipe killed.
+        # The stream now writes to devnull, so the exit flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, out.fileno())
+        except (OSError, ValueError):
+            pass
+        os.close(devnull)
+        return 141
     except INPUT_ERRORS as error:
         print("%s: error: %s" % (parser.prog, error), file=sys.stderr)
         return 2

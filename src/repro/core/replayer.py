@@ -59,12 +59,3 @@ class WarrReplayer:
     def replay(self, trace, observers=()):
         """Replay ``trace`` from its start URL; returns a ReplayReport."""
         return self.engine.run(trace, observers=observers)
-
-    def execute_command(self, driver, command):
-        """Replay a single command on an existing driver session.
-
-        Legacy stepping interface (WebErr's grammar inference now steps
-        through :meth:`SessionEngine.start` instead); delegates to the
-        engine's locate → act pipeline.
-        """
-        return self.engine.execute(driver, command)

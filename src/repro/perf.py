@@ -1,17 +1,17 @@
 """Replay fast-path instrumentation and the global cache toggle.
 
 The fast path (compiled-XPath cache, generation-invalidated DOM
-indexes, memoized relaxation, dirty-tracked layout) is always on in
-production. For benchmarking — and for proving cached and uncached
-replays behave identically — it can be switched off as a whole with
-:func:`set_fast_path` or the :func:`fast_path` context manager, which
-reverts every call site to the original eager code path.
+indexes, memoized relaxation and locator generation, dirty-tracked
+layout) is always on in production. For benchmarking — and for proving
+cached and uncached replays behave identically — it can be switched off
+as a whole with :func:`set_fast_path` or the :func:`fast_path` context
+manager, which reverts every call site to the original eager code path.
 
 Every cache records hits and misses here under a dotted name
-(``xpath.compile``, ``dom.index``, ``relax.candidates``,
-``relax.resolve``, ``layout``). The replayer snapshots the counters
-around a replay and attaches the delta to its report, so cache
-effectiveness is visible per trace.
+(``xpath.compile``, ``xpath.generate``, ``dom.index``,
+``relax.candidates``, ``relax.resolve``, ``layout``). The replayer
+snapshots the counters around a replay and attaches the delta to its
+report, so cache effectiveness is visible per trace.
 """
 
 from contextlib import contextmanager

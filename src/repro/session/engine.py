@@ -65,10 +65,6 @@ class SessionEngine:
         #: Standing observers, subscribed to every run's event stream.
         self.observers = list(observers or [])
 
-    def add_observer(self, observer):
-        self.observers.append(observer)
-        return observer
-
     # -- driver wiring ------------------------------------------------------
 
     def new_driver(self):

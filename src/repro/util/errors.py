@@ -40,11 +40,6 @@ def is_transient(error):
     return classify(error) == TRANSIENT
 
 
-def is_fatal(error):
-    """True when the whole session is beyond recovery."""
-    return classify(error) == FATAL
-
-
 class ReproError(Exception):
     """Base class for every error raised by this library."""
 

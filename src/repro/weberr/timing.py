@@ -10,8 +10,6 @@ The injector produces trace variants with modified delays; the WaRR
 Replayer's :class:`~repro.core.replayer.TimingMode` executes them.
 """
 
-from repro.core.replayer import TimingMode
-
 
 class TimingErrorInjector:
     """Generates impatient-user variants of a trace."""
@@ -51,9 +49,3 @@ class TimingErrorInjector:
     def rush_each_command(self):
         """One variant per command, each rushing only that command."""
         return [self.rush_command(index) for index in range(len(self.trace))]
-
-    @staticmethod
-    def timing_mode_for(variant_name):
-        """Replays of injected traces use the traces' own (modified)
-        delays — i.e. recorded timing."""
-        return TimingMode.recorded()

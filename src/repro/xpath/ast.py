@@ -160,6 +160,9 @@ class Path:
     #: filled in on first use; bounded by the compile cache's LRU.
     _observed_mask = None
 
+    #: Rendered expression, filled in by the first ``str()``.
+    _text = None
+
     def __init__(self, steps):
         if not steps:
             raise ValueError("a path needs at least one step")
@@ -178,7 +181,10 @@ class Path:
         return isinstance(other, Path) and self.steps == other.steps
 
     def __str__(self):
-        return self.to_xpath()
+        text = self._text
+        if text is None:
+            text = self._text = self.to_xpath()
+        return text
 
 
 def _direct_text(element):

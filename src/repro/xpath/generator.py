@@ -9,11 +9,17 @@ The generator prefers, in order:
 3. a short, unique direct-text predicate,
 4. an absolute positional path from the document root.
 
-The produced expression is always verified to resolve uniquely back to
-the element in the *current* document; if a shorter form is ambiguous we
-fall back to the absolute path.
+The produced expression is verified to resolve uniquely back to the
+element when it is generated; if a shorter form is ambiguous we fall
+back to the absolute path. The result is then memoized on the element
+and reused while the document generations it observes are unchanged:
+structure and attributes always, text too once the text predicate was
+considered. So a burst of keystrokes keeps its ``@id`` locator without
+re-evaluating it, while any edit of text invalidates a ``text()=``
+locator. ``perf.fast_path(False)`` generates from scratch every time.
 """
 
+from repro import perf
 from repro.dom.node import Document, Element, Text
 from repro.xpath.ast import (
     Path,
@@ -77,11 +83,22 @@ def absolute_xpath(element):
     return Path(steps)
 
 
+def _generations(document, observes_text):
+    """The counters a memoized result depends on; an unobserved text
+    generation reads -1, so ``entry[1][2] >= 0`` says it was observed."""
+    return (document.structure_generation, document.attribute_generation,
+            document.text_generation if observes_text else -1)
+
+
 def xpath_for_element(element, document=None):
     """Produce the recorder's XPath for ``element``.
 
     ``document`` defaults to the element's owner document; passing it
     explicitly lets callers generate expressions against snapshots.
+    Only an owned element's result is memoized (as ``(document,
+    generations, path)`` on the element), since only its owner's
+    counters see every mutation the result depends on; a hit or miss
+    counts as ``xpath.generate``.
     """
     if not isinstance(element, Element):
         raise TypeError("can only generate XPath for elements, got %r" % (element,))
@@ -92,7 +109,24 @@ def xpath_for_element(element, document=None):
             document = root if isinstance(root, Document) else None
     if document is None:
         return absolute_xpath(element)
+    if document is not element.owner_document or not perf.fast_path_enabled():
+        return _generate(element, document)[0]
 
+    entry = getattr(element, "_xpath_memo", None)
+    if (entry is not None and entry[0] is document
+            and entry[1] == _generations(document, entry[1][2] >= 0)):
+        perf.record("xpath.generate", hit=True)
+        return entry[2]
+    perf.record("xpath.generate", hit=False)
+    path, observes_text = _generate(element, document)
+    element._xpath_memo = (
+        document, _generations(document, observes_text), path)
+    return path
+
+
+def _generate(element, document):
+    """``(path, observes_text)``: the verified locator, and whether the
+    choice depended on the element's text (the text step was reached)."""
     element_id = element.get_attribute("id")
     element_name = element.get_attribute("name")
     if element_id:
@@ -104,17 +138,17 @@ def xpath_for_element(element, document=None):
             predicates.append(AttributeEquals("name", element_name))
         path = _contextual_step(element, predicates)
         if _resolves_uniquely(path, document, element):
-            return path
+            return path, False
 
     if element_name:
         path = _contextual_step(element, AttributeEquals("name", element_name))
         if _resolves_uniquely(path, document, element):
-            return path
+            return path, False
 
     text = _direct_text(element)
     if text and len(text) <= 40 and '"' not in text:
         path = _contextual_step(element, TextEquals(text))
         if _resolves_uniquely(path, document, element):
-            return path
+            return path, True
 
-    return absolute_xpath(element)
+    return absolute_xpath(element), True

@@ -336,3 +336,15 @@ class TestMalformedInput:
         self.assert_rejected(["batch", str(recorded_trace), str(bad),
                               str(recorded_trace), "--app", "sites"],
                              capsys, "error: %s: missing trace header" % bad)
+
+
+class TestClosedOutput:
+    def test_closed_pipe_stops_quietly(self, recorded_trace, capsys):
+        # ``repro replay ... | head -1``: the reader has gone away.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as out:
+            code = main(["replay", str(recorded_trace), "--app", "sites"],
+                        out=out)
+        assert code == 141
+        assert "Traceback" not in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro import perf
 from repro.dom.parser import parse_html
 from repro.xpath.evaluator import evaluate
 from repro.xpath.generator import absolute_xpath, xpath_for_element
@@ -131,3 +132,104 @@ def test_property_generated_xpaths_resolve_to_their_element(html):
     for element in doc.all_elements():
         expression = xpath_for_element(element)
         assert evaluate(expression, doc) == [element]
+
+
+def generate_counter():
+    """(hits, misses) of the generator's per-element memo."""
+    return perf.stats.counter("xpath.generate")
+
+
+class TestMemo:
+    """A memo entry lives exactly as long as the generations it observed."""
+
+    def test_duplicate_id_after_a_hit_falls_back(self):
+        doc = make_doc()
+        content = doc.get_element_by_id("content")
+        assert str(xpath_for_element(content)) == '//td/div[@id="content"]'
+        hits, misses = generate_counter()
+        assert str(xpath_for_element(content)) == '//td/div[@id="content"]'
+        assert generate_counter() == (hits + 1, misses)
+        save_cell = doc.get_elements_by_tag("td")[1]
+        save_cell.append_child(doc.create_element("div", {"id": "content"}))
+        path = xpath_for_element(content)
+        assert str(path) == '//td/div[text()="Hello"]'
+        assert evaluate(path, doc) == [content]
+
+    def test_sibling_text_edit_invalidates_a_text_locator(self):
+        doc = parse_html("<ul><li>a</li><li>b</li></ul>")
+        first, second = doc.get_elements_by_tag("li")
+        assert str(xpath_for_element(second)) == '//ul/li[text()="b"]'
+        first.text_content = "b"
+        path = xpath_for_element(second)
+        assert str(path) == "/html/body/ul/li[2]"
+        assert evaluate(path, doc) == [second]
+
+    def test_typing_into_an_id_target_keeps_hitting(self):
+        doc = parse_html('<table><tr><td><div id="content" '
+                         'contenteditable="true">Hello</div></td></tr></table>')
+        content = doc.get_element_by_id("content")
+        xpath_for_element(content)
+        hits, misses = generate_counter()
+        for key in "world":
+            content.append_text(key)
+            assert str(xpath_for_element(content)) == '//td/div[@id="content"]'
+        assert generate_counter() == (hits + 5, misses)
+
+    def test_foreign_document_and_fast_path_off_are_not_memoized(self):
+        doc = make_doc()
+        content = doc.get_element_by_id("content")
+        before = generate_counter()
+        xpath_for_element(content, make_doc())
+        with perf.fast_path(False):
+            assert str(xpath_for_element(content)) == '//td/div[@id="content"]'
+        assert generate_counter() == before
+
+
+_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["id", "name", "class", "unset", "insert", "remove",
+                     "text", "type"]),
+    st.integers(0, 40),
+    st.sampled_from(["id0", "id1", "id5", "t0", "t3"]),
+), max_size=10)
+
+
+def _mutate(doc, detached, kind, index, value):
+    elements = doc.all_elements()
+    target = elements[index % len(elements)]
+    if kind in ("id", "name", "class"):
+        target.set_attribute(kind, value)
+    elif kind == "unset":
+        target.remove_attribute(("id", "name", "class")[index % 3])
+    elif kind == "insert":
+        # Values double as ids and texts the random DOM already uses, so
+        # inserts make duplicate ids and ambiguous text predicates.
+        new = doc.create_element(("div", "span", "li")[index % 3],
+                                 {"id": value})
+        new.append_child(doc.create_text_node(value))
+        target.append_child(new)
+    elif kind == "remove":
+        if target.tag not in ("html", "body"):
+            target.remove()
+            detached.append(target)
+    elif kind == "text":
+        target.text_content = value
+    else:
+        target.append_text(value[-1])
+
+
+@given(random_dom(), _MUTATIONS)
+@settings(max_examples=60, deadline=None)
+def test_property_memo_equals_the_uncached_generator(html, mutations):
+    doc = parse_html(html)
+    detached = []
+    for mutation in [None] + mutations:
+        if mutation is not None:
+            _mutate(doc, detached, *mutation)
+        live = doc.all_elements()
+        memoized = [xpath_for_element(element) for element in live + detached]
+        with perf.fast_path(False):
+            uncached = [xpath_for_element(element)
+                        for element in live + detached]
+        assert [str(path) for path in memoized] == [str(path) for path in uncached]
+        for element, path in zip(live, memoized):
+            assert evaluate(path, doc) == [element]
