@@ -83,9 +83,9 @@ class PageSnapshot:
 
 
 def _clone_document(document):
-    from repro.dom.parser import parse_html
+    from repro.dom.parser import parse_html_uncached
 
-    return parse_html(serialize(document), url=document.url)
+    return parse_html_uncached(serialize(document), url=document.url)
 
 
 class SnapshotObserver(SessionObserver):

@@ -6,8 +6,20 @@ quoted/unquoted/bare attributes, void elements, raw-text elements
 (``script``, ``style``, ``textarea``, ``title``), comments, doctype, and
 the common character entities. Mis-nested end tags are recovered from by
 popping to the nearest matching open element, as browsers do.
+
+Every replay runs on a fresh browser, so the same few pages are parsed
+over and over. :func:`parse_html` therefore parses each markup string
+once into a private template ``Document`` and hands out a clone of that
+template for every load of the same markup, counted as the
+``dom.parse`` perf counter. Markup that is parsed once and never again
+(an AUsER snapshot) goes through :func:`parse_html_uncached`, so it
+cannot evict the page templates. ``perf.fast_path(False)`` parses every
+time, the oracle the clones are tested against.
 """
 
+from collections import OrderedDict
+
+from repro import perf
 from repro.dom.node import Document, Element, Text, Comment, VOID_ELEMENTS
 
 #: Content of these elements is raw text: markup inside is not parsed.
@@ -186,10 +198,13 @@ class _Tokenizer:
         return name, attrs
 
 
-def _raw_text_end(markup, pos, tag):
-    """Find the closing ``</tag>`` for a raw-text element."""
+def _raw_text_end(markup, lower, pos, tag):
+    """Find the closing ``</tag>`` for a raw-text element.
+
+    ``lower`` is ``markup.lower()``, computed once per parse by the
+    caller, so a page with k raw-text elements costs O(n), not O(k*n).
+    """
     needle = "</" + tag
-    lower = markup.lower()
     search = pos
     while True:
         idx = lower.find(needle, search)
@@ -205,15 +220,89 @@ def _raw_text_end(markup, pos, tag):
         return idx, close + 1
 
 
+#: Page templates: markup -> the private Document parsed from it, in
+#: LRU order. Templates are never handed out, only cloned.
+_TEMPLATES = OrderedDict()
+_TEMPLATES_MAX = 64
+
+
+@perf.register_cache_clearer
+def _clear_templates():
+    _TEMPLATES.clear()
+
+
 def parse_html(markup, url=""):
     """Parse a complete HTML document and return a :class:`Document`.
 
     Ensures an <html>/<body> skeleton exists so callers can always rely
-    on ``document.body``.
+    on ``document.body``. Every call returns a new tree the caller may
+    mutate freely; a markup string parsed before is cloned from its
+    template instead of parsed again (module docstring).
+    """
+    if not perf.fast_path_enabled():
+        return parse_html_uncached(markup, url)
+    template = _TEMPLATES.get(markup)
+    if template is not None:
+        _TEMPLATES.move_to_end(markup)
+        perf.record("dom.parse", hit=True)
+    else:
+        perf.record("dom.parse", hit=False)
+        template = parse_html_uncached(markup)
+        _TEMPLATES[markup] = template
+        if len(_TEMPLATES) > _TEMPLATES_MAX:
+            _TEMPLATES.popitem(last=False)
+    return _clone_document(template, url)
+
+
+def parse_html_uncached(markup, url=""):
+    """:func:`parse_html` without the template store.
+
+    For markup parsed once and never again, such as a page snapshot:
+    storing it would only evict the templates of pages that repeat.
     """
     document = Document(url=url)
     _build_tree(markup, document)
     _ensure_skeleton(document)
+    return document
+
+
+def _clone_document(template, url):
+    """A deep copy of ``template`` with ``url``, built in one walk.
+
+    Nodes are made without their constructors and linked directly
+    rather than through ``append_child``: the template is a finished
+    tree, so there is nothing to check and no mutation to count. Each
+    copy gets every field its constructor would set (a test compares
+    the field names with a parsed tree's). The copy takes the
+    template's generation counters, so it reads exactly as a fresh
+    parse of the same markup.
+    """
+    document = Document(url=url)
+    document._generation = template._generation
+    document._structure_generation = template._structure_generation
+    document._attribute_generation = template._attribute_generation
+    document._text_generation = template._text_generation
+    new = object.__new__
+    pending = [(template, document)]
+    while pending:
+        source, target = pending.pop()
+        children = target.children
+        for child in source.children:
+            kind = type(child)
+            copy = new(kind)
+            copy.parent = target
+            copy.children = []
+            copy.owner_document = document
+            copy._listeners = {}
+            if kind is Element:
+                copy.tag = child.tag
+                copy.attributes = child.attributes.copy()
+                copy._value = None
+                if child.children:
+                    pending.append((child, copy))
+            else:
+                copy._data = child._data
+            children.append(copy)
     return document
 
 
@@ -231,6 +320,7 @@ def parse_fragment(markup, document=None):
 def _build_tree(markup, root):
     tokenizer = _Tokenizer(markup)
     stack = [root]
+    lower = None
 
     tokens = tokenizer.tokens()
     for kind, payload in tokens:
@@ -260,7 +350,10 @@ def _build_tree(markup, root):
             stack[-1].append_child(element)
             if name in RAW_TEXT_ELEMENTS and not self_closing:
                 raw_start = tokenizer.pos
-                raw_end, resume = _raw_text_end(markup, raw_start, name)
+                if lower is None:
+                    lower = markup.lower()
+                raw_end, resume = _raw_text_end(markup, lower, raw_start,
+                                                name)
                 raw = markup[raw_start:raw_end]
                 if raw:
                     element.append_child(Text(raw))

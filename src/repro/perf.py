@@ -2,13 +2,14 @@
 
 The fast path (compiled-XPath cache, generation-invalidated DOM
 indexes, memoized relaxation and locator generation, dirty-tracked
-layout) is always on in production. For benchmarking — and for proving
-cached and uncached replays behave identically — it can be switched off
-as a whole with :func:`set_fast_path` or the :func:`fast_path` context
-manager, which reverts every call site to the original eager code path.
+layout, per-markup page templates) is always on in production. For
+benchmarking — and for proving cached and uncached replays behave
+identically — it can be switched off as a whole with
+:func:`set_fast_path` or the :func:`fast_path` context manager, which
+reverts every call site to the original eager code path.
 
 Every cache records hits and misses here under a dotted name
-(``xpath.compile``, ``xpath.generate``, ``dom.index``,
+(``xpath.compile``, ``xpath.generate``, ``dom.index``, ``dom.parse``,
 ``relax.candidates``, ``relax.resolve``, ``layout``). The replayer
 snapshots the counters around a replay and attaches the delta to its
 report, so cache effectiveness is visible per trace.
@@ -19,8 +20,8 @@ from contextlib import contextmanager
 _enabled = True
 
 #: Callbacks that drop module-level cache contents (registered by the
-#: parser and the relaxation engine); run when the fast path is toggled
-#: so measurements never see a half-warm cache.
+#: XPath and HTML parsers and the relaxation engine); run when the fast
+#: path is toggled so measurements never see a half-warm cache.
 _cache_clearers = []
 
 

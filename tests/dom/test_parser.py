@@ -1,7 +1,11 @@
 """HTML parser behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import perf
+from repro.auser.snapshot import PageSnapshot
+from repro.dom import parser
 from repro.dom.node import Comment, Element, Text
 from repro.dom.parser import decode_entities, parse_fragment, parse_html
 
@@ -183,3 +187,183 @@ class TestWhitespace:
     def test_meaningful_text_kept(self):
         doc = parse_html("<p>  spaced  </p>")
         assert doc.get_elements_by_tag("p")[0].text_content == "  spaced  "
+
+
+class _CountingStr(str):
+    """A markup string that counts whole-document ``lower()`` calls
+    (slices of it are plain ``str``, so token lowering is not counted)."""
+
+    lowered = 0
+
+    def lower(self):
+        type(self).lowered += 1
+        return super().lower()
+
+
+class TestRawTextScan:
+    def test_markup_is_lowered_once_per_parse(self):
+        scripts = "".join("<script>s%d()</SCRIPT><p>p%d</p>" % (i, i)
+                          for i in range(30))
+        markup = _CountingStr(
+            "<title>T</title><style>b {}</Style>%s"
+            "<textarea>a <b> c</textarea>" % scripts)
+        _CountingStr.lowered = 0
+        doc = parser.parse_html_uncached(markup)
+        assert _CountingStr.lowered == 1
+        assert doc.get_elements_by_tag("title")[0].text_content == "T"
+        assert [s.text_content for s in doc.get_elements_by_tag("script")] \
+            == ["s%d()" % i for i in range(30)]
+        assert [p.text_content for p in doc.get_elements_by_tag("p")] \
+            == ["p%d" % i for i in range(30)]
+        assert all(p.parent is doc.body for p in doc.get_elements_by_tag("p"))
+        assert doc.get_elements_by_tag("style")[0].text_content == "b {}"
+        assert doc.get_elements_by_tag("textarea")[0].text_content \
+            == "a <b> c"
+
+    def test_markup_without_raw_text_is_not_lowered(self):
+        _CountingStr.lowered = 0
+        parser.parse_html_uncached(_CountingStr("<div><p>x</p></div>"))
+        assert _CountingStr.lowered == 0
+
+
+# -- the per-markup template store --------------------------------------
+
+
+def _shape(document):
+    """Everything a load can observe of a parsed tree, node by node:
+    types, field names, tags, attributes, data, parent links (as
+    pre-order indexes), ownership, values and listeners, plus the
+    document's url and its four generation counters."""
+    rows = [(document.url, document.generation,
+             document.structure_generation, document.attribute_generation,
+             document.text_generation, sorted(document._listened_types),
+             bool(document._listeners))]
+    index = {id(document): 0}
+    pending = [document]
+    while pending:
+        node = pending.pop()
+        for child in node.children:
+            assert child.parent is node
+            index[id(child)] = len(index)
+            if isinstance(child, Element):
+                detail = (child.tag, dict(child.attributes), child._value)
+            else:
+                detail = (child.data,)
+            rows.append((type(child).__name__, sorted(vars(child)), detail,
+                         index[id(node)],
+                         child.owner_document is document,
+                         bool(child._listeners)))
+        pending.extend(reversed(node.children))
+    return rows
+
+
+def _oracle(markup, url):
+    with perf.fast_path(False):
+        return parse_html(markup, url=url)
+
+
+_ATTRS = st.lists(st.tuples(
+    st.sampled_from(["id", "class", "title", "value", "data-x", "disabled",
+                     "ID"]),
+    st.sampled_from(['="a"', "='b c'", "=d", "", '="&amp;&lt;&#65;"',
+                     '="x &bogus; y"'])), max_size=3).map(
+    lambda pairs: "".join(" %s%s" % pair for pair in pairs))
+
+_TAGS = st.sampled_from([
+    "div", "span", "p", "ul", "li", "table", "tr", "td", "th", "select",
+    "option", "b", "pre", "br", "img", "input", "hr", "script", "style",
+    "textarea", "title", "html", "head", "body", "DIV", "Script"])
+
+_PIECES = st.one_of(
+    st.builds(lambda tag, attrs, close: "<%s%s%s>" % (tag, attrs, close),
+              _TAGS, _ATTRS, st.sampled_from(["", "/"])),
+    st.builds("</{}>".format, _TAGS),
+    st.sampled_from(["text", "  ", "\n", "a &amp; b", "&lt;p&gt;", "&#x41;",
+                     "AT&T", "1 < 2", "<", "&nbsp;", "<!-- c -->",
+                     "<!DOCTYPE html>", "</bogus>", "<!-- open"]),
+    st.text(alphabet="ab <>&;/=\"'", max_size=6),
+)
+
+_MARKUP = st.lists(_PIECES, max_size=30).map("".join)
+
+
+@given(_MARKUP, st.sampled_from(["", "http://a/", "http://b/x"]))
+@settings(max_examples=150, deadline=None)
+def test_property_memoized_parse_equals_uncached_parse(markup, url):
+    perf.clear_caches()
+    expected = _shape(_oracle(markup, url))
+    hits, misses = perf.stats.counter("dom.parse")
+    # The first parse stores the template and clones it, the next two
+    # are hits: each must read as a fresh parse of the markup.
+    for _ in range(3):
+        assert _shape(parse_html(markup, url=url)) == expected
+    assert perf.stats.counter("dom.parse") == (hits + 2, misses + 1)
+
+
+class TestTemplateStore:
+    PAGE = ("<html><head><title>Inbox</title><script>x()</script></head>"
+            "<body><div id='list'><p class='row'>one</p><p>two</p>"
+            "<input id='q' value='v'><textarea id='t'>hi</textarea>"
+            "</div></body></html>")
+
+    def setup_method(self):
+        perf.clear_caches()
+
+    def _counter(self):
+        return perf.stats.counter("dom.parse")
+
+    def test_repeated_markup_hits_and_returns_new_trees(self):
+        hits, misses = self._counter()
+        documents = [parse_html(self.PAGE, url="http://m/%d" % i)
+                     for i in range(4)]
+        assert self._counter() == (hits + 3, misses + 1)
+        assert len({id(doc) for doc in documents}) == 4
+        assert len({id(doc.body) for doc in documents}) == 4
+        assert [doc.url for doc in documents] \
+            == ["http://m/%d" % i for i in range(4)]
+
+    def test_mutating_a_returned_document_leaves_the_next_parse_pristine(self):
+        expected = _shape(_oracle(self.PAGE, "http://m/"))
+        for _ in range(3):
+            doc = parse_html(self.PAGE, url="http://m/")
+            doc.get_element_by_id("list").set_attribute("class", "dirty")
+            doc.get_elements_by_tag("p")[1].append_text(" and more")
+            doc.get_elements_by_tag("p")[0].children[0].data = "changed"
+            doc.get_element_by_id("q").value = "typed"
+            doc.get_element_by_id("t").append_text("!")
+            doc.get_element_by_id("list").remove_child(
+                doc.get_elements_by_tag("p")[0])
+            doc.body.add_event_listener("click", lambda event: None)
+            doc.url = "http://elsewhere/"
+        assert _shape(parse_html(self.PAGE, url="http://m/")) == expected
+
+    def test_snapshots_never_evict_a_page_template(self):
+        page = parse_html(self.PAGE, url="http://m/")
+        for i in range(500):
+            page.get_elements_by_tag("p")[1].append_text(str(i))
+            snapshot = PageSnapshot.redacted(page, ["//div[@id='list']"])
+            assert 'data-redacted="true"' in snapshot.html
+        hits, _ = self._counter()
+        parse_html(self.PAGE)
+        assert self._counter()[0] == hits + 1
+        assert list(parser._TEMPLATES) == [self.PAGE]
+
+    def test_store_stays_within_its_limit(self):
+        for i in range(parser._TEMPLATES_MAX + 10):
+            parse_html("<p>page %d</p>" % i)
+        assert len(parser._TEMPLATES) == parser._TEMPLATES_MAX
+
+    def test_set_fast_path_empties_the_store(self):
+        parse_html(self.PAGE)
+        assert parser._TEMPLATES
+        try:
+            perf.set_fast_path(False)
+            assert not parser._TEMPLATES
+            hits, misses = self._counter()
+            parse_html(self.PAGE)
+            assert self._counter() == (hits, misses)
+        finally:
+            perf.set_fast_path(True)
+        hits, misses = self._counter()
+        parse_html(self.PAGE)
+        assert self._counter() == (hits, misses + 1)

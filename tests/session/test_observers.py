@@ -314,6 +314,8 @@ def _trace_counts(tmp_path, app, categories=None):
 #: but for ``xpath.compile``: the .warr parser now compiles each locator
 #: when the file is read, before tracing starts, and a relaxation memo
 #: hit compiles nothing, so only the 3 memo misses count (2 each).
+#: The two ``dom.parse`` rows are the page template store's lookups,
+#: one per parsed page, and the session's delta of that counter.
 GOLDEN_SITES_TRACE = {
     ("act", "B"): 14, ("act", "E"): 14, ("command", "X"): 14,
     ("dispatch blur", "X"): 1, ("dispatch click", "X"): 2,
@@ -327,11 +329,12 @@ GOLDEN_SITES_TRACE = {
     ("ipc.queue_depth", "C"): 2, ("layout.reflow", "X"): 3,
     ("locate", "B"): 14, ("locate", "E"): 14, ("navigated", "i"): 1,
     ("net.transport.live", "X"): 3, ("perf.dom.index", "C"): 7,
-    ("perf.layout", "C"): 4, ("perf.relax.resolve", "C"): 14,
+    ("perf.dom.parse", "C"): 2, ("perf.layout", "C"): 4,
+    ("perf.relax.resolve", "C"): 14,
     ("perf.xpath.compile", "C"): 6, ("process_name", "M"): 2,
     ("process_sort_index", "M"): 2, ("session", "B"): 1,
     ("session", "E"): 1, ("session.cache.dom.index", "C"): 1,
-    ("session.cache.layout", "C"): 1,
+    ("session.cache.dom.parse", "C"): 1, ("session.cache.layout", "C"): 1,
     ("session.cache.relax.resolve", "C"): 1,
     ("session.cache.xpath.compile", "C"): 1,
     ("session.schedule", "X"): 14, ("thread_name", "M"): 8,
