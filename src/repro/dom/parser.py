@@ -17,6 +17,7 @@ cannot evict the page templates. ``perf.fast_path(False)`` parses every
 time, the oracle the clones are tested against.
 """
 
+import string
 from collections import OrderedDict
 
 from repro import perf
@@ -24,6 +25,12 @@ from repro.dom.node import Document, Element, Text, Comment, VOID_ELEMENTS
 
 #: Content of these elements is raw text: markup inside is not parsed.
 RAW_TEXT_ELEMENTS = frozenset(["script", "style", "textarea", "title"])
+
+#: ASCII-only case fold for finding raw-text end tags. ``str.lower``
+#: can lengthen a string (``"İ".lower()`` is two code points), which
+#: would shift every index found in the folded copy; this table maps
+#: A-Z only, so the copy is exactly as long as the markup.
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 #: An opening tag in the key set implicitly closes an open tag in the
 #: value set (a small practical subset of the HTML5 rules).
@@ -201,8 +208,9 @@ class _Tokenizer:
 def _raw_text_end(markup, lower, pos, tag):
     """Find the closing ``</tag>`` for a raw-text element.
 
-    ``lower`` is ``markup.lower()``, computed once per parse by the
-    caller, so a page with k raw-text elements costs O(n), not O(k*n).
+    ``lower`` is ``markup`` with A-Z folded to a-z (``_ASCII_LOWER``),
+    computed once per parse by the caller, so a page with k raw-text
+    elements costs O(n), not O(k*n).
     """
     needle = "</" + tag
     search = pos
@@ -351,7 +359,7 @@ def _build_tree(markup, root):
             if name in RAW_TEXT_ELEMENTS and not self_closing:
                 raw_start = tokenizer.pos
                 if lower is None:
-                    lower = markup.lower()
+                    lower = markup.translate(_ASCII_LOWER)
                 raw_end, resume = _raw_text_end(markup, lower, raw_start,
                                                 name)
                 raw = markup[raw_start:raw_end]

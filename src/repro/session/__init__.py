@@ -16,11 +16,7 @@ from repro.session.policies import (
     TimingPolicy,
 )
 from repro.session.report import CommandResult, RemoteError, ReplayReport
-from repro.session.observers import (
-    EventLogObserver,
-    PerfCountersObserver,
-    ReportBuilder,
-)
+from repro.session.observers import EventLogObserver, PerfCountersObserver
 from repro.session.engine import SessionEngine, SessionRun
 from repro.session.batch import BatchReport, BatchRunner, TraceRun
 from repro.session.pool import (
@@ -52,7 +48,6 @@ __all__ = [
     "FailurePolicy",
     "CommandResult",
     "ReplayReport",
-    "ReportBuilder",
     "PerfCountersObserver",
     "EventLogObserver",
     "SessionEngine",

@@ -12,26 +12,27 @@ that observers subscribe to.
 Two entry points:
 
 - :meth:`SessionEngine.run` replays a whole trace and returns the
-  observer-built :class:`~repro.session.report.ReplayReport`;
+  :class:`~repro.session.report.ReplayReport` its :class:`SessionRun`
+  wrote;
 - :meth:`SessionEngine.start` returns a :class:`SessionRun` for callers
   that need to interleave their own observation between commands
   (WebErr's grammar inference snapshots the page after every step).
 """
 
 from contextlib import nullcontext
+from time import perf_counter
 
 from repro import chaos, perf, telemetry
 from repro.session.checkpoint import ReplayCheckpoint
 from repro.session.events import EventStream, SessionEvent
 from repro.telemetry.tracks import SESSION_TRACK
-from repro.session.observers import ReportBuilder
 from repro.session.policies import (
     FailurePolicy,
     LocatorPolicy,
     RetryPolicy,
     TimingPolicy,
 )
-from repro.session.report import CommandResult
+from repro.session.report import CommandResult, ReplayReport
 from repro.util.errors import (
     DriverError,
     ElementNotFoundError,
@@ -108,18 +109,14 @@ class SessionEngine:
 
     # -- per-command execution ----------------------------------------------
 
-    def execute(self, driver, command, stream=None):
+    def execute(self, driver, command, stream):
         """Run one command through locate → act; returns a CommandResult.
 
-        Stateless with respect to the run: WebErr's legacy stepping
-        interface calls this with its own driver. Events go to
-        ``stream`` (a fresh one over the standing observers if None),
+        Stateless with respect to the run. Events go to ``stream``,
         each built only when its kind has a handler there. Raises
         :class:`ReplayHaltedError` when the driver has lost its active
         client and :class:`ReplayError` for unreplayable commands.
         """
-        if stream is None:
-            stream = EventStream(self.observers)
         if command.action == "switchframe":
             return self._execute_switch(driver, command, stream)
         if command.action not in ("click", "doubleclick", "type", "drag"):
@@ -219,25 +216,26 @@ class SessionRun:
     Use :meth:`step` to execute commands one at a time (the engine's
     ``run`` does exactly this in a loop), then :meth:`finish` to settle
     the page and close out the report.
+
+    The run writes its own :class:`ReplayReport` and updates it before
+    emitting the event that narrates each change, so an observer always
+    sees the report up to date: a halt is on it by ``halted``, and it
+    is complete by ``session-finished``.
     """
 
     def __init__(self, engine, trace, observers=()):
         self.engine = engine
         self.trace = trace
-        self.report_builder = ReportBuilder(trace)
-        # The builder subscribes first so downstream observers (oracles,
-        # snapshotters) see a fully assembled report on session-finished.
-        # Every run also carries a TracingObserver; it handles no kind
-        # while tracing is off, so the stream never calls it then (the
-        # stream is retuned to the installed tracer at begin, at every
-        # step and at finish).
+        self.report = ReplayReport(trace)
+        # Every run carries a TracingObserver; it handles no kind while
+        # tracing is off, so the stream never calls it then (the stream
+        # is retuned to the installed tracer at begin, at every step and
+        # at finish).
         from repro.telemetry.observer import TracingObserver
 
         self.stream = EventStream(
-            [self.report_builder] + list(engine.observers) + list(observers)
-            + [TracingObserver()])
+            list(engine.observers) + list(observers) + [TracingObserver()])
         self.driver = None
-        self.halted = False
         self.stopped = False
         self._navigation_failed = False
         self._anchor = 0.0
@@ -254,8 +252,8 @@ class SessionRun:
         self._backoff_seq = engine.retry.new_sequence()
 
     @property
-    def report(self):
-        return self.report_builder.report
+    def halted(self):
+        return self.report.halted
 
     @property
     def browser(self):
@@ -293,13 +291,9 @@ class SessionRun:
                     self.driver.wait(self._backoff_seq.delay_ms(attempt))
                     attempt += 1
                     continue
-                reason = "navigation to %r failed: %s" % (
-                    self.trace.start_url, error)
                 self._navigation_failed = True
-                self.halted = True
-                self.stopped = True
-                self.stream.emit(SessionEvent(
-                    SessionEvent.HALTED, detail=reason, error=error))
+                self._halt("navigation to %r failed: %s"
+                           % (self.trace.start_url, error), error)
                 return self
         self.checkpoint.committed(self.trace.start_url)
         self.stream.emit(SessionEvent(
@@ -331,10 +325,17 @@ class SessionRun:
                              args={"wait_ms": wait_ms, "due_vt_ms": target}):
                 self.driver.wait(wait_ms)
         self._anchor = clock.now()
+        # The finish event carries the command's start, so a tracer
+        # needs no start event. The clock is read before command-started
+        # goes out: a span that event opens must start inside it.
+        finished = handlers[SessionEvent.COMMAND_FINISHED]
+        if finished:
+            started_at = perf_counter()
         if handlers[SessionEvent.COMMAND_STARTED]:
             stream.emit(SessionEvent(SessionEvent.COMMAND_STARTED,
                                      command=command, data={"due": target}))
         healing = engine.retry.enabled
+        halt = None
         try:
             if healing:
                 result = self._execute_healing(command, stream)
@@ -342,16 +343,15 @@ class SessionRun:
                 result = engine.execute(self.driver, command, stream)
         except ReplayHaltedError as error:
             result = CommandResult(command, CommandResult.FAILED, error=error)
-            stream.emit(SessionEvent(SessionEvent.COMMAND_FINISHED,
-                                     command=command, result=result))
-            self.halted = True
-            self.stopped = True
-            stream.emit(SessionEvent(SessionEvent.HALTED, detail=str(error),
-                                     error=error))
+            halt = error
+        self.report.results.append(result)
+        if finished:
+            stream.emit(SessionEvent(
+                SessionEvent.COMMAND_FINISHED, command=command, result=result,
+                data={"due": target, "started_at": started_at}))
+        if halt is not None:
+            self._halt(str(halt), halt)
             return result
-        if handlers[SessionEvent.COMMAND_FINISHED]:
-            stream.emit(SessionEvent(SessionEvent.COMMAND_FINISHED,
-                                     command=command, result=result))
         if result.succeeded:
             # Only crash recovery reads the checkpoint, and only the
             # healing loop recovers crashes.
@@ -363,13 +363,18 @@ class SessionRun:
         if decision == FailurePolicy.STOP:
             self.stopped = True
         elif decision == FailurePolicy.HALT:
-            self.halted = True
-            self.stopped = True
-            stream.emit(SessionEvent(
-                SessionEvent.HALTED,
-                detail="command failed: %s" % command.to_line(),
-                error=result.error))
+            self._halt("command failed: %s" % command.to_line(), result.error)
         return result
+
+    def _halt(self, reason, error):
+        """Halt the run: put it on the report, then narrate it."""
+        report = self.report
+        report.halted = True
+        report.halt_reason = reason
+        report.halt_error = error
+        self.stopped = True
+        self.stream.emit(SessionEvent(SessionEvent.HALTED, detail=reason,
+                                      error=error))
 
     def _retune(self, tracer):
         """Key the event stream (and the schedule span) on ``tracer``."""
@@ -390,7 +395,7 @@ class SessionRun:
         retry = self.engine.retry
         attempt = 1
         while True:
-            result = self.engine.execute(self.driver, command, stream=stream)
+            result = self.engine.execute(self.driver, command, stream)
             result.retries = attempt - 1
             error = result.error
             if result.succeeded or error is None:
@@ -433,13 +438,14 @@ class SessionRun:
                     % (checkpoint.url, reload_error))
             for past in checkpoint.commands:
                 try:
-                    self.engine.execute(self.driver, past, stream=silent)
+                    self.engine.execute(self.driver, past, silent)
                 except ReplayHaltedError:
                     raise
                 except ReplayError:
                     # Best effort: the retried command's own outcome
                     # decides whether the session proceeds.
                     pass
+        self.report.recoveries += 1
         stream.emit(SessionEvent(
             SessionEvent.RECOVERED,
             data={"url": checkpoint.url, "depth": checkpoint.depth}))
@@ -465,31 +471,34 @@ class SessionRun:
 
     def finish(self):
         """Settle the page, collect errors and counters, close the run."""
+        report = self.report
         if self._finished:
-            return self.report
+            return report
         self._finished = True
         self._retune(telemetry.current())
-        emit = self.stream.emit
+        stream = self.stream
         browser = self.browser
         if not self._navigation_failed:
             # Let in-flight work (XHRs fired by the last action, timers)
             # complete, as a user letting the page settle would.
             browser.event_loop.run_until_idle()
-            for error in browser.page_errors[self._error_base:]:
-                emit(SessionEvent(SessionEvent.PAGE_ERROR,
-                                  data={"error": error}))
-        emit(SessionEvent(SessionEvent.PERF_DELTA,
-                          data={"counters": perf.delta(self._perf_base)}))
-        emit(SessionEvent(SessionEvent.NET_FIDELITY,
-                          data={"counters": self._net_delta()}))
-        final_url = None
-        if not self._navigation_failed and self.driver.has_session:
-            final_url = self.driver.tab.url
-        emit(SessionEvent(
+            errors = browser.page_errors[self._error_base:]
+            report.page_errors.extend(errors)
+            if stream.handlers[SessionEvent.PAGE_ERROR]:
+                for error in errors:
+                    stream.emit(SessionEvent(SessionEvent.PAGE_ERROR,
+                                             data={"error": error}))
+            if self.driver.has_session:
+                report.final_url = self.driver.tab.url
+        report.perf_counters = perf.delta(self._perf_base)
+        report.net_fidelity = self._net_delta()
+        stream.emit(SessionEvent(SessionEvent.PERF_DELTA,
+                                 data={"counters": report.perf_counters}))
+        stream.emit(SessionEvent(
             SessionEvent.SESSION_FINISHED,
             data={"browser": browser, "driver": self.driver,
-                  "final_url": final_url, "report": self.report}))
-        return self.report
+                  "final_url": report.final_url, "report": report}))
+        return report
 
     def __repr__(self):
         return "SessionRun(%d commands, halted=%r)" % (

@@ -4,9 +4,10 @@ The :class:`~repro.session.engine.SessionEngine` narrates every replay
 as a stream of structured :class:`SessionEvent` objects — command
 started, element located (or relaxed), action performed, failure,
 page error, perf delta — and observers subscribe to the stream instead
-of scraping engine state after the fact. The replay report, the perf
-counters, WebErr's oracle, and AUsER's snapshotter are all observers
-of this stream.
+of scraping engine state after the fact. The perf counters, tracing,
+WebErr's oracle, and AUsER's snapshotter are all observers of this
+stream. The replay report is not: the session run writes it, so a
+replay that nothing observes builds no event per command.
 """
 
 
@@ -27,7 +28,6 @@ class SessionEvent:
     HALTED = "halted"
     PAGE_ERROR = "page-error"
     PERF_DELTA = "perf-delta"
-    NET_FIDELITY = "net-fidelity"
     SESSION_FINISHED = "session-finished"
 
     def __init__(self, kind, command=None, result=None, detail="",
@@ -115,9 +115,6 @@ class SessionObserver:
         pass
 
     def on_perf_delta(self, event):
-        pass
-
-    def on_net_fidelity(self, event):
         pass
 
     def on_session_finished(self, event):

@@ -1,8 +1,9 @@
 """Stock observers of the session event stream.
 
-- :class:`ReportBuilder` assembles the :class:`ReplayReport` the engine
-  returns — the report is a *consumer* of the event stream, not a data
-  structure the engine mutates directly;
+The :class:`~repro.session.report.ReplayReport` is not one of them:
+:class:`~repro.session.engine.SessionRun` writes it directly and
+updates it before emitting the event that narrates each change.
+
 - :class:`PerfCountersObserver` aggregates fast-path cache activity
   across many sessions (the batch runner attaches one);
 - :class:`EventLogObserver` records the raw stream, for tests and
@@ -15,37 +16,6 @@ in :mod:`repro.weberr.oracle`, AUsER's snapshotter in
 """
 
 from repro.session.events import SessionObserver
-from repro.session.report import ReplayReport
-
-
-class ReportBuilder(SessionObserver):
-    """Builds a :class:`ReplayReport` from the event stream."""
-
-    def __init__(self, trace):
-        self.report = ReplayReport(trace)
-
-    def on_command_finished(self, event):
-        self.report.results.append(event.result)
-
-    def on_halted(self, event):
-        self.report.halted = True
-        self.report.halt_reason = event.detail
-        self.report.halt_error = event.error
-
-    def on_recovered(self, event):
-        self.report.recoveries += 1
-
-    def on_page_error(self, event):
-        self.report.page_errors.append(event.data["error"])
-
-    def on_perf_delta(self, event):
-        self.report.perf_counters = event.data["counters"]
-
-    def on_net_fidelity(self, event):
-        self.report.net_fidelity = dict(event.data["counters"])
-
-    def on_session_finished(self, event):
-        self.report.final_url = event.data.get("final_url")
 
 
 class PerfCountersObserver(SessionObserver):

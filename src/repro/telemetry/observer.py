@@ -5,9 +5,10 @@ The engine narrates every replay on its structured event stream
 narration into spans on the control process's *session pipeline* track:
 
 - a ``session`` span covering the whole run (category ``session``),
-- one complete (``X``) ``command`` event per command — stamped when the
-  command starts, emitted once when it finishes, so the per-command
-  narrative costs a single record — containing
+- one complete (``X``) ``command`` event per command, emitted once from
+  the ``command-finished`` event, which carries the command's start —
+  so the per-command narrative costs a single hook and a single record
+  — containing
 - a ``locate`` span (command-started → located/relaxed; when location
   fails into the coordinate fallback or the command is a frame switch,
   the locate span absorbs the act) and an ``act`` span (located →
@@ -28,8 +29,9 @@ lists on that tracer, so with tracing off no event reaches it at all.
 
 This is a hot per-event path with tracing on, so the dispatch table is
 *compiled per installed tracer*: kinds whose whole category is
-filtered out (locate/act phases, perf deltas) are dropped from the
-table, making their events one failed dict lookup; a command's args
+filtered out (locate/act phases and the command-started event that
+opens them, perf deltas) are dropped from the table, so the engine
+does not even build those events; a command's args
 are stashed as one deferred encoder tuple (see
 :func:`_command_args`) and a page error as its bound ``__str__``, so
 those dicts and strings are only built if the trace is actually
@@ -43,17 +45,17 @@ from repro.session.events import SessionEvent, SessionObserver
 from repro.telemetry.tracks import COUNTERS_TRACK, SESSION_TRACK
 
 
-def _command_args(started, finished):
+def _command_args(finished):
     """Export-time encoder for one command event's args.
 
-    The observer stashes ``(_command_args, started_event,
-    finished_event)`` — one tuple of objects it was already handed —
-    per command; the actual dict (command-line rendering, due time,
-    status) is only built if the event reaches an export.
+    The observer stashes ``(_command_args, finished_event)`` — the
+    event it was already handed — per command; the actual dict
+    (command-line rendering, due time, status) is only built if the
+    event reaches an export.
     """
-    command = started.command
+    command = finished.command
     return {"line": command.to_line(), "action": command.action,
-            "due_vt_ms": started.data.get("due"),
+            "due_vt_ms": finished.data.get("due"),
             "status": finished.result.status}
 
 
@@ -94,16 +96,9 @@ class TracingObserver(SessionObserver):
     def __init__(self):
         #: Names of currently open B spans, innermost last.
         self._open = []
-        #: The in-flight command's COMMAND_STARTED event and the raw
-        #: perf_counter reading taken when it arrived; emitted as one X
-        #: event when the command finishes.
-        self._cmd_event = None
-        self._cmd_start = 0.0
         #: The tracer the compiled dispatch table below was built for;
         #: rebuilt whenever a different tracer is installed.
         self._for = None
-        self._phases = True
-        self._perf = True
         self._errors = True
         #: Compiled for ``_for``; empty until a tracer is bound.
         self._table = {}
@@ -136,29 +131,27 @@ class TracingObserver(SessionObserver):
         """Compile the dispatch table for this tracer's category set.
 
         Kinds that could only ever emit into a filtered-out category
-        are removed outright, so their (frequent) events cost one
-        failed dict lookup instead of a handler call. When the
-        ``session`` category records unsampled, the per-command
-        handlers additionally bypass the tracer's generic emit methods
-        and batch their records for :func:`_drain` (``self._fast``); a
-        sampled ``session`` category falls back to the generic path,
-        which keeps identical semantics at a couple hundred ns more
-        per event.
+        are removed outright, so the engine does not build their
+        (frequent) events at all. When the ``session`` category records
+        unsampled, the command record additionally bypasses the
+        tracer's generic emit methods and is batched for :func:`_drain`
+        (``self._fast``); a sampled ``session`` category falls back to
+        the generic path, which keeps identical semantics at a couple
+        hundred ns more per command.
         """
         if self._pending and self._fast is not None:
             # Records batched for a previously installed tracer flush
             # into that tracer's buffer before this one takes over.
             _drain(self._fast, self._pending)
         self._for = tracer
-        self._phases = tracer.wants(self.PHASE_CAT)
-        self._perf = tracer.wants("perf")
         self._errors = tracer.wants(self.ERROR_CAT)
         table = dict(self._TABLE)
-        if not self._phases:
+        if not tracer.wants(self.PHASE_CAT):
+            del table[SessionEvent.COMMAND_STARTED]
             del table[SessionEvent.LOCATED]
             del table[SessionEvent.RELAXED]
             del table[SessionEvent.ACTED]
-        if not self._perf:
+        if not tracer.wants("perf"):
             del table[SessionEvent.PERF_DELTA]
         if not self._errors:
             del table[SessionEvent.PAGE_ERROR]
@@ -170,15 +163,6 @@ class TracingObserver(SessionObserver):
         if state is not False and state[0] is None:
             self._fast = partial(tracer.buffer.append_completes, "command",
                                  state[1], *SESSION_TRACK, tracer._origin)
-            if not self._phases:
-                # Phases filtered too (the production shape): no
-                # locate/act span can ever be open around a command, so
-                # the per-command handlers shrink to attribute stores
-                # and one list append.
-                table[SessionEvent.COMMAND_STARTED] = (
-                    TracingObserver._on_command_started_fast)
-                table[SessionEvent.COMMAND_FINISHED] = (
-                    TracingObserver._on_command_finished_fast)
 
     # -- span plumbing ------------------------------------------------------
 
@@ -202,7 +186,6 @@ class TracingObserver(SessionObserver):
     def _on_session_started(self, event, tracer):
         trace = event.data["trace"]
         self._open = []
-        self._cmd_event = None
         if self._pending:
             # Leftovers from an aborted run drain before this run's
             # events so batch slicing (mark/events_since) stays honest.
@@ -218,20 +201,7 @@ class TracingObserver(SessionObserver):
                        args={"url": event.data["url"]})
 
     def _on_command_started(self, event, tracer):
-        # Everything args-shaped is deferred: the event object itself
-        # is stashed and only encoded (command line rendered, due time
-        # and status read) if the command event reaches an export. The
-        # timestamp too: a raw perf_counter reading, converted to
-        # trace time at the batched pack (or on the generic path's
-        # emit), keeping this handler to attribute stores.
-        self._cmd_event = event
-        self._cmd_start = _perf_counter()
-        if self._phases:
-            self._begin(tracer, "locate", cat=self.PHASE_CAT)
-
-    def _on_command_started_fast(self, event, tracer):
-        self._cmd_event = event
-        self._cmd_start = _perf_counter()
+        self._begin(tracer, "locate", cat=self.PHASE_CAT)
 
     def _on_located(self, event, tracer):
         self._phase_to_act(event, tracer)
@@ -255,38 +225,28 @@ class TracingObserver(SessionObserver):
                        args={"error": str(event.error)})
 
     def _on_command_finished(self, event, tracer):
+        # Everything args-shaped is deferred: the event object itself
+        # is stashed and only encoded (command line rendered, due time
+        # and status read) if the command event reaches an export. The
+        # timestamps too: raw perf_counter readings (the engine's, from
+        # before the command started, and this one), converted to trace
+        # time at the batched pack or on the generic path's emit.
         open_ = self._open
         if open_ and open_[-1] in ("locate", "act"):
             self._close_phases(tracer)
-        started = self._cmd_event
-        if started is not None:
-            self._cmd_event = None
-            args = (_command_args, started, event)
-            fast = self._fast
-            if fast is None:
-                tracer.complete("command", tracer.to_us(self._cmd_start),
-                                track=SESSION_TRACK, cat=self.CAT, args=args)
-                return
-            clock = tracer.clock
-            pending = self._pending
-            pending.append((self._cmd_start, _perf_counter(),
-                            clock.now() if clock is not None else None,
-                            args))
-            if len(pending) >= _BATCH:
-                _drain(fast, pending)
-
-    def _on_command_finished_fast(self, event, tracer):
-        started = self._cmd_event
-        if started is None:
+        start = event.data["started_at"]
+        args = (_command_args, event)
+        fast = self._fast
+        if fast is None:
+            tracer.complete("command", tracer.to_us(start),
+                            track=SESSION_TRACK, cat=self.CAT, args=args)
             return
-        self._cmd_event = None
         clock = tracer.clock
         pending = self._pending
-        pending.append((self._cmd_start, _perf_counter(),
-                        clock.now() if clock is not None else None,
-                        (_command_args, started, event)))
+        pending.append((start, _perf_counter(),
+                        clock.now() if clock is not None else None, args))
         if len(pending) >= _BATCH:
-            _drain(self._fast, pending)
+            _drain(fast, pending)
 
     def _on_halted(self, event, tracer):
         if self._pending:

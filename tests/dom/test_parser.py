@@ -190,14 +190,15 @@ class TestWhitespace:
 
 
 class _CountingStr(str):
-    """A markup string that counts whole-document ``lower()`` calls
-    (slices of it are plain ``str``, so token lowering is not counted)."""
+    """A markup string that counts whole-document case folds, i.e.
+    ``translate()`` calls (slices of it are plain ``str``, so token
+    lowering is not counted)."""
 
     lowered = 0
 
-    def lower(self):
+    def translate(self, table):
         type(self).lowered += 1
-        return super().lower()
+        return super().translate(table)
 
 
 class TestRawTextScan:
@@ -224,6 +225,25 @@ class TestRawTextScan:
         _CountingStr.lowered = 0
         parser.parse_html_uncached(_CountingStr("<div><p>x</p></div>"))
         assert _CountingStr.lowered == 0
+
+    def test_lengthening_lowercase_before_a_script_keeps_its_end(self):
+        # "İ".lower() is two code points: a str.lower() copy of the
+        # markup would put every later index off by one per "İ".
+        doc = parser.parse_html_uncached(
+            "<p>İİ</p><script>a()</script><p>after</p>")
+        assert doc.get_elements_by_tag("script")[0].text_content == "a()"
+        assert [p.text_content for p in doc.get_elements_by_tag("p")] \
+            == ["İİ", "after"]
+
+    def test_only_ascii_letters_fold_in_an_end_tag(self):
+        # U+017F (long s) matches "s" under a Unicode case-insensitive
+        # match; it must not close a script.
+        doc = parser.parse_html_uncached(
+            "<script>a()</ſcript>b()</SCRIPT><p>after</p>")
+        assert doc.get_elements_by_tag("script")[0].text_content \
+            == "a()</ſcript>b()"
+        assert [p.text_content for p in doc.get_elements_by_tag("p")] \
+            == ["after"]
 
 
 # -- the per-markup template store --------------------------------------

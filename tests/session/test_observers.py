@@ -17,6 +17,7 @@ from repro.core.trace import WarrTrace
 from repro.session.engine import SessionEngine
 from repro.session.events import EventStream, SessionEvent, SessionObserver
 from repro.session.observers import EventLogObserver, PerfCountersObserver
+from repro.session.policies import FailurePolicy, TimingPolicy
 from repro.workloads.sessions import SITES_URL, sites_edit_session
 from tests.browser.helpers import build_browser, url
 
@@ -215,12 +216,11 @@ _PER_COMMAND = [SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
 
 #: What an EventLogObserver saw replaying ``_sites_trace()`` before the
 #: engine built events lazily: two opening kinds, four per command for
-#: the five commands, three closing kinds.
+#: the five commands, two closing kinds.
 GOLDEN_SITES_KINDS = (
     [SessionEvent.SESSION_STARTED, SessionEvent.NAVIGATED]
     + _PER_COMMAND * 5
-    + [SessionEvent.PERF_DELTA, SessionEvent.NET_FIDELITY,
-       SessionEvent.SESSION_FINISHED])
+    + [SessionEvent.PERF_DELTA, SessionEvent.SESSION_FINISHED])
 
 
 def _sites_trace():
@@ -270,14 +270,78 @@ class TestEventStreamContract:
 
         monkeypatch.setattr(engine_module, "SessionEvent", Counted)
         trace = _sites_trace()
+        # No observer and no tracer: the run writes its report without
+        # building a single per-command event.
         report = _sites_engine().run(trace)
         assert report.complete
-        # Only the report builder listens: per command, just the
-        # COMMAND_FINISHED it appends to the report.
+        assert len(report.results) == len(trace)
+        for kind in _PER_COMMAND:
+            assert built[kind] == 0
+        # Production tracing reads one hook per command: the finish
+        # event carries the start, and no phase span is recorded.
+        built.clear()
+        with telemetry.tracing(categories="production"):
+            report = _sites_engine().run(trace)
+        assert report.complete
         assert built[SessionEvent.COMMAND_FINISHED] == len(trace)
         for kind in (SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
                      SessionEvent.ACTED):
             assert built[kind] == 0
+
+    def test_observers_see_the_report_written_before_each_event(self):
+        # The run writes the report itself: a halt is on it by the
+        # time on_halted runs, and every slice is filled in by
+        # session-finished. Sites under no_wait raises page errors
+        # (the paper's timing bug); a missing field halts the run.
+        class Spy(SessionObserver):
+            report = None
+            seen = None
+
+            def on_halted(self, event):
+                self.seen = {"halted": self.report.halted,
+                             "halt_reason": self.report.halt_reason,
+                             "halt_error": self.report.halt_error,
+                             "error": event.error}
+
+            def on_session_finished(self, event):
+                report = event.data["report"]
+                self.seen.update(
+                    report=report, results=list(report.results),
+                    page_errors=list(report.page_errors),
+                    perf_counters=report.perf_counters,
+                    net_fidelity=report.net_fidelity,
+                    final_url=report.final_url)
+
+        trace = _sites_trace()
+        trace.append(TypeCommand('//input[@id="missing"]', key="a", code=65,
+                                 elapsed_ms=0))
+        browser, _ = make_browser([SitesApplication], developer_mode=True)
+        engine = SessionEngine(browser, timing=TimingPolicy.no_wait(),
+                               failure=FailurePolicy.halt_on_failure())
+        spy = Spy()
+        run = engine.start(trace, observers=[spy])
+        spy.report = run.report
+        for command in trace:
+            run.step(command)
+            if run.stopped:
+                break
+        report = run.finish()
+        seen = spy.seen
+        assert seen["halted"] is True
+        assert seen["halt_reason"] == "command failed: %s" \
+            % trace[-1].to_line()
+        assert seen["halt_error"] is seen["error"] is not None
+        assert seen["report"] is report
+        assert seen["results"] == report.results
+        assert len(seen["results"]) == len(trace)
+        assert seen["page_errors"]
+        assert all("editorState" in str(error)
+                   for error in seen["page_errors"])
+        assert seen["perf_counters"]
+        assert seen["perf_counters"] == report.perf_counters
+        assert seen["net_fidelity"] == {"failed_fetches": 0, "timeouts": 0,
+                                        "tape_misses": 0}
+        assert seen["final_url"] == SITES_URL + "/edit/home"
 
     def test_tracer_installed_between_steps_traces_from_the_next_command(self):
         trace = _sites_trace()
