@@ -449,6 +449,10 @@ class Document(Node):
         self._text_generation = 0
         self._indexes = None
         self._listened_types = set()
+        #: For a page-template clone (:mod:`repro.dom.parser`), the
+        #: ``(PageTemplate, elements in document order)`` it came from:
+        #: until the generation moves, its layout is the template's.
+        self._template = None
 
     # -- mutation tracking ----------------------------------------------
 

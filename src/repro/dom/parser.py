@@ -9,19 +9,29 @@ popping to the nearest matching open element, as browsers do.
 
 Every replay runs on a fresh browser, so the same few pages are parsed
 over and over. :func:`parse_html` therefore parses each markup string
-once into a private template ``Document`` and hands out a clone of that
-template for every load of the same markup, counted as the
-``dom.parse`` perf counter. Markup that is parsed once and never again
-(an AUsER snapshot) goes through :func:`parse_html_uncached`, so it
-cannot evict the page templates. ``perf.fast_path(False)`` parses every
-time, the oracle the clones are tested against.
+once into a private :class:`PageTemplate` and hands out a clone of its
+document for every load of the same markup, counted as the
+``dom.parse`` perf counter. The clone is built in one loop over the
+template's nodes and comes with its element indexes already built; the
+layout engine copies the template's boxes into it until it is mutated.
+Markup that is parsed once and never again (an AUsER snapshot) goes
+through :func:`parse_html_uncached`, so it cannot evict the page
+templates. ``perf.fast_path(False)`` parses every time, the oracle the
+clones are tested against.
 """
 
 import string
 from collections import OrderedDict
 
 from repro import perf
-from repro.dom.node import Document, Element, Text, Comment, VOID_ELEMENTS
+from repro.dom.node import (
+    VOID_ELEMENTS,
+    Comment,
+    Document,
+    Element,
+    Text,
+    _DocumentIndexes,
+)
 
 #: Content of these elements is raw text: markup inside is not parsed.
 RAW_TEXT_ELEMENTS = frozenset(["script", "style", "textarea", "title"])
@@ -228,8 +238,39 @@ def _raw_text_end(markup, lower, pos, tag):
         return idx, close + 1
 
 
-#: Page templates: markup -> the private Document parsed from it, in
-#: LRU order. Templates are never handed out, only cloned.
+class PageTemplate:
+    """One parsed page, and everything its clones share.
+
+    ``document`` is private: it is never handed out or mutated, only
+    cloned. ``plan`` lists its nodes in document order as ``(node,
+    parent)`` pairs, where ``parent`` is the position of the node's
+    parent in the clone's list of copies (0 for the document itself),
+    so :func:`_clone_document` needs no stack. ``order`` maps each of
+    its elements (by id) to its document-order position. ``layouts``
+    holds the boxes computed for it, one entry per viewport width,
+    filled by :class:`~repro.layout.engine.LayoutEngine`; they live and
+    die with the template.
+    """
+
+    __slots__ = ("document", "plan", "order", "layouts")
+
+    def __init__(self, document):
+        self.document = document
+        self.plan = []
+        self.order = {}
+        self.layouts = {}
+        position = {id(document): 0}
+        pending = list(reversed(document.children))
+        while pending:
+            node = pending.pop()
+            position[id(node)] = len(position)
+            self.plan.append((node, position[id(node.parent)]))
+            if type(node) is Element:
+                self.order[id(node)] = len(self.order)
+                pending.extend(reversed(node.children))
+
+
+#: Page templates: markup -> its :class:`PageTemplate`, in LRU order.
 _TEMPLATES = OrderedDict()
 _TEMPLATES_MAX = 64
 
@@ -255,7 +296,7 @@ def parse_html(markup, url=""):
         perf.record("dom.parse", hit=True)
     else:
         perf.record("dom.parse", hit=False)
-        template = parse_html_uncached(markup)
+        template = PageTemplate(parse_html_uncached(markup))
         _TEMPLATES[markup] = template
         if len(_TEMPLATES) > _TEMPLATES_MAX:
             _TEMPLATES.popitem(last=False)
@@ -275,7 +316,7 @@ def parse_html_uncached(markup, url=""):
 
 
 def _clone_document(template, url):
-    """A deep copy of ``template`` with ``url``, built in one walk.
+    """A deep copy of ``template``'s document with ``url``, in one loop.
 
     Nodes are made without their constructors and linked directly
     rather than through ``append_child``: the template is a finished
@@ -283,34 +324,43 @@ def _clone_document(template, url):
     copy gets every field its constructor would set (a test compares
     the field names with a parsed tree's). The copy takes the
     template's generation counters, so it reads exactly as a fresh
-    parse of the same markup.
+    parse of the same markup, and its element indexes are built from
+    the elements the loop collects in document order rather than by a
+    later walk. ``_template`` links it to the template, for the layout
+    engine.
     """
+    source = template.document
     document = Document(url=url)
-    document._generation = template._generation
-    document._structure_generation = template._structure_generation
-    document._attribute_generation = template._attribute_generation
-    document._text_generation = template._text_generation
+    document._generation = source._generation
+    document._structure_generation = source._structure_generation
+    document._attribute_generation = source._attribute_generation
+    document._text_generation = source._text_generation
     new = object.__new__
-    pending = [(template, document)]
-    while pending:
-        source, target = pending.pop()
-        children = target.children
-        for child in source.children:
-            kind = type(child)
-            copy = new(kind)
-            copy.parent = target
-            copy.children = []
-            copy.owner_document = document
-            copy._listeners = {}
-            if kind is Element:
-                copy.tag = child.tag
-                copy.attributes = child.attributes.copy()
-                copy._value = None
-                if child.children:
-                    pending.append((child, copy))
-            else:
-                copy._data = child._data
-            children.append(copy)
+    copies = [document]
+    elements = []
+    by_tag = {}
+    for node, parent_position in template.plan:
+        kind = type(node)
+        copy = new(kind)
+        parent = copies[parent_position]
+        copy.parent = parent
+        copy.children = []
+        copy.owner_document = document
+        copy._listeners = {}
+        if kind is Element:
+            copy.tag = node.tag
+            copy.attributes = node.attributes.copy()
+            copy._value = None
+            elements.append(copy)
+            by_tag.setdefault(copy.tag, []).append(copy)
+        else:
+            copy._data = node._data
+        parent.children.append(copy)
+        copies.append(copy)
+    document._indexes = _DocumentIndexes(
+        document._structure_generation,
+        dict(zip(map(id, elements), range(len(elements)))), by_tag, elements)
+    document._template = (template, elements)
     return document
 
 

@@ -47,13 +47,18 @@ class Rect:
 
 
 class LayoutBox:
-    """The computed box of one element."""
+    """The computed box of one element.
 
-    __slots__ = ("element", "rect")
+    ``depth`` is the element's number of ancestors when the box was
+    computed, which hit testing compares.
+    """
 
-    def __init__(self, element, rect):
+    __slots__ = ("element", "rect", "depth")
+
+    def __init__(self, element, rect, depth):
         self.element = element
         self.rect = rect
+        self.depth = depth
 
     def __repr__(self):
         return "LayoutBox(<%s>, %r)" % (self.element.tag, self.rect)

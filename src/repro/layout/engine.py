@@ -11,6 +11,14 @@ that coordinate-based replay needs.
 Elements moved by drags carry ``data-offset-x/y`` attributes which the
 engine applies as a final translation, so dragging changes geometry the
 way the paper's drag command expects.
+
+Layout is a pure function of the document's tree, attributes and text,
+all of which bump its ``generation``. So a page-template clone that has
+not been mutated takes a copy of the boxes computed once for its
+template (:mod:`repro.dom.parser`), and an invalidated layout whose
+document has not changed since is not recomputed. Chaos jitter is
+drawn as before; while layout chaos is active nothing is skipped.
+``perf.fast_path(False)`` walks the tree on every relayout.
 """
 
 from repro import chaos, perf, telemetry
@@ -50,6 +58,10 @@ class LayoutEngine:
         self._boxes = {}
         self._order = []
         self._dirty = True
+        #: Document generation the boxes were computed at (None when
+        #: they carry chaos jitter), and its structure generation.
+        self._generation = None
+        self._structure_generation = None
         #: Telemetry track anchor (the owning WebKitEngine sets itself).
         self.trace_track = None
 
@@ -67,17 +79,52 @@ class LayoutEngine:
         return result
 
     def _relayout(self):
+        document = self.document
+        template = document._template if perf.fast_path_enabled() else None
+        if (template is not None
+                and document.generation == template[0].document.generation):
+            self._copy_template_layout(*template)
+        else:
+            self._walk()
+        injector = _layout_chaos()
+        if injector is not None and self._order:
+            self._apply_chaos_jitter(injector)
+        self._generation = document.generation if injector is None else None
+        self._structure_generation = document.structure_generation
+        self._dirty = False
+        return self
+
+    def _walk(self):
+        """Lay the tree out from the body (no boxes without one)."""
         self._boxes = {}
         self._order = []
         body = self.document.body
         if body is not None:
-            self._layout_block(body, 0, 0, self.viewport_width)
+            self._layout_block(body, 0, 0, self.viewport_width,
+                               sum(1 for _ in body.ancestors()))
             self._apply_drag_offsets()
-            self._apply_chaos_jitter()
-        self._dirty = False
-        return self
 
-    def _apply_chaos_jitter(self):
+    def _copy_template_layout(self, template, elements):
+        """Boxes for an unmutated clone of ``template``: a copy of the
+        template's, walked once per viewport width. ``elements`` are
+        the clone's in document order."""
+        layouts = template.layouts
+        entries = layouts.get(self.viewport_width)
+        if entries is None:
+            engine = LayoutEngine(template.document, self.viewport_width)
+            engine._walk()
+            position = template.order
+            entries = layouts[self.viewport_width] = [
+                (position[id(element)], engine._boxes[id(element)])
+                for element in engine._order]
+        self._boxes = boxes = {}
+        self._order = order = []
+        for position, box in entries:
+            element = elements[position]
+            boxes[id(element)] = LayoutBox(element, box.rect, box.depth)
+            order.append(element)
+
+    def _apply_chaos_jitter(self, injector):
         """Chaos injection point: shift the whole page by a few pixels.
 
         Models late-landing layout (ads, fonts, async content pushing
@@ -85,9 +132,6 @@ class LayoutEngine:
         element they targeted, which is exactly what the locator
         relaxation ladder has to absorb.
         """
-        injector = chaos.current()
-        if injector is None or not injector.layout_active:
-            return
         px = injector.fault("layout", "jitter", "layout_jitter_rate",
                             "layout_jitter_px")
         if px is None:
@@ -112,12 +156,21 @@ class LayoutEngine:
         self._dirty = True
 
     def _ensure_layout(self):
-        """Recompute boxes if a mutation invalidated them."""
+        """Recompute boxes if a mutation invalidated them.
+
+        An invalidation after which the document's generation has not
+        moved (typing into an ``<input>`` sets only its ``value``
+        property) keeps the boxes, counted as a hit, unless layout chaos
+        is active and a relayout would draw jitter.
+        """
         if perf.fast_path_enabled():
-            if self._dirty:
+            if self._dirty and (
+                    self._generation != self.document.generation
+                    or _layout_chaos() is not None):
                 perf.record("layout", hit=False)
                 self.relayout()
             else:
+                self._dirty = False
                 perf.record("layout", hit=True)
         elif not self._boxes:
             self.relayout()
@@ -131,15 +184,24 @@ class LayoutEngine:
         """Deepest element containing the point, or None.
 
         Ties at equal depth go to the later sibling (painted on top).
+        Depth is the one recorded with each box, unless elements were
+        added or removed since the boxes were computed; then it is
+        counted from the element's current ancestors.
         """
         self._ensure_layout()
+        boxes = self._boxes
+        recorded = (self._structure_generation
+                    == self.document.structure_generation)
         hit = None
         hit_depth = -1
-        for index, element in enumerate(self._order):
-            box = self._boxes[id(element)]
+        for element in self._order:
+            box = boxes[id(element)]
             if not box.rect.contains(x, y):
                 continue
-            depth = sum(1 for _ in element.ancestors())
+            if recorded:
+                depth = box.depth
+            else:
+                depth = sum(1 for _ in element.ancestors())
             if depth >= hit_depth:
                 hit = element
                 hit_depth = depth
@@ -154,21 +216,24 @@ class LayoutEngine:
 
     # -- layout algorithms --------------------------------------------------
 
-    def _register(self, element, rect):
-        self._boxes[id(element)] = LayoutBox(element, rect)
+    def _register(self, element, rect, depth):
+        self._boxes[id(element)] = LayoutBox(element, rect, depth)
         self._order.append(element)
 
     def _is_inline(self, element):
         return element.tag in INLINE_ELEMENTS
 
-    def _layout_block(self, element, x, y, width):
+    # Each method below is given the depth (number of ancestors) of the
+    # elements it registers.
+
+    def _layout_block(self, element, x, y, width, depth):
         """Lay out a block element; returns its height."""
         if element.tag in INVISIBLE_ELEMENTS:
             return 0
         if element.tag == "table":
-            return self._layout_table(element, x, y, width)
+            return self._layout_table(element, x, y, width, depth)
         if element.tag == "iframe":
-            return self._layout_iframe(element, x, y, width)
+            return self._layout_iframe(element, x, y, width, depth)
 
         inner_x = x + PADDING
         inner_width = max(width - 2 * PADDING, CHAR_WIDTH)
@@ -179,7 +244,8 @@ class LayoutEngine:
             nonlocal cursor_y
             if not inline_run:
                 return
-            run_height = self._layout_inline_run(inline_run, inner_x, cursor_y)
+            run_height = self._layout_inline_run(inline_run, inner_x,
+                                                 cursor_y, depth + 1)
             cursor_y += run_height
             inline_run.clear()
 
@@ -194,14 +260,15 @@ class LayoutEngine:
                     inline_run.append(child)
                 else:
                     flush_inline()
-                    cursor_y += self._layout_block(child, inner_x, cursor_y, inner_width)
+                    cursor_y += self._layout_block(child, inner_x, cursor_y,
+                                                   inner_width, depth + 1)
         flush_inline()
 
         height = max(cursor_y + PADDING - y, LINE_HEIGHT)
-        self._register(element, Rect(x, y, width, height))
+        self._register(element, Rect(x, y, width, height), depth)
         return height
 
-    def _layout_inline_run(self, nodes, x, y):
+    def _layout_inline_run(self, nodes, x, y, depth):
         """Lay out consecutive inline nodes horizontally; returns height."""
         cursor_x = x
         max_height = LINE_HEIGHT
@@ -210,20 +277,21 @@ class LayoutEngine:
                 cursor_x += len(node.data.strip()) * CHAR_WIDTH
                 continue
             width, height = self._inline_size(node)
-            self._register(node, Rect(cursor_x, y, width, height))
-            self._layout_inline_children(node, cursor_x, y)
+            self._register(node, Rect(cursor_x, y, width, height), depth)
+            self._layout_inline_children(node, cursor_x, y, depth + 1)
             cursor_x += width + PADDING
             max_height = max(max_height, height)
         return max_height
 
-    def _layout_inline_children(self, element, x, y):
+    def _layout_inline_children(self, element, x, y, depth):
         """Give inline descendants boxes nested inside the parent's box."""
         cursor_x = x + 1
         for child in element.children:
             if isinstance(child, Element) and child.tag not in INVISIBLE_ELEMENTS:
                 width, height = self._inline_size(child)
-                self._register(child, Rect(cursor_x, y + 1, width, max(height - 2, 1)))
-                self._layout_inline_children(child, cursor_x, y + 1)
+                self._register(child, Rect(cursor_x, y + 1, width, max(height - 2, 1)),
+                               depth)
+                self._layout_inline_children(child, cursor_x, y + 1, depth + 1)
                 cursor_x += width + 1
 
     def _inline_size(self, element):
@@ -246,7 +314,7 @@ class LayoutEngine:
             return (text_length * CHAR_WIDTH + BUTTON_PAD, INPUT_HEIGHT)
         return (max(text_length, 1) * CHAR_WIDTH, LINE_HEIGHT)
 
-    def _layout_iframe(self, iframe, x, y, width):
+    def _layout_iframe(self, iframe, x, y, width, depth):
         """Iframes have intrinsic dimensions (browsers default 300x150).
 
         A src iframe's content lives in a child engine with its own
@@ -256,40 +324,49 @@ class LayoutEngine:
         frame_width = int(iframe.get_attribute("width")
                           or min(width, IFRAME_WIDTH))
         frame_height = int(iframe.get_attribute("height") or IFRAME_HEIGHT)
-        self._register(iframe, Rect(x, y, frame_width, frame_height))
+        self._register(iframe, Rect(x, y, frame_width, frame_height), depth)
         cursor_y = y + PADDING
         for child in iframe.child_elements():
             if child.tag in INVISIBLE_ELEMENTS:
                 continue
             cursor_y += self._layout_block(child, x + PADDING, cursor_y,
-                                           frame_width - 2 * PADDING)
+                                           frame_width - 2 * PADDING,
+                                           depth + 1)
         return frame_height
 
-    def _layout_table(self, table, x, y, width):
+    def _layout_table(self, table, x, y, width, depth):
         cursor_y = y + PADDING
         rows = [
             node for node in table.descendants()
             if isinstance(node, Element) and node.tag == "tr"
         ]
         for row in rows:
+            # A row may sit inside a tbody (or a nested table).
+            row_depth = depth
+            node = row
+            while node is not table:
+                node = node.parent
+                row_depth += 1
             cells = [
                 child for child in row.child_elements()
                 if child.tag in ("td", "th")
             ]
             if not cells:
-                self._register(row, Rect(x, cursor_y, width, LINE_HEIGHT))
+                self._register(row, Rect(x, cursor_y, width, LINE_HEIGHT),
+                               row_depth)
                 cursor_y += LINE_HEIGHT
                 continue
             cell_width = max(width // len(cells), CHAR_WIDTH * 2)
             row_height = 0
             for index, cell in enumerate(cells):
                 cell_x = x + index * cell_width
-                height = self._layout_block(cell, cell_x, cursor_y, cell_width)
+                height = self._layout_block(cell, cell_x, cursor_y, cell_width,
+                                            row_depth + 1)
                 row_height = max(row_height, height)
-            self._register(row, Rect(x, cursor_y, width, row_height))
+            self._register(row, Rect(x, cursor_y, width, row_height), row_depth)
             cursor_y += row_height
         height = max(cursor_y + PADDING - y, LINE_HEIGHT)
-        self._register(table, Rect(x, y, width, height))
+        self._register(table, Rect(x, y, width, height), depth)
         return height
 
     def _apply_drag_offsets(self):
@@ -307,6 +384,14 @@ class LayoutEngine:
                 child_box = self._boxes.get(id(descendant))
                 if child_box is not None:
                     child_box.rect = child_box.rect.translated(offset_x, offset_y)
+
+
+def _layout_chaos():
+    """The chaos injector if its layout layer is live, else None."""
+    injector = chaos.current()
+    if injector is None or not injector.layout_active:
+        return None
+    return injector
 
 
 def layout_document(document, viewport_width=DEFAULT_VIEWPORT_WIDTH):

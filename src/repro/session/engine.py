@@ -91,12 +91,18 @@ class SessionEngine:
 
     # -- whole-trace execution ----------------------------------------------
 
-    def run(self, trace, observers=()):
-        """Replay ``trace`` from its start URL; returns a ReplayReport."""
+    def run(self, trace, observers=(), on_step=None):
+        """Replay ``trace`` from its start URL; returns a ReplayReport.
+
+        ``on_step``, if given, is called with no arguments after each
+        step: a progress count that builds no event (the pool worker's).
+        """
         run = self.start(trace, observers=observers)
         if not run.halted:
             for command in trace:
                 run.step(command)
+                if on_step is not None:
+                    on_step()
                 if run.stopped:
                     break
         return run.finish()

@@ -45,7 +45,9 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
   diagnosis bundle (attempt history, commands completed at death, the
   worker's stderr tail, the active chaos ``(profile, seed)`` stamp)
   instead of burning workers forever — poison traces are data, not
-  retries;
+  retries. "Commands completed" is a shared-memory slot per worker,
+  bumped after each step by the ``on_step`` callback the worker hands
+  :func:`replay_trace`; counting builds no session event;
 - worker kills escalate ``terminate() → join(KILL_GRACE) → kill()``,
   so a SIGTERM-masking worker cannot wedge the reaper;
 - respawns back off exponentially, and repeated deaths with no
@@ -83,7 +85,6 @@ from multiprocessing.connection import wait as _connection_wait
 
 from repro import chaos
 from repro.session import wire
-from repro.session.events import SessionObserver
 from repro.session.supervisor import (
     WorkerSupervisor,
     start_heartbeat,
@@ -285,7 +286,7 @@ class _TraceMemo:
 
 
 def replay_trace(factory, engine_config, trace, label=None, tape=None,
-                 tracer=None, observers=None):
+                 tracer=None, observers=None, on_step=None):
     """Replay one trace on a fresh browser from ``factory``.
 
     The one per-trace path of every batch: the serial loop and the
@@ -294,7 +295,7 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
     the session (None without ``tracer``) so the caller can slice the
     session's events out of the buffer. ``engine_config`` holds
     :class:`SessionEngine` keyword arguments; None means its defaults.
-    Exceptions propagate.
+    ``on_step`` goes to :meth:`SessionEngine.run`. Exceptions propagate.
     """
     from repro.session.engine import SessionEngine
 
@@ -315,7 +316,7 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
     try:
         engine = SessionEngine(browser, observers=observers,
                                **(engine_config or {}))
-        report = engine.run(trace)
+        report = engine.run(trace, on_step=on_step)
     finally:
         # Reset even when the engine raises: a stale clock would stamp
         # later events with a dead session's virtual time.
@@ -324,27 +325,6 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
         if tape_session is not None:
             tape_session.finish()
     return report, mark
-
-
-class _ProgressObserver(SessionObserver):
-    """Mirrors per-trace command completion into shared memory.
-
-    The dying worker can't tell the parent how far it got; this
-    observer can — it bumps the worker's shared progress slot after
-    every finished command, so the quarantine diagnosis bundle carries
-    an honest "N commands completed" checkpoint even for a SIGKILL.
-    It overrides only ``on_command_finished``, so the event stream
-    never calls it for any other kind.
-    """
-
-    __slots__ = ("progress", "slot")
-
-    def __init__(self, progress, slot):
-        self.progress = progress
-        self.slot = slot
-
-    def on_command_finished(self, event):
-        self.progress[self.slot] += 1
 
 
 def _farm_kill_stream(worker_id):
@@ -406,8 +386,14 @@ def _worker_main(slot, worker_id, spec, task_queue, result_queue, current,
     tracer_cats = None
     factory = None
     traces = _TraceMemo()
-    observers = [_ProgressObserver(progress, slot)]
     dropped_sent = 0
+
+    def count_step():
+        # The dying worker cannot tell the parent how far it got; its
+        # shared progress slot can, so a quarantine diagnosis carries
+        # an exact "N commands completed" even after a SIGKILL.
+        progress[slot] += 1
+
     while True:
         task = task_queue.get()
         if task is None:
@@ -449,7 +435,7 @@ def _worker_main(slot, worker_id, spec, task_queue, result_queue, current,
                 report, mark = replay_trace(
                     factory, engine_config, traces.parse(trace_text),
                     label=label, tape=tape, tracer=tracer,
-                    observers=observers)
+                    on_step=count_step)
                 events = metadata = None
                 dropped = 0
                 if tracer is not None:

@@ -12,13 +12,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import perf
+from repro import chaos, perf
 from repro.apps.dashboard import DashboardApplication
 from repro.apps.docs import DocsApplication
 from repro.apps.framework import make_browser
 from repro.apps.gmail import GmailApplication
 from repro.apps.portal import PortalApplication
 from repro.apps.sites import SitesApplication
+from repro.chaos import FaultProfile
 from repro.core.recorder import WarrRecorder
 from repro.core.relaxation import RelaxationEngine
 from repro.core.replayer import TimingMode, WarrReplayer
@@ -165,6 +166,159 @@ class TestLayoutInvalidation:
             engine.invalidate()
             engine.invalidate()
         assert len(relayouts) == 2
+
+    def _counting(self, engine, monkeypatch):
+        relayouts = []
+        original = engine.relayout
+        monkeypatch.setattr(
+            engine, "relayout", lambda: (relayouts.append(1), original())[1]
+        )
+        return relayouts
+
+    def test_unchanged_document_is_not_laid_out_again(self, doc, monkeypatch):
+        doc.body.append_child(doc.create_element("input", {"id": "q"}))
+        engine = LayoutEngine(doc).relayout()
+        relayouts = self._counting(engine, monkeypatch)
+        # Typing sets the value property, which no layout input reads.
+        doc.get_element_by_id("q").value = "typed"
+        engine.invalidate()
+        hits, misses = perf.stats.counter("layout")
+        engine.hit_test(10, 10)
+        assert relayouts == []
+        assert perf.stats.counter("layout") == (hits + 1, misses)
+        doc.get_element_by_id("status").append_text("!")
+        engine.invalidate()
+        engine.hit_test(10, 10)
+        assert relayouts == [1]
+        assert perf.stats.counter("layout") == (hits + 1, misses + 1)
+
+    def test_layout_chaos_lays_an_unchanged_document_out_again(
+            self, doc, monkeypatch):
+        profile = FaultProfile(layout_jitter_rate=1.0,
+                               layout_jitter_px=(4.0, 4.0))
+        engine = LayoutEngine(doc).relayout()
+        relayouts = self._counting(engine, monkeypatch)
+        with chaos.active(profile, seed=1):
+            engine.invalidate()
+            engine.box_for(doc.body)
+            engine.invalidate()
+            engine.box_for(doc.body)
+        assert relayouts == [1, 1]
+        # Jittered boxes are not a function of the document: leaving
+        # chaos lays the page out again too.
+        engine.invalidate()
+        engine.box_for(doc.body)
+        assert relayouts == [1, 1, 1]
+
+    def test_stale_layout_hit_tests_current_depths(self, fast_on):
+        doc = parse_html('<div id="outer">x <span id="inner">y</span></div>')
+        engine = LayoutEngine(doc).relayout()
+        inner = doc.get_element_by_id("inner")
+        x, y = engine.box_for(inner).rect.center
+        assert engine.hit_test(x, y) is inner
+        # Move the span up to the div's depth without invalidating: the
+        # boxes are stale, and at equal depth the later box (the div,
+        # laid out after its children) wins, as an ancestor walk says.
+        doc.body.append_child(inner)
+        assert engine.hit_test(x, y) is doc.get_element_by_id("outer")
+
+
+LAYOUT_PAGE = """<html><body>
+<div id="top"><span id="label">label</span><input id="q" type="text">
+<button id="go">Go</button></div>
+<table id="grid"><tr id="row"><td id="c1">one</td><td id="c2"><b id="b">two</b>
+</td></tr></table>
+<p id="para">some text <a id="link" href="#">a link</a></p>
+<iframe id="frame"><p id="inside">inside</p></iframe>
+</body></html>"""
+
+_LAYOUT_IDS = ["top", "label", "q", "go", "grid", "row", "c1", "c2", "b",
+               "para", "link", "frame", "inside"]
+_CONTAINER_IDS = ["top", "label", "go", "c1", "c2", "b", "para", "link",
+                  "frame", "inside"]
+_LAYOUT_ATTRS = {
+    "class": ["x", ""],
+    "type": ["checkbox", "submit", "text"],
+    "value": ["Send it", ""],
+    "data-offset-x": ["7", "-3"],
+    "data-offset-y": ["5"],
+}
+
+_LAYOUT_STEPS = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from(_LAYOUT_IDS),
+              st.sampled_from(["", "typed"])),
+    st.tuples(st.just("attr"), st.sampled_from(_LAYOUT_IDS),
+              st.sampled_from(sorted(_LAYOUT_ATTRS)), st.integers(0, 2)),
+    st.tuples(st.just("text"), st.sampled_from(_CONTAINER_IDS),
+              st.sampled_from(["a", "longer words"])),
+    st.tuples(st.just("append"), st.sampled_from(_CONTAINER_IDS),
+              st.sampled_from(["span", "div", "tr"])),
+    st.tuples(st.just("remove"), st.sampled_from(_LAYOUT_IDS)),
+    st.just(("invalidate",)),
+    st.tuples(st.just("hit"), st.integers(0, 500), st.integers(0, 200)),
+    st.tuples(st.just("box"), st.sampled_from(_LAYOUT_IDS)),
+)
+
+
+def _query(engine, step):
+    """Answer a "hit" or "box" step: an element, or a box's fields."""
+    if step[0] == "hit":
+        return engine.hit_test(step[1], step[2])
+    box = engine.box_for(engine.document.get_element_by_id(step[1]))
+    return None if box is None else (box.element, box.rect, box.depth)
+
+
+def _mutate(doc, elements, step):
+    kind = step[0]
+    element = elements[step[1]]
+    if kind == "value":
+        element.value = step[2]
+    elif kind == "attr":
+        values = _LAYOUT_ATTRS[step[2]]
+        element.set_attribute(step[2], values[step[3] % len(values)])
+    elif kind == "text":
+        element.append_text(step[2])
+    elif kind == "append":
+        added = doc.create_element(step[2])
+        added.append_child(doc.create_text_node("new"))
+        element.append_child(added)
+    elif element.parent is not None:
+        element.remove()
+
+
+def _boxes(engine):
+    return [(element, engine._boxes[id(element)].rect,
+             engine._boxes[id(element)].depth) for element in engine._order]
+
+
+class TestLayoutSkipOracle:
+    """An invalidated layout, kept because the generation has not moved
+    or recomputed, equals a full layout of the current DOM."""
+
+    @given(steps=st.lists(_LAYOUT_STEPS, max_size=25))
+    @settings(max_examples=120, deadline=None)
+    def test_invalidated_layout_equals_a_fresh_full_layout(self, steps):
+        with perf.fast_path(True):
+            parse_html(LAYOUT_PAGE)
+            doc = parse_html(LAYOUT_PAGE)
+            engine = LayoutEngine(doc).relayout()
+            elements = {name: doc.get_element_by_id(name)
+                        for name in _LAYOUT_IDS}
+            for step in steps:
+                if step[0] == "invalidate":
+                    engine.invalidate()
+                    continue
+                if step[0] not in ("hit", "box"):
+                    _mutate(doc, elements, step)
+                    continue
+                dirty = engine._dirty
+                answer = _query(engine, step)
+                if not dirty:
+                    continue  # stale by design: nothing invalidated it
+                with perf.fast_path(False):
+                    fresh = LayoutEngine(doc).relayout()
+                assert answer == _query(fresh, step)
+                assert _boxes(engine) == _boxes(fresh)
 
 
 class TestRelaxationMemo:

@@ -7,7 +7,13 @@ from repro import perf
 from repro.auser.snapshot import PageSnapshot
 from repro.dom import parser
 from repro.dom.node import Comment, Element, Text
-from repro.dom.parser import decode_entities, parse_fragment, parse_html
+from repro.dom.parser import (
+    decode_entities,
+    parse_fragment,
+    parse_html,
+    parse_html_uncached,
+)
+from repro.layout.engine import LayoutEngine
 
 
 class TestBasicParsing:
@@ -318,6 +324,49 @@ def test_property_memoized_parse_equals_uncached_parse(markup, url):
     for _ in range(3):
         assert _shape(parse_html(markup, url=url)) == expected
     assert perf.stats.counter("dom.parse") == (hits + 2, misses + 1)
+
+
+def _layout_rows(engine):
+    """An engine's boxes in its order, each element named by its
+    document-order position: comparable across two trees."""
+    elements = [node for node in engine.document.descendants()
+                if isinstance(node, Element)]
+    position = {id(element): index for index, element in enumerate(elements)}
+    rows = []
+    for element in engine._order:
+        box = engine.box_for(element)
+        rect = box.rect
+        rows.append((position[id(element)],
+                     (rect.x, rect.y, rect.width, rect.height), box.depth))
+    return rows
+
+
+@given(_MARKUP)
+@settings(max_examples=150, deadline=None)
+def test_property_clone_carries_the_layout_and_index_of_a_walk(markup):
+    perf.clear_caches()
+    parse_html(markup)
+    clone = parse_html(markup)
+    layout = LayoutEngine(clone).relayout()
+    # The boxes were copied from the template, not walked.
+    assert parser._TEMPLATES[markup].layouts
+    expected = LayoutEngine(parse_html_uncached(markup)).relayout()
+    assert _layout_rows(layout) == _layout_rows(expected)
+    for element in layout._order:
+        assert layout.box_for(element).element is element
+        assert layout.box_for(element).depth \
+            == sum(1 for _ in element.ancestors())
+
+    hits = perf.stats.counter("dom.index")[0]
+    seeded = clone.query_indexes()
+    assert perf.stats.counter("dom.index")[0] == hits + 1
+    clone._indexes = None
+    walked = clone.query_indexes()
+    assert walked is not seeded
+    assert seeded.generation == walked.generation
+    assert seeded.elements == walked.elements
+    assert seeded.order == walked.order
+    assert seeded.by_tag == walked.by_tag
 
 
 class TestTemplateStore:

@@ -122,6 +122,20 @@ class TestHitTest:
         x, y = engine.click_point(inner)
         assert engine.hit_test(x, y) is inner
 
+    def test_boxes_record_their_element_depth(self):
+        # Rows sit below their table at any depth, and an outer table
+        # lays out the rows of a table nested in one of its cells too.
+        doc, engine = lay("""
+        <table><tr><td><table><tr><td><b>x</b></td></tr></table></td></tr>
+        <div><tr><td>wrapped</td></tr></div></table>
+        <p>text <a><span>inline</span></a></p>
+        <iframe><p>inside</p></iframe>
+        """)
+        assert any(element.tag == "tr" for element in engine._order)
+        for element in engine._order:
+            assert engine.box_for(element).depth \
+                == sum(1 for _ in element.ancestors())
+
 
 class TestDragOffsets:
     def test_offset_translates_box(self):

@@ -19,14 +19,13 @@ from repro.core.trace import WarrTrace
 from repro.session import journal as run_journal
 from repro.session import supervisor, wire
 from repro.session.batch import BatchRunner
-from repro.session.events import EventStream, _handler_for
+from repro.session.engine import SessionRun
 from repro.session.journal import read_journal, verify_exactly_once
 from repro.session.observers import PerfCountersObserver
 from repro.session.policies import TimingPolicy
 from repro.session.pool import (
     WorkerPool,
     WorkerSpec,
-    _ProgressObserver,
     _TraceMemo,
     plan_chunks,
     resolve_factory,
@@ -598,18 +597,17 @@ class TestMerging:
 
 
 def _die_after_commands(count):
-    """An ``EventStream.emit`` that kills a pool worker once ``count``
-    commands have finished in it (the parent is never killed)."""
-    emit = EventStream.emit
+    """A ``SessionRun.step`` that kills a pool worker once ``count``
+    steps have returned in it, as the next step starts (the parent is
+    never killed)."""
+    step = SessionRun.step
     finished = [0]
 
-    def patched(self, event):
-        result = emit(self, event)
-        if event.kind == "command-finished" \
-                and multiprocessing.parent_process() is not None:
-            finished[0] += 1
-            if finished[0] == count:
-                os._exit(9)
+    def patched(self, command):
+        if finished[0] == count and multiprocessing.parent_process() is not None:
+            os._exit(9)
+        result = step(self, command)
+        finished[0] += 1
         return result
     return patched
 
@@ -706,15 +704,8 @@ class TestFarmPath:
             memo.parse(text + "# %d\n" % index)
             assert len(memo) <= _TraceMemo.LIMIT
 
-    def test_progress_observer_handles_only_command_finished(self):
-        observer = _ProgressObserver([0], 0)
-        assert _handler_for(observer, "command-started") is None
-        assert _handler_for(observer, "session-finished") is None
-        _handler_for(observer, "command-finished")(None)
-        assert observer.progress == [1]
-
     def test_quarantine_counts_completed_commands(self, monkeypatch):
-        monkeypatch.setattr(EventStream, "emit", _die_after_commands(3))
+        monkeypatch.setattr(SessionRun, "step", _die_after_commands(3))
         trace = record_trace("poison")
         assert len(trace) > 3
         with WorkerPool(WorkerSpec(factory), workers=2) as pool:
