@@ -45,8 +45,6 @@ from repro.session import (
     FailurePolicy,
     LocatorPolicy,
     SessionEngine,
-    SessionEvent,
-    SessionObserver,
     TimingPolicy,
 )
 
@@ -72,8 +70,6 @@ __all__ = [
     "WarrTrace",
     "WebDriver",
     "SessionEngine",
-    "SessionEvent",
-    "SessionObserver",
     "TimingPolicy",
     "LocatorPolicy",
     "FailurePolicy",

@@ -15,7 +15,7 @@ checks the recorder against it.
 
 from repro.auser.crypto import ToyRSA
 from repro.auser.privacy import scrub_trace
-from repro.auser.snapshot import PageSnapshot, SnapshotObserver
+from repro.auser.snapshot import PageSnapshot
 from repro.session.engine import SessionEngine
 
 #: The human perception threshold the paper cites (100 ms).
@@ -65,7 +65,7 @@ class AUsER:
         self.recorder = recorder
         self.browser = browser
         #: Page state is read through the session engine — the one
-        #: sanctioned observer of the browser — never via tab internals.
+        #: sanctioned reader of the page — never via tab internals.
         self.engine = SessionEngine(browser)
         self.reports = []
 
@@ -96,16 +96,20 @@ class AUsER:
                   region_xpath=None, hidden_xpaths=None):
         """Developer side: replay a user's report on a fresh environment.
 
-        Runs the bundled trace through the session engine with a
-        :class:`~repro.auser.snapshot.SnapshotObserver` attached and
-        returns ``(replay_report, final_snapshot)`` — the developer sees
-        both what replayed and the page the user ended on.
+        Runs the bundled trace through the session engine and returns
+        ``(replay_report, final_snapshot)`` — the developer sees both
+        what replayed and the page the replay ended on, scoped or
+        redacted the way a user's report would be (None when no page
+        loaded).
         """
         engine = SessionEngine(browser_factory(), timing=timing)
-        snapshotter = SnapshotObserver(region_xpath=region_xpath,
-                                       hidden_xpaths=hidden_xpaths)
-        replay_report = engine.run(report.trace, observers=[snapshotter])
-        return replay_report, snapshotter.snapshot
+        replay_report = engine.run(report.trace)
+        document = engine.current_document()
+        if document is None:
+            return replay_report, None
+        return replay_report, PageSnapshot.capture(
+            document, region_xpath=region_xpath,
+            hidden_xpaths=hidden_xpaths)
 
     def recorder_overhead_acceptable(self):
         """Is the recorder's per-action cost below human perception?"""

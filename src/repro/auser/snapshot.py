@@ -5,14 +5,13 @@ which the bug manifests. AUsER allows users to send developers only a
 part of the snapshot, such as the button that has the wrong name,
 leaving out private details displayed on the web page." (paper, VI)
 
-:class:`SnapshotObserver` rides the session engine's event stream and
-captures the final page when a session finishes — that is how a
-developer-side replay of a user's trace reproduces the snapshot without
+A developer-side replay of a user's trace reproduces the snapshot with
+:meth:`PageSnapshot.capture` on the page the session engine ends on
+(:meth:`~repro.session.engine.SessionEngine.current_document`), without
 reaching into driver internals.
 """
 
 from repro.dom.serialize import serialize
-from repro.session.events import SessionObserver
 from repro.util.errors import ElementNotFoundError
 from repro.xpath.evaluator import evaluate
 
@@ -86,26 +85,3 @@ def _clone_document(document):
     from repro.dom.parser import parse_html_uncached
 
     return parse_html_uncached(serialize(document), url=document.url)
-
-
-class SnapshotObserver(SessionObserver):
-    """Captures the final page of a session as a :class:`PageSnapshot`.
-
-    Subscribe one to a :class:`~repro.session.engine.SessionEngine` run;
-    after ``session-finished`` the snapshot (scoped or redacted the same
-    way a user's report would be) is available on ``.snapshot``.
-    """
-
-    def __init__(self, region_xpath=None, hidden_xpaths=None):
-        self.region_xpath = region_xpath
-        self.hidden_xpaths = hidden_xpaths
-        self.snapshot = None
-
-    def on_session_finished(self, event):
-        browser = event.data["browser"]
-        tab = browser.active_tab
-        if tab is None or tab.renderer is None:
-            return
-        self.snapshot = PageSnapshot.capture(
-            tab.document, region_xpath=self.region_xpath,
-            hidden_xpaths=self.hidden_xpaths)

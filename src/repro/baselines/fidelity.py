@@ -128,57 +128,3 @@ def evaluate_recording_fidelity(actions, warr_trace, selenium_commands):
     Returns (warr_result, selenium_result).
     """
     return _score_warr(actions, warr_trace), _score_selenium(actions, selenium_commands)
-
-
-# -- replay fidelity (session-engine consumer) ------------------------------
-
-#: WaRR command action -> SimulatedUser action kind.
-_COMMAND_ACTION_KINDS = {
-    "click": ACTION_CLICK,
-    "doubleclick": ACTION_DOUBLECLICK,
-    "type": ACTION_KEY,
-    "drag": ACTION_DRAG,
-}
-
-
-class ReplayFidelityObserver:
-    """Scores replay coverage straight off the session event stream.
-
-    Subscribes to ``command-finished`` events and tallies, per action
-    kind, how many of the trace's interactions actually replayed —
-    the replay-side complement of the Table II recording score.
-    Implemented as a :class:`~repro.session.events.SessionObserver`
-    (imported lazily to keep this module importable standalone).
-    """
-
-    def __init__(self):
-        self.expected = {}
-        self.replayed = {}
-
-    # SessionObserver duck-typing: the stream only calls on_event.
-    def on_event(self, event):
-        if event.kind != "command-finished":
-            return
-        kind = _COMMAND_ACTION_KINDS.get(event.command.action)
-        if kind is None:
-            return
-        self.expected[kind] = self.expected.get(kind, 0) + 1
-        if event.result is not None and event.result.succeeded:
-            self.replayed[kind] = self.replayed.get(kind, 0) + 1
-
-    def result(self, name="WaRR Replayer"):
-        return _tally(name, self.expected, self.replayed)
-
-
-def evaluate_replay_fidelity(trace, browser, timing=None):
-    """Replay ``trace`` through the session engine and score coverage.
-
-    Returns (replay_report, FidelityResult): Complete when every
-    recorded interaction replayed, Partial otherwise.
-    """
-    from repro.session.engine import SessionEngine
-
-    scorer = ReplayFidelityObserver()
-    engine = SessionEngine(browser, timing=timing)
-    report = engine.run(trace, observers=[scorer])
-    return report, scorer.result()

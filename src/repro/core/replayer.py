@@ -15,7 +15,7 @@ onto the engine's policy surface —
   :class:`~repro.session.policies.FailurePolicy`,
 
 and the replay report — page-script errors, halts, per-command
-outcomes — is assembled by observers of the engine's event stream.
+outcomes — is the one the engine's session run writes.
 """
 
 from repro.core.chromedriver import ChromeDriverConfig
@@ -56,6 +56,6 @@ class WarrReplayer:
                      else FailurePolicy.continue_on_failure()),
         )
 
-    def replay(self, trace, observers=()):
+    def replay(self, trace):
         """Replay ``trace`` from its start URL; returns a ReplayReport."""
-        return self.engine.run(trace, observers=observers)
+        return self.engine.run(trace)

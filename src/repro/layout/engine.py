@@ -336,12 +336,8 @@ class LayoutEngine:
 
     def _layout_table(self, table, x, y, width, depth):
         cursor_y = y + PADDING
-        rows = [
-            node for node in table.descendants()
-            if isinstance(node, Element) and node.tag == "tr"
-        ]
-        for row in rows:
-            # A row may sit inside a tbody (or a nested table).
+        for row in _table_rows(table):
+            # A row may sit inside a tbody (or any other wrapper).
             row_depth = depth
             node = row
             while node is not table:
@@ -397,3 +393,22 @@ def _layout_chaos():
 def layout_document(document, viewport_width=DEFAULT_VIEWPORT_WIDTH):
     """Convenience: build and run a :class:`LayoutEngine`."""
     return LayoutEngine(document, viewport_width).relayout()
+
+
+def _table_rows(table):
+    """The ``tr`` elements whose nearest ``table`` ancestor is ``table``,
+    in document order.
+
+    A table nested in a cell lays out its own rows when the cell's
+    block layout reaches it, so the walk does not enter it.
+    """
+    rows = []
+    stack = table.child_elements()[::-1]
+    while stack:
+        node = stack.pop()
+        if node.tag == "table":
+            continue
+        if node.tag == "tr":
+            rows.append(node)
+        stack.extend(node.child_elements()[::-1])
+    return rows

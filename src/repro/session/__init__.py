@@ -4,11 +4,11 @@ One execution pipeline — schedule → locate → act → observe — shared by
 every tool that drives a browser: WaRR replay, WebErr's error-injection
 campaigns, AUsER's developer-side reproductions, and the fidelity
 baselines. The :class:`SessionEngine` runs the pipeline; policy objects
-configure each stage; observers consume the structured
-:class:`SessionEvent` stream.
+configure each stage; every run writes a :class:`ReplayReport`, which
+is what the tools that drive the engine read, and narrates its steps to
+the installed tracer, if any (:mod:`repro.telemetry.observer`).
 """
 
-from repro.session.events import EventStream, SessionEvent, SessionObserver
 from repro.session.policies import (
     FailurePolicy,
     Location,
@@ -16,7 +16,7 @@ from repro.session.policies import (
     TimingPolicy,
 )
 from repro.session.report import CommandResult, RemoteError, ReplayReport
-from repro.session.observers import EventLogObserver, PerfCountersObserver
+from repro.session.observers import PerfCountersObserver
 from repro.session.engine import SessionEngine, SessionRun
 from repro.session.batch import BatchReport, BatchRunner, TraceRun
 from repro.session.pool import (
@@ -39,9 +39,6 @@ from repro.session.supervisor import (
 from repro.session.wire import WireError, decode_report, encode_report
 
 __all__ = [
-    "EventStream",
-    "SessionEvent",
-    "SessionObserver",
     "TimingPolicy",
     "LocatorPolicy",
     "Location",
@@ -49,7 +46,6 @@ __all__ = [
     "CommandResult",
     "ReplayReport",
     "PerfCountersObserver",
-    "EventLogObserver",
     "SessionEngine",
     "SessionRun",
     "BatchRunner",

@@ -208,9 +208,7 @@ class BatchRunner:
     reference the spec accepts), since worker processes rebuild the
     factory on their side of the boundary. Engine policies (timing,
     locator, failure, driver config) apply to every session in the
-    batch; ``observers`` are standing observers subscribed to every
-    session's event stream — in-process only, so they are rejected when
-    ``workers > 1`` (results merge parent-side instead).
+    batch.
 
     ``trace_timeout`` (seconds, pooled only) bounds any single trace:
     an over-deadline trace gets its worker killed and is re-queued once
@@ -227,7 +225,7 @@ class BatchRunner:
     """
 
     def __init__(self, browser_factory, driver_config=None, timing=None,
-                 locator=None, failure=None, retry=None, observers=None,
+                 locator=None, failure=None, retry=None,
                  workers=1, trace_timeout=None, pool=None, tape=None,
                  trace_categories=None, journal=None, resume=False):
         self.browser_factory = browser_factory
@@ -241,7 +239,6 @@ class BatchRunner:
         self.locator = locator
         self.failure = failure
         self.retry = retry
-        self.observers = list(observers or [])
         #: Optional :class:`~repro.net.transport.TapeConfig` applied to
         #: every session's network: record each trace to its own tape
         #: (``<label>.tape`` under the config's directory) or play every
@@ -454,7 +451,7 @@ class BatchRunner:
             hooks.start((outcome.index,), (outcome.label,))
             report, mark = replay_trace(
                 factory, config, traces[outcome.index], label=outcome.label,
-                tape=self.tape, tracer=tracer, observers=self.observers)
+                tape=self.tape, tracer=tracer)
             outcome.report = report
             outcome.worker_id = None
             hooks.finish(outcome)
@@ -476,11 +473,6 @@ class BatchRunner:
     def _run_pooled(self, traces, labels, trace_dir, hooks, texts=None):
         from repro.telemetry.merge import TraceMerger
 
-        if self.observers:
-            raise ValueError(
-                "standing observers cannot follow sessions into worker "
-                "processes; run with workers=1, or merge per-session "
-                "results parent-side (see PerfCountersObserver.merge)")
         pool = self.pool
         owned = pool is None
         if owned:

@@ -5,9 +5,12 @@ reproductions, and the fidelity baselines all drive a browser the same
 way: schedule a command on the replay timeline, locate its target
 element, act on it, and observe what happened. :class:`SessionEngine`
 owns that per-command pipeline once; each stage is configured by a
-policy object (:mod:`repro.session.policies`) and every step is
-narrated on a structured event stream (:mod:`repro.session.events`)
-that observers subscribe to.
+policy object (:mod:`repro.session.policies`). The run writes its own
+:class:`~repro.session.report.ReplayReport`, and while a tracer is
+installed it narrates every step to a
+:class:`~repro.telemetry.observer.TracingNarrator`. Tools that judge a
+whole session read the report :meth:`SessionEngine.run` returns and
+the page the engine is left on (:meth:`SessionEngine.current_document`).
 
 Two entry points:
 
@@ -24,7 +27,7 @@ from time import perf_counter
 
 from repro import chaos, perf, telemetry
 from repro.session.checkpoint import ReplayCheckpoint
-from repro.session.events import EventStream, SessionEvent
+from repro.telemetry.observer import TracingNarrator
 from repro.telemetry.tracks import SESSION_TRACK
 from repro.session.policies import (
     FailurePolicy,
@@ -48,14 +51,14 @@ from repro.util.errors import (
 class SessionEngine:
     """Runs traces through the schedule → locate → act → observe pipeline.
 
-    The engine holds only configuration (policies, driver config,
-    standing observers); per-session state lives on the
-    :class:`SessionRun`, so one engine can run many sessions — serially
-    or, via the batch runner, across isolated browser instances.
+    The engine holds only configuration (policies, driver config);
+    per-session state lives on the :class:`SessionRun`, so one engine
+    can run many sessions — serially or, via the batch runner, across
+    isolated browser instances.
     """
 
     def __init__(self, browser, driver_config=None, timing=None,
-                 locator=None, failure=None, retry=None, observers=None):
+                 locator=None, failure=None, retry=None):
         self.browser = browser
         self.driver_config = driver_config
         self.timing = timing if timing is not None else TimingPolicy.recorded()
@@ -63,8 +66,6 @@ class SessionEngine:
         self.failure = failure if failure is not None else FailurePolicy()
         #: Self-healing: RetryPolicy.none() preserves fail-fast behaviour.
         self.retry = retry if retry is not None else RetryPolicy.none()
-        #: Standing observers, subscribed to every run's event stream.
-        self.observers = list(observers or [])
 
     # -- driver wiring ------------------------------------------------------
 
@@ -91,13 +92,13 @@ class SessionEngine:
 
     # -- whole-trace execution ----------------------------------------------
 
-    def run(self, trace, observers=(), on_step=None):
+    def run(self, trace, on_step=None):
         """Replay ``trace`` from its start URL; returns a ReplayReport.
 
         ``on_step``, if given, is called with no arguments after each
-        step: a progress count that builds no event (the pool worker's).
+        step (the pool worker's progress count).
         """
-        run = self.start(trace, observers=observers)
+        run = self.start(trace)
         if not run.halted:
             for command in trace:
                 run.step(command)
@@ -107,24 +108,27 @@ class SessionEngine:
                     break
         return run.finish()
 
-    def start(self, trace, observers=()):
+    def start(self, trace):
         """Open a stepping session (navigates to the trace's start URL)."""
-        run = SessionRun(self, trace, observers=observers)
+        run = SessionRun(self, trace)
         run.begin()
         return run
 
     # -- per-command execution ----------------------------------------------
 
-    def execute(self, driver, command, stream):
+    def execute(self, driver, command, phases=None):
         """Run one command through locate → act; returns a CommandResult.
 
-        Stateless with respect to the run. Events go to ``stream``,
-        each built only when its kind has a handler there. Raises
-        :class:`ReplayHaltedError` when the driver has lost its active
-        client and :class:`ReplayError` for unreplayable commands.
+        Stateless with respect to the run. ``phases`` is the run's
+        :class:`~repro.telemetry.observer.TracingNarrator` while the
+        tracer records the locate/act phase spans, else None. A failed
+        command comes back as a FAILED result, which the run narrates.
+        Raises :class:`ReplayHaltedError` when the driver has lost its
+        active client and :class:`ReplayError` for unreplayable
+        commands.
         """
         if command.action == "switchframe":
-            return self._execute_switch(driver, command, stream)
+            return self._execute_switch(driver, command, phases)
         if command.action not in ("click", "doubleclick", "type", "drag"):
             raise ReplayError("cannot replay command %r" % (command,))
 
@@ -137,16 +141,11 @@ class SessionEngine:
         except ReplayHaltedError:
             raise
         except ElementNotFoundError as error:
-            return self._locate_fallback(driver, command, error, stream)
+            return self._locate_fallback(driver, command, error, phases)
         except (DriverError, XPathSyntaxError) as error:
-            return self._fail(command, error, stream)
-        handlers = stream.handlers
-        relaxed = location.relaxed
-        kind = SessionEvent.RELAXED if relaxed else SessionEvent.LOCATED
-        if handlers[kind]:
-            stream.emit(SessionEvent(kind, command=command,
-                                     detail=location.detail,
-                                     data={"element": location.element}))
+            return _failed(command, error)
+        if phases is not None:
+            phases.located(location.detail)
 
         # -- act stage ------------------------------------------------------
         # NavigationError/NetworkError join the catch set because an
@@ -159,29 +158,28 @@ class SessionEngine:
             raise
         except (ElementNotFoundError, DriverError,
                 NavigationError, NetworkError) as error:
-            return self._fail(command, error, stream)
-        if handlers[SessionEvent.ACTED]:
-            stream.emit(SessionEvent(SessionEvent.ACTED, command=command,
-                                     detail=location.detail))
-        if relaxed:
+            return _failed(command, error)
+        if phases is not None:
+            phases.acted(location.detail)
+        if location.relaxed:
             return CommandResult(command, CommandResult.RELAXED,
                                  detail=location.detail)
         return CommandResult(command, CommandResult.OK)
 
-    def _locate_fallback(self, driver, command, error, stream):
+    def _locate_fallback(self, driver, command, error, phases):
         """Backup element identification: the recorded click position."""
         position = self.locator.fallback_position(command)
         if position is None:
-            return self._fail(command, error, stream)
+            return _failed(command, error)
         try:
             driver.click_at(*position)
         except ReplayHaltedError:
             raise
         except Exception as fallback_error:
-            return self._fail(command, fallback_error, stream)
+            return _failed(command, fallback_error)
         detail = "clicked at recorded (%d,%d)" % position
-        stream.emit(SessionEvent(SessionEvent.ACTED, command=command,
-                                 detail=detail))
+        if phases is not None:
+            phases.acted(detail)
         return CommandResult(command, CommandResult.COORDINATE, detail=detail)
 
     @staticmethod
@@ -196,7 +194,7 @@ class SessionEngine:
         else:
             client.drag(element, command.dx, command.dy)
 
-    def _execute_switch(self, driver, command, stream):
+    def _execute_switch(self, driver, command, phases):
         try:
             if command.is_default:
                 driver.switch_to_default()
@@ -205,50 +203,46 @@ class SessionEngine:
         except ReplayHaltedError:
             raise
         except (DriverError, ElementNotFoundError, XPathSyntaxError) as error:
-            return self._fail(command, error, stream)
-        stream.emit(SessionEvent(SessionEvent.ACTED, command=command))
+            return _failed(command, error)
+        if phases is not None:
+            phases.acted()
         return CommandResult(command, CommandResult.OK)
 
-    @staticmethod
-    def _fail(command, error, stream):
-        stream.emit(SessionEvent(SessionEvent.FAILED, command=command,
-                                 error=error))
-        return CommandResult(command, CommandResult.FAILED, error=error)
+
+def _failed(command, error):
+    return CommandResult(command, CommandResult.FAILED, error=error)
 
 
 class SessionRun:
-    """One session in flight: driver, timeline anchor, event stream.
+    """One session in flight: driver, timeline anchor, report.
 
     Use :meth:`step` to execute commands one at a time (the engine's
     ``run`` does exactly this in a loop), then :meth:`finish` to settle
     the page and close out the report.
 
-    The run writes its own :class:`ReplayReport` and updates it before
-    emitting the event that narrates each change, so an observer always
-    sees the report up to date: a halt is on it by ``halted``, and it
-    is complete by ``session-finished``.
+    The run writes its own :class:`ReplayReport`: a halt is on it as
+    soon as the run halts, and it is complete once :meth:`finish`
+    returns. While a tracer is installed, the run narrates each step
+    to a :class:`~repro.telemetry.observer.TracingNarrator` bound to
+    it; the narrator is rebuilt when a different tracer is installed
+    (checked at begin, at every step and at finish) and is None while
+    tracing is off.
     """
 
-    def __init__(self, engine, trace, observers=()):
+    def __init__(self, engine, trace):
         self.engine = engine
         self.trace = trace
         self.report = ReplayReport(trace)
-        # Every run carries a TracingObserver; it handles no kind while
-        # tracing is off, so the stream never calls it then (the stream
-        # is retuned to the installed tracer at begin, at every step and
-        # at finish).
-        from repro.telemetry.observer import TracingObserver
-
-        self.stream = EventStream(
-            list(engine.observers) + list(observers) + [TracingObserver()])
         self.driver = None
         self.stopped = False
         self._navigation_failed = False
         self._anchor = 0.0
-        #: Whether the tracer the stream is keyed on records the
-        #: schedule span. A tracer's category set is immutable, so this
-        #: is resolved in :meth:`_retune`, once per installed tracer.
-        self._trace_schedule = False
+        #: The installed tracer the narrator below was built for.
+        self._tracer = None
+        self._narrator = None
+        #: The narrator while its tracer records ``session.phase``
+        #: (the locate/act phases and the schedule span), else None.
+        self._phases = None
         self._error_base = 0
         self._perf_base = None
         self._net_base = None
@@ -276,10 +270,8 @@ class SessionRun:
         # initial navigation — anchor the replay timeline the same way.
         self._anchor = browser.clock.now()
         self._retune(telemetry.current())
-        self.stream.emit(SessionEvent(
-            SessionEvent.SESSION_STARTED,
-            data={"trace": self.trace, "browser": browser,
-                  "driver": self.driver}))
+        if self._narrator is not None:
+            self._narrator.session_started(self.trace)
         # The initial navigation heals like any command: a transient
         # failure (e.g. an injected network fault) retries with backoff
         # instead of stranding the whole session before it starts.
@@ -291,9 +283,6 @@ class SessionRun:
                 break
             except Exception as error:
                 if retry.should_retry(error, attempt):
-                    self.stream.emit(SessionEvent(
-                        SessionEvent.RETRYING, detail=str(error),
-                        error=error, data={"attempt": attempt}))
                     self.driver.wait(self._backoff_seq.delay_ms(attempt))
                     attempt += 1
                     continue
@@ -302,9 +291,8 @@ class SessionRun:
                            % (self.trace.start_url, error), error)
                 return self
         self.checkpoint.committed(self.trace.start_url)
-        self.stream.emit(SessionEvent(
-            SessionEvent.NAVIGATED, detail=self.trace.start_url,
-            data={"url": self.trace.start_url, "driver": self.driver}))
+        if self._narrator is not None:
+            self._narrator.navigated(self.trace.start_url)
         return self
 
     def step(self, command):
@@ -315,15 +303,15 @@ class SessionRun:
         callers can keep iterating and simply observe ``self.halted``.
         """
         engine = self.engine
-        stream = self.stream
-        handlers = stream.handlers
         clock = engine.browser.clock
         target = engine.timing.target(self._anchor, command)
         wait_ms = max(0.0, target - clock.now())
         tracer = telemetry.current()
-        if tracer is not handlers.tracer:
+        if tracer is not self._tracer:
             self._retune(tracer)
-        if not self._trace_schedule:
+        narrator = self._narrator
+        phases = self._phases
+        if phases is None:
             self.driver.wait(wait_ms)
         else:
             with tracer.span("session.schedule", track=SESSION_TRACK,
@@ -331,30 +319,29 @@ class SessionRun:
                              args={"wait_ms": wait_ms, "due_vt_ms": target}):
                 self.driver.wait(wait_ms)
         self._anchor = clock.now()
-        # The finish event carries the command's start, so a tracer
-        # needs no start event. The clock is read before command-started
-        # goes out: a span that event opens must start inside it.
-        finished = handlers[SessionEvent.COMMAND_FINISHED]
-        if finished:
+        # The command's record carries its start, read before the
+        # locate span opens: a span inside the command must start
+        # inside it.
+        if narrator is not None:
             started_at = perf_counter()
-        if handlers[SessionEvent.COMMAND_STARTED]:
-            stream.emit(SessionEvent(SessionEvent.COMMAND_STARTED,
-                                     command=command, data={"due": target}))
+            if phases is not None:
+                phases.locating()
         healing = engine.retry.enabled
         halt = None
         try:
             if healing:
-                result = self._execute_healing(command, stream)
+                result = self._execute_healing(command)
             else:
-                result = engine.execute(self.driver, command, stream)
+                result = engine.execute(self.driver, command, phases)
+                if narrator is not None \
+                        and result.status == CommandResult.FAILED:
+                    narrator.failed(result.error)
         except ReplayHaltedError as error:
             result = CommandResult(command, CommandResult.FAILED, error=error)
             halt = error
         self.report.results.append(result)
-        if finished:
-            stream.emit(SessionEvent(
-                SessionEvent.COMMAND_FINISHED, command=command, result=result,
-                data={"due": target, "started_at": started_at}))
+        if narrator is not None:
+            narrator.command_finished(command, target, result, started_at)
         if halt is not None:
             self._halt(str(halt), halt)
             return result
@@ -379,62 +366,65 @@ class SessionRun:
         report.halt_reason = reason
         report.halt_error = error
         self.stopped = True
-        self.stream.emit(SessionEvent(SessionEvent.HALTED, detail=reason,
-                                      error=error))
+        if self._narrator is not None:
+            self._narrator.halted(reason)
 
     def _retune(self, tracer):
-        """Key the event stream (and the schedule span) on ``tracer``."""
-        self.stream.retune(tracer)
-        self._trace_schedule = (tracer is not None
-                                and tracer.wants("session.phase"))
+        """Bind the narration to ``tracer`` (the installed one)."""
+        if tracer is self._tracer:
+            return
+        if self._narrator is not None:
+            # Records batched for the previous tracer go to its buffer.
+            self._narrator.flush()
+        self._tracer = tracer
+        narrator = self._narrator = (TracingNarrator(tracer)
+                                     if tracer is not None else None)
+        self._phases = (narrator if narrator is not None and narrator.phases
+                        else None)
 
     # -- self-healing -------------------------------------------------------
 
-    def _execute_healing(self, command, stream):
+    def _execute_healing(self, command):
         """Execute with the engine's RetryPolicy: retry transients,
         recover renderer crashes from the replay checkpoint.
 
         Backoff "sleeps" run through ``driver.wait`` so they advance
         only the virtual clock (timers and AJAX fire during them, as
-        they would while a real client backs off).
+        they would while a real client backs off). Retries and
+        recoveries are counted on the result and the report.
         """
         retry = self.engine.retry
+        narrator = self._narrator
         attempt = 1
         while True:
-            result = self.engine.execute(self.driver, command, stream)
+            result = self.engine.execute(self.driver, command, self._phases)
             result.retries = attempt - 1
-            error = result.error
-            if result.succeeded or error is None:
+            if result.succeeded:
                 return result
+            error = result.error
+            if narrator is not None:
+                narrator.failed(error)
             if not retry.should_retry(error, attempt):
                 return result
-            if isinstance(error, RendererCrashError) and not retry.recover_crashes:
-                return result
-            stream.emit(SessionEvent(SessionEvent.RETRYING, command=command,
-                                     detail=str(error), error=error,
-                                     data={"attempt": attempt}))
             if isinstance(error, RendererCrashError):
-                self._recover_from_crash(error, stream)
+                if not retry.recover_crashes:
+                    return result
+                self._recover_from_crash()
             self.driver.wait(self._backoff_seq.delay_ms(attempt))
             attempt += 1
 
-    def _recover_from_crash(self, error, stream):
+    def _recover_from_crash(self):
         """Tab reload + checkpoint resume after a renderer crash.
 
         Fault injection is suppressed for the whole recovery pass: the
         reload and the checkpoint re-execution are repair work, not part
         of the replay under test, so they must neither fault nor consume
-        the chaos schedule. Re-executed commands report to no observers
-        (the session already recorded their first, successful run).
+        the chaos schedule. Re-executed commands are not narrated (the
+        session already recorded their first, successful run).
         """
         checkpoint = self.checkpoint
-        stream.emit(SessionEvent(
-            SessionEvent.RECOVERING, detail=checkpoint.url or "",
-            error=error,
-            data={"url": checkpoint.url, "depth": checkpoint.depth}))
         injector = chaos.current()
         guard = injector.suppressed() if injector is not None else nullcontext()
-        silent = EventStream([])
         with guard:
             try:
                 self.driver.get(checkpoint.url)
@@ -444,7 +434,7 @@ class SessionRun:
                     % (checkpoint.url, reload_error))
             for past in checkpoint.commands:
                 try:
-                    self.engine.execute(self.driver, past, silent)
+                    self.engine.execute(self.driver, past)
                 except ReplayHaltedError:
                     raise
                 except ReplayError:
@@ -452,9 +442,6 @@ class SessionRun:
                     # decides whether the session proceeds.
                     pass
         self.report.recoveries += 1
-        stream.emit(SessionEvent(
-            SessionEvent.RECOVERED,
-            data={"url": checkpoint.url, "depth": checkpoint.depth}))
 
     def _net_snapshot(self):
         """The browser network's cumulative fidelity counters now.
@@ -482,28 +469,18 @@ class SessionRun:
             return report
         self._finished = True
         self._retune(telemetry.current())
-        stream = self.stream
         browser = self.browser
         if not self._navigation_failed:
             # Let in-flight work (XHRs fired by the last action, timers)
             # complete, as a user letting the page settle would.
             browser.event_loop.run_until_idle()
-            errors = browser.page_errors[self._error_base:]
-            report.page_errors.extend(errors)
-            if stream.handlers[SessionEvent.PAGE_ERROR]:
-                for error in errors:
-                    stream.emit(SessionEvent(SessionEvent.PAGE_ERROR,
-                                             data={"error": error}))
+            report.page_errors.extend(browser.page_errors[self._error_base:])
             if self.driver.has_session:
                 report.final_url = self.driver.tab.url
         report.perf_counters = perf.delta(self._perf_base)
         report.net_fidelity = self._net_delta()
-        stream.emit(SessionEvent(SessionEvent.PERF_DELTA,
-                                 data={"counters": report.perf_counters}))
-        stream.emit(SessionEvent(
-            SessionEvent.SESSION_FINISHED,
-            data={"browser": browser, "driver": self.driver,
-                  "final_url": report.final_url, "report": report}))
+        if self._narrator is not None:
+            self._narrator.session_finished(report)
         return report
 
     def __repr__(self):

@@ -66,9 +66,8 @@ Every session, in a worker or in the parent's serial loop, runs
 through :func:`replay_trace`. The parent's
 :class:`~repro.session.batch.BatchRunner` assembles the outcomes into
 one :class:`~repro.session.batch.BatchReport`; counter deltas sum
-through :meth:`~repro.session.observers.PerfCountersObserver.merge`
-(observer *instances* never cross processes), and telemetry slices
-merge through :class:`~repro.telemetry.merge.TraceMerger`.
+through :meth:`~repro.session.observers.PerfCountersObserver.merge`,
+and telemetry slices merge through :class:`~repro.telemetry.merge.TraceMerger`.
 """
 
 import importlib
@@ -286,7 +285,7 @@ class _TraceMemo:
 
 
 def replay_trace(factory, engine_config, trace, label=None, tape=None,
-                 tracer=None, observers=None, on_step=None):
+                 tracer=None, on_step=None):
     """Replay one trace on a fresh browser from ``factory``.
 
     The one per-trace path of every batch: the serial loop and the
@@ -314,8 +313,7 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
         tracer.clock = browser.clock
         mark = tracer.mark()
     try:
-        engine = SessionEngine(browser, observers=observers,
-                               **(engine_config or {}))
+        engine = SessionEngine(browser, **(engine_config or {}))
         report = engine.run(trace, on_step=on_step)
     finally:
         # Reset even when the engine raises: a stale clock would stamp

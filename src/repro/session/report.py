@@ -1,10 +1,9 @@
 """Per-session result objects: command outcomes and the replay report.
 
 These are the value objects a :class:`~repro.session.engine.SessionRun`
-writes as it replays (the report is not built from the event stream).
-They live here (not in the replayer) so every engine consumer — WaRR
-replay, WebErr campaigns, AUsER reproductions, batch runs — shares one
-report vocabulary.
+writes as it replays. They live here (not in the replayer) so every
+engine consumer — WaRR replay, WebErr campaigns, AUsER reproductions,
+batch runs — shares one report vocabulary.
 
 Reports cross process boundaries as WR3 blobs
 (:mod:`repro.session.wire`), so everything in a report must survive

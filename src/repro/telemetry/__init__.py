@@ -53,6 +53,7 @@ from repro.telemetry.export import (
     write_trace_dict,
 )
 from repro.telemetry.merge import TraceMerger
+from repro.telemetry.observer import TracingNarrator
 from repro.telemetry.packed import PackedRingBuffer, Sampler, StringTable
 from repro.telemetry.tracer import (
     PRODUCTION_CATEGORIES,
@@ -158,10 +159,6 @@ def tracing(out=None, buffer_size=DEFAULT_BUFFER_SIZE, clock=None,
             write_trace(out, active)
 
 
-# Imported last: the observer pulls in the session layer, which itself
-# guards on telemetry.current() at runtime.
-from repro.telemetry.observer import TracingObserver  # noqa: E402
-
 __all__ = [
     "CHAOS_TRACK",
     "COUNTERS_TRACK",
@@ -177,7 +174,7 @@ __all__ = [
     "TraceEvent",
     "TraceMerger",
     "Tracer",
-    "TracingObserver",
+    "TracingNarrator",
     "TrackRegistry",
     "current",
     "dumps",

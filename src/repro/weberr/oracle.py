@@ -4,12 +4,10 @@
 behaved correctly, a common practice in automated testing" (paper,
 Section V-A). Oracles judge a replay's outcome: the report (which
 commands replayed, what page-script errors surfaced) plus the browser's
-final state. :class:`OracleObserver` adapts an oracle onto the session
-engine's event stream, so the verdict is rendered the moment the
-session finishes instead of by post-hoc scraping.
+final state: WebErr calls :meth:`Oracle.judge` with the report
+:meth:`~repro.session.engine.SessionEngine.run` returns and the browser
+the session ran on, which is left on the page the session ended on.
 """
-
-from repro.session.events import SessionObserver
 
 
 class Verdict:
@@ -107,19 +105,3 @@ class CompositeOracle(Oracle):
             if not verdict.passed:
                 return verdict
         return Verdict.ok()
-
-
-class OracleObserver(SessionObserver):
-    """Subscribes an oracle to a session's event stream.
-
-    The engine emits ``session-finished`` with the assembled report and
-    the browser; the observer renders the verdict right there.
-    """
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.verdict = None
-
-    def on_session_finished(self, event):
-        self.verdict = self.oracle.judge(event.data["report"],
-                                         event.data["browser"])

@@ -14,7 +14,7 @@ from repro.session.policies import TimingPolicy
 from repro.weberr.generator import TraceGenerator
 from repro.weberr.inference import TaskTreeBuilder, infer_grammar
 from repro.weberr.navigation import NavigationErrorInjector
-from repro.weberr.oracle import CompositeOracle, ConsoleErrorOracle, OracleObserver
+from repro.weberr.oracle import CompositeOracle, ConsoleErrorOracle
 from repro.weberr.timing import TimingErrorInjector
 
 
@@ -99,14 +99,14 @@ class WebErr:
     def replay_and_judge(self, description, trace):
         """Step 4: one test — fresh environment, engine replay, oracle.
 
-        The oracle rides the session's event stream as an observer and
-        renders its verdict on ``session-finished``.
+        The oracle judges the finished session: the report the engine
+        returns and the browser, left on the session's final page.
         """
-        browser = self.browser_factory()
-        engine = SessionEngine(browser, timing=TimingPolicy.recorded())
-        watcher = OracleObserver(self.oracle)
-        report = engine.run(trace, observers=[watcher])
-        return TestOutcome(description, trace, report, watcher.verdict)
+        engine = SessionEngine(self.browser_factory(),
+                               timing=TimingPolicy.recorded())
+        report = engine.run(trace)
+        verdict = self.oracle.judge(report, engine.browser)
+        return TestOutcome(description, trace, report, verdict)
 
     # -- campaigns ---------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.auser.crypto import ToyRSA
 from repro.auser.report import AUsER, PERCEPTION_THRESHOLD_MS
 from repro.core.recorder import WarrRecorder
 from repro.core.replayer import WarrReplayer
+from repro.dom.serialize import serialize
 from repro.workloads.sessions import portal_authenticate_session
 
 
@@ -82,6 +83,41 @@ class TestScrubbedTraceStillReplays:
         assert result.complete
         assert app.login_attempts == ["jane"]  # login survived; password dummy
         assert "Invalid" in replay_browser.tabs[0].document.text_content
+
+
+class TestDeveloperReproduction:
+    def test_reproduce_snapshots_the_replays_final_page(self, session):
+        browser, recorder = session
+        report = AUsER(recorder, browser).report_problem("bug", scrub=False)
+        browsers = []
+
+        def factory():
+            replay_browser, _ = make_browser([PortalApplication],
+                                             developer_mode=True)
+            browsers.append(replay_browser)
+            return replay_browser
+
+        replayed, full = AUsER.reproduce(report, factory)
+        assert replayed.complete
+        final_page = browsers[-1].active_tab.document
+        assert full.html == serialize(final_page)
+        assert full.url == replayed.final_url == final_page.url
+        assert not full.is_partial
+        assert "Welcome, jane" in full.html and "Markets rally" in full.html
+
+        _, region = AUsER.reproduce(report, factory,
+                                    region_xpath='//div[@id="greeting"]')
+        assert region.is_partial
+        assert region.region_xpath == '//div[@id="greeting"]'
+        assert "Welcome, jane" in region.html
+        assert "Markets rally" not in region.html
+
+        _, redacted = AUsER.reproduce(
+            report, factory, hidden_xpaths=['//ul[contains(@class, "news")]'])
+        assert 'data-redacted="true"' in redacted.html
+        assert "Markets rally" not in redacted.html
+        assert "Welcome, jane" in redacted.html
+        assert len(browsers) == 3
 
 
 class TestOverheadGate:

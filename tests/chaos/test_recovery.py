@@ -9,7 +9,6 @@ tabs from the replay checkpoint.
 from repro import chaos
 from repro.chaos import FaultProfile
 from repro.session.engine import SessionEngine
-from repro.session.events import SessionEvent, SessionObserver
 from repro.session.policies import RetryPolicy, TimingPolicy
 from tests.session.test_batch import factory, record_trace
 
@@ -32,14 +31,6 @@ def _replay(trace, profile, seed, retry):
     return report, injector
 
 
-class RecordingObserver(SessionObserver):
-    def __init__(self):
-        self.kinds = []
-
-    def on_event(self, event):
-        self.kinds.append(event.kind)
-
-
 class TestCrashRecovery:
     def test_without_retries_the_session_dies(self):
         trace = record_trace("crash-none")
@@ -58,24 +49,6 @@ class TestCrashRecovery:
         assert report.complete, report.summary()
         assert report.recoveries == 2
         assert report.retry_count == 2
-
-    def test_recovery_emits_the_event_sequence(self):
-        trace = record_trace("crash-events")
-        browser = factory()
-        observer = RecordingObserver()
-        engine = SessionEngine(browser, timing=TimingPolicy.no_wait(),
-                               retry=RetryPolicy.default(),
-                               observers=[observer])
-        with chaos.active(CRASHY, seed=CRASH_SEED, clock=browser.clock):
-            report = engine.run(trace)
-        assert report.complete
-        kinds = observer.kinds
-        assert SessionEvent.RETRYING in kinds
-        assert SessionEvent.RECOVERING in kinds
-        assert SessionEvent.RECOVERED in kinds
-        # Recovery is announced before it is celebrated.
-        assert kinds.index(SessionEvent.RECOVERING) \
-            < kinds.index(SessionEvent.RECOVERED)
 
     def test_crash_recovery_optional_even_with_retries(self):
         trace = record_trace("crash-norecover")

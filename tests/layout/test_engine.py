@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dom.node import Element
 from repro.dom.parser import parse_html
 from repro.layout.box import Rect
 from repro.layout.engine import LayoutEngine, layout_document
@@ -123,8 +124,8 @@ class TestHitTest:
         assert engine.hit_test(x, y) is inner
 
     def test_boxes_record_their_element_depth(self):
-        # Rows sit below their table at any depth, and an outer table
-        # lays out the rows of a table nested in one of its cells too.
+        # Rows sit below their table at any depth, wrapped or inside a
+        # table nested in one of its cells.
         doc, engine = lay("""
         <table><tr><td><table><tr><td><b>x</b></td></tr></table></td></tr>
         <div><tr><td>wrapped</td></tr></div></table>
@@ -135,6 +136,20 @@ class TestHitTest:
         for element in engine._order:
             assert engine.box_for(element).depth \
                 == sum(1 for _ in element.ancestors())
+
+    def test_nested_table_rows_are_laid_out_once_inside_their_cell(self):
+        doc, engine = lay("<table><tr><td>a</td><td id='cell'><table>"
+                          "<tr id='inner'><td id='c'>x</td></tr>"
+                          "</table></td></tr></table>")
+        elements = [doc.body] + [node for node in doc.body.descendants()
+                                 if isinstance(node, Element)]
+        assert len(elements) == 8
+        assert sorted(map(id, engine._order)) == sorted(map(id, elements))
+        cell = engine.box_for(doc.get_element_by_id("cell")).rect
+        for name in ("inner", "c"):
+            rect = engine.box_for(doc.get_element_by_id(name)).rect
+            assert cell.x <= rect.x and rect.right <= cell.right
+            assert cell.y <= rect.y and rect.bottom <= cell.bottom
 
 
 class TestDragOffsets:

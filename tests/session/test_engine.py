@@ -1,11 +1,10 @@
 """The session engine: pipeline, event stream, timing, halting."""
 
 from repro.core.commands import ClickCommand, SwitchFrameCommand, TypeCommand
+from repro import telemetry
 from repro.core.recorder import WarrRecorder
 from repro.core.trace import WarrTrace
 from repro.session.engine import SessionEngine
-from repro.session.events import SessionEvent
-from repro.session.observers import EventLogObserver
 from repro.session.policies import (
     FailurePolicy,
     LocatorPolicy,
@@ -13,6 +12,7 @@ from repro.session.policies import (
     TimingPolicy,
 )
 from repro.session.report import CommandResult
+from repro.telemetry.tracks import SESSION_TRACK
 from repro.util.errors import XPathSyntaxError
 from tests.browser.helpers import build_browser, url
 
@@ -38,37 +38,32 @@ class TestRun:
         assert report.replayed_count == len(trace)
         assert report.final_url == url("/")
 
-    def test_event_stream_narrates_pipeline(self):
-        trace = record_home_session()
+    @staticmethod
+    def _session_track(trace):
+        """``(name, ph)`` of the session track's events for a traced
+        replay of ``trace``, all categories on."""
         browser = build_browser(developer_mode=True)
-        log = EventLogObserver()
-        SessionEngine(browser).run(trace, observers=[log])
-        kinds = log.kinds_seen()
-        assert kinds[0] == SessionEvent.SESSION_STARTED
-        assert kinds[1] == SessionEvent.NAVIGATED
-        assert kinds[-1] == SessionEvent.SESSION_FINISHED
-        assert SessionEvent.PERF_DELTA in kinds
-        # Every command contributes started -> located -> acted -> finished.
-        assert kinds.count(SessionEvent.COMMAND_STARTED) == len(trace)
-        assert kinds.count(SessionEvent.COMMAND_FINISHED) == len(trace)
-        assert kinds.count(SessionEvent.LOCATED) == len(trace)
-        assert kinds.count(SessionEvent.ACTED) == len(trace)
+        with telemetry.tracing(clock=browser.clock) as tracer:
+            assert SessionEngine(browser).run(trace).complete
+        return [(event.name, event.ph) for event in tracer.buffer
+                if (event.pid, event.tid) == SESSION_TRACK]
+
+    def test_tracer_narrates_pipeline(self):
+        trace = record_home_session()
+        events = self._session_track(trace)
+        assert events[:2] == [("session", "B"), ("navigated", "i")]
+        assert events[-1] == ("session", "E")
+        # Every command contributes one record, a locate and an act span.
+        for key in (("command", "X"), ("locate", "B"), ("locate", "E"),
+                    ("act", "B"), ("act", "E")):
+            assert events.count(key) == len(trace)
 
     def test_located_precedes_acted_per_command(self):
         trace = record_home_session()
-        browser = build_browser(developer_mode=True)
-        log = EventLogObserver(kinds=[
-            SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
-            SessionEvent.ACTED, SessionEvent.COMMAND_FINISHED])
-        SessionEngine(browser).run(trace, observers=[log])
-        per_command = len(log.events) // len(trace)
-        assert per_command == 4
-        for i in range(0, len(log.events), 4):
-            window = [event.kind for event in log.events[i:i + 4]]
-            assert window == [SessionEvent.COMMAND_STARTED,
-                              SessionEvent.LOCATED,
-                              SessionEvent.ACTED,
-                              SessionEvent.COMMAND_FINISHED]
+        phases = [key for key in self._session_track(trace)
+                  if key[0] in ("locate", "act")]
+        assert phases == [("locate", "B"), ("locate", "E"),
+                          ("act", "B"), ("act", "E")] * len(trace)
 
     def test_recorded_timing_reproduces_absolute_timeline(self):
         # Schedule stage: each command is due at anchor + recorded delay;
@@ -151,20 +146,22 @@ class TestFailureModes:
             browser = build_browser(developer_mode=True)
             engine = SessionEngine(browser, failure=failure,
                                    retry=RetryPolicy.none())
-            log = EventLogObserver(kinds=[SessionEvent.HALTED])
             trace = self._trace()
-            run = engine.start(trace, observers=[log])
-            result = run.step(trace[0])
-            assert result.status == CommandResult.FAILED
-            assert result.retries == 0
-            assert (run.stopped, run.halted) == (stopped, halted)
-            assert len(log.events) == int(halted)
-            if not stopped:
-                assert run.step(trace[1]).status == CommandResult.OK
-            assert run.checkpoint.url == url("/")
-            assert run.checkpoint.commands == []
-            report = run.finish()
+            with telemetry.tracing() as tracer:
+                run = engine.start(trace)
+                result = run.step(trace[0])
+                assert result.status == CommandResult.FAILED
+                assert result.retries == 0
+                assert (run.stopped, run.halted) == (stopped, halted)
+                if not stopped:
+                    assert run.step(trace[1]).status == CommandResult.OK
+                assert run.checkpoint.url == url("/")
+                assert run.checkpoint.commands == []
+                report = run.finish()
             assert report.halted == halted
+            names = [event.name for event in tracer.buffer]
+            assert names.count("command.failed") == 1
+            assert names.count("session.halted") == int(halted)
 
     def test_navigation_failure_halts_before_commands(self):
         trace = WarrTrace(start_url="http://nowhere.example/",

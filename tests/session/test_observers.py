@@ -1,4 +1,4 @@
-"""Stock observers and tool-specific event-stream consumers."""
+"""Session narration: tracer hooks, the report, and the exported trace."""
 
 import io
 import json
@@ -9,218 +9,14 @@ import pytest
 from repro import telemetry
 from repro.apps.framework import make_browser
 from repro.apps.sites import SitesApplication
-from repro.baselines.fidelity import ReplayFidelityObserver
 from repro.cli import main as cli_main
 from repro.core.recorder import WarrRecorder
-from repro.core.commands import ClickCommand, TypeCommand
-from repro.core.trace import WarrTrace
+from repro.core.commands import TypeCommand
+from repro.session import engine as engine_module
 from repro.session.engine import SessionEngine
-from repro.session.events import EventStream, SessionEvent, SessionObserver
-from repro.session.observers import EventLogObserver, PerfCountersObserver
 from repro.session.policies import FailurePolicy, TimingPolicy
+from repro.telemetry.observer import TracingNarrator
 from repro.workloads.sessions import SITES_URL, sites_edit_session
-from tests.browser.helpers import build_browser, url
-
-
-class TestSessionObserverDispatch:
-    def test_hooks_receive_matching_kinds(self):
-        class Spy(SessionObserver):
-            def __init__(self):
-                self.located = []
-                self.failed = []
-
-            def on_located(self, event):
-                self.located.append(event)
-
-            def on_failed(self, event):
-                self.failed.append(event)
-
-        spy = Spy()
-        stream = EventStream([spy])
-        stream.emit(SessionEvent(SessionEvent.LOCATED))
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        stream.emit(SessionEvent(SessionEvent.FAILED))
-        assert len(spy.located) == 1
-        assert len(spy.failed) == 1
-
-    def test_unknown_kind_is_ignored(self):
-        stream = EventStream([SessionObserver()])
-        stream.emit(SessionEvent("brand-new-kind"))  # must not raise
-
-    def test_emit_order_is_subscription_order(self):
-        order = []
-
-        class Tagged(SessionObserver):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def on_event(self, event):
-                order.append(self.tag)
-
-        stream = EventStream([Tagged("first"), Tagged("second")])
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        assert order == ["first", "second"]
-
-
-class TestEventStreamTable:
-    """The per-kind handler table behind ``EventStream.emit``."""
-
-    def test_subscribe_after_emit_invalidates_the_table(self):
-        early, late = EventLogObserver(), EventLogObserver()
-        stream = EventStream([early])
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        stream.subscribe(late)
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        assert early.kinds_seen() == [SessionEvent.ACTED] * 2
-        assert late.kinds_seen() == [SessionEvent.ACTED]
-
-    def test_on_event_override_receives_every_kind(self):
-        log = EventLogObserver()
-        stream = EventStream([log])
-        kinds = [SessionEvent.SESSION_STARTED, SessionEvent.LOCATED,
-                 SessionEvent.PERF_DELTA, "brand-new-kind"]
-        for kind in kinds:
-            stream.emit(SessionEvent(kind))
-        assert log.kinds_seen() == kinds
-
-    def test_hook_on_grandchild_class_is_found(self):
-        class Child(SessionObserver):
-            pass
-
-        class Grandchild(Child):
-            def __init__(self):
-                self.acted = []
-
-            def on_acted(self, event):
-                self.acted.append(event)
-
-        spy = Grandchild()
-        stream = EventStream([spy])
-        event = stream.emit(SessionEvent(SessionEvent.ACTED))
-        stream.emit(SessionEvent(SessionEvent.LOCATED))
-        assert spy.acted == [event]
-
-    def test_hook_for_a_kind_outside_the_engine_set_is_found(self):
-        class Spy(SessionObserver):
-            def __init__(self):
-                self.seen = []
-
-            def on_brand_new_kind(self, event):
-                self.seen.append(event)
-
-        spy = Spy()
-        event = EventStream([spy]).emit(SessionEvent("brand-new-kind"))
-        assert spy.seen == [event]
-
-    def test_duck_typed_observer_receives_events(self):
-        class Duck:
-            def __init__(self):
-                self.kinds = []
-
-            def on_event(self, event):
-                self.kinds.append(event.kind)
-
-        duck = Duck()
-        stream = EventStream([duck])
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        stream.emit(SessionEvent(SessionEvent.FAILED))
-        assert duck.kinds == [SessionEvent.ACTED, SessionEvent.FAILED]
-
-    def test_subscription_order_is_kept_across_kinds(self):
-        order = []
-
-        class Hooked(SessionObserver):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def on_acted(self, event):
-                order.append((self.tag, event.kind))
-
-            def on_failed(self, event):
-                order.append((self.tag, event.kind))
-
-        class CatchAll(SessionObserver):
-            def on_event(self, event):
-                order.append(("all", event.kind))
-
-        class Duck:
-            def on_event(self, event):
-                order.append(("duck", event.kind))
-
-        stream = EventStream([Hooked("first"), CatchAll(), Duck(),
-                              Hooked("last")])
-        for kind in (SessionEvent.ACTED, SessionEvent.LOCATED,
-                     SessionEvent.FAILED):
-            del order[:]
-            stream.emit(SessionEvent(kind))
-            expected = [("all", kind), ("duck", kind)]
-            if kind != SessionEvent.LOCATED:
-                expected = [("first", kind)] + expected + [("last", kind)]
-            assert order == expected
-
-    def test_inherited_no_op_hooks_are_left_out(self):
-        stream = EventStream([SessionObserver(), EventLogObserver()])
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        assert len(stream.handlers[SessionEvent.ACTED]) == 1
-
-
-class TestEventLogObserver:
-    def test_filtering_by_kind(self):
-        log = EventLogObserver(kinds=[SessionEvent.FAILED])
-        stream = EventStream([log])
-        stream.emit(SessionEvent(SessionEvent.ACTED))
-        stream.emit(SessionEvent(SessionEvent.FAILED))
-        assert log.kinds_seen() == [SessionEvent.FAILED]
-
-
-class TestPerfCountersObserver:
-    def test_totals_sum_across_sessions(self):
-        totals = PerfCountersObserver()
-        stream = EventStream([totals])
-        stream.emit(SessionEvent(SessionEvent.PERF_DELTA, data={
-            "counters": {"xpath": {"hits": 3, "misses": 1}}}))
-        stream.emit(SessionEvent(SessionEvent.PERF_DELTA, data={
-            "counters": {"xpath": {"hits": 1, "misses": 1}}}))
-        assert totals.sessions == 2
-        summary = totals.summary()
-        assert summary["xpath"]["hits"] == 4
-        assert summary["xpath"]["misses"] == 2
-        assert summary["xpath"]["hit_rate"] == 4 / 6
-
-
-class TestReplayFidelityObserver:
-    def test_scores_replayed_interactions(self):
-        trace = WarrTrace(start_url=url("/"), commands=[
-            ClickCommand('//input[@name="who"]', x=1, y=1),
-            TypeCommand("//video", "x", 88),  # unresolvable -> not replayed
-        ])
-        browser = build_browser(developer_mode=True)
-        scorer = ReplayFidelityObserver()
-        SessionEngine(browser).run(trace, observers=[scorer])
-        result = scorer.result()
-        assert result.total == 2
-        assert result.covered == 1
-        assert result.label == "P"
-        assert result.per_kind["click"] == (1, 1)
-        assert result.per_kind["key"] == (0, 1)
-
-
-# -- the event-stream contract ----------------------------------------------
-#
-# The engine builds an event only for a kind some observer handles, and
-# the tracing observer handles kinds only while a tracer is installed.
-# None of that may change what any observer, tracer or report sees.
-
-_PER_COMMAND = [SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
-                SessionEvent.ACTED, SessionEvent.COMMAND_FINISHED]
-
-#: What an EventLogObserver saw replaying ``_sites_trace()`` before the
-#: engine built events lazily: two opening kinds, four per command for
-#: the five commands, two closing kinds.
-GOLDEN_SITES_KINDS = (
-    [SessionEvent.SESSION_STARTED, SessionEvent.NAVIGATED]
-    + _PER_COMMAND * 5
-    + [SessionEvent.PERF_DELTA, SessionEvent.SESSION_FINISHED])
 
 
 def _sites_trace():
@@ -237,111 +33,69 @@ def _sites_engine():
 
 
 class TestEventStreamContract:
-    def test_event_log_sees_the_golden_kind_sequence(self):
+    """The run calls the tracer's narrator in place of an event stream:
+    none while tracing is off, one call per command under production."""
+
+    def test_narrator_calls_per_command(self, monkeypatch):
+        calls = Counter()
+
+        class Counted(TracingNarrator):
+            def __init__(self, tracer):
+                calls["__init__"] += 1
+                super().__init__(tracer)
+
+            def __getattribute__(self, name):
+                value = super().__getattribute__(name)
+                if callable(value) and not name.startswith("_"):
+                    calls[name] += 1
+                return value
+
+        monkeypatch.setattr(engine_module, "TracingNarrator", Counted)
         trace = _sites_trace()
-        assert len(trace) == 5
-        log = EventLogObserver()
-        report = _sites_engine().run(trace, observers=[log])
-        assert report.complete
-        assert log.kinds_seen() == GOLDEN_SITES_KINDS
-
-    def test_observer_overriding_only_on_located_gets_every_located(self):
-        class Located(SessionObserver):
-            def __init__(self):
-                self.commands = []
-
-            def on_located(self, event):
-                self.commands.append(event.command)
-
-        trace = _sites_trace()
-        located = Located()
-        _sites_engine().run(trace, observers=[located])
-        assert located.commands == list(trace)
-
-    def test_unobserved_kinds_are_never_built(self, monkeypatch):
-        from repro.session import engine as engine_module
-
-        built = Counter()
-
-        class Counted(SessionEvent):
-            def __init__(self, kind, *args, **kwargs):
-                built[kind] += 1
-                super().__init__(kind, *args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "SessionEvent", Counted)
-        trace = _sites_trace()
-        # No observer and no tracer: the run writes its report without
-        # building a single per-command event.
         report = _sites_engine().run(trace)
         assert report.complete
-        assert len(report.results) == len(trace)
-        for kind in _PER_COMMAND:
-            assert built[kind] == 0
-        # Production tracing reads one hook per command: the finish
-        # event carries the start, and no phase span is recorded.
-        built.clear()
-        with telemetry.tracing(categories="production"):
+        assert calls == {}
+        with telemetry.tracing(categories="production") as tracer:
             report = _sites_engine().run(trace)
         assert report.complete
-        assert built[SessionEvent.COMMAND_FINISHED] == len(trace)
-        for kind in (SessionEvent.COMMAND_STARTED, SessionEvent.LOCATED,
-                     SessionEvent.ACTED):
-            assert built[kind] == 0
+        assert calls["command_finished"] == len(trace)
+        for phase in ("locating", "located", "acted"):
+            assert calls[phase] == 0
+        records = [event for event in tracer.buffer
+                   if event.ph == "X" and event.name == "command"]
+        assert len(records) == len(trace)
 
-    def test_observers_see_the_report_written_before_each_event(self):
-        # The run writes the report itself: a halt is on it by the
-        # time on_halted runs, and every slice is filled in by
-        # session-finished. Sites under no_wait raises page errors
-        # (the paper's timing bug); a missing field halts the run.
-        class Spy(SessionObserver):
-            report = None
-            seen = None
-
-            def on_halted(self, event):
-                self.seen = {"halted": self.report.halted,
-                             "halt_reason": self.report.halt_reason,
-                             "halt_error": self.report.halt_error,
-                             "error": event.error}
-
-            def on_session_finished(self, event):
-                report = event.data["report"]
-                self.seen.update(
-                    report=report, results=list(report.results),
-                    page_errors=list(report.page_errors),
-                    perf_counters=report.perf_counters,
-                    net_fidelity=report.net_fidelity,
-                    final_url=report.final_url)
-
+    def test_finish_writes_every_report_slice(self):
+        # The run writes the report itself: a halt is on it when the
+        # step that halted returns, and every slice is filled in by
+        # finish(). Sites under no_wait raises page errors (the paper's
+        # timing bug); a missing field halts the run.
         trace = _sites_trace()
         trace.append(TypeCommand('//input[@id="missing"]', key="a", code=65,
                                  elapsed_ms=0))
         browser, _ = make_browser([SitesApplication], developer_mode=True)
         engine = SessionEngine(browser, timing=TimingPolicy.no_wait(),
                                failure=FailurePolicy.halt_on_failure())
-        spy = Spy()
-        run = engine.start(trace, observers=[spy])
-        spy.report = run.report
+        run = engine.start(trace)
         for command in trace:
-            run.step(command)
+            result = run.step(command)
             if run.stopped:
                 break
-        report = run.finish()
-        seen = spy.seen
-        assert seen["halted"] is True
-        assert seen["halt_reason"] == "command failed: %s" \
+        report = run.report
+        assert report.halted is True
+        assert report.halt_reason == "command failed: %s" \
             % trace[-1].to_line()
-        assert seen["halt_error"] is seen["error"] is not None
-        assert seen["report"] is report
-        assert seen["results"] == report.results
-        assert len(seen["results"]) == len(trace)
-        assert seen["page_errors"]
+        assert report.halt_error is result.error is not None
+        assert run.finish() is report
+        assert len(report.results) == len(trace)
+        assert report.results[-1] is result
+        assert report.page_errors
         assert all("editorState" in str(error)
-                   for error in seen["page_errors"])
-        assert seen["perf_counters"]
-        assert seen["perf_counters"] == report.perf_counters
-        assert seen["net_fidelity"] == {"failed_fetches": 0, "timeouts": 0,
-                                        "tape_misses": 0}
-        assert seen["final_url"] == SITES_URL + "/edit/home"
+                   for error in report.page_errors)
+        assert report.perf_counters
+        assert report.net_fidelity == {"failed_fetches": 0, "timeouts": 0,
+                                       "tape_misses": 0}
+        assert report.final_url == SITES_URL + "/edit/home"
 
     def test_tracer_installed_between_steps_traces_from_the_next_command(self):
         trace = _sites_trace()

@@ -9,7 +9,6 @@ concurrently.
 
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 
@@ -214,12 +213,6 @@ class TestWorkerPool:
         batch = BatchRunner(factory, workers=2).run([])
         assert not batch.complete
         assert batch.trace_count == 0
-
-    def test_observers_rejected_when_pooled(self):
-        runner = BatchRunner(factory, workers=2,
-                             observers=[PerfCountersObserver()])
-        with pytest.raises(ValueError, match="observers"):
-            runner.run([record_trace("x")])
 
     def test_unpicklable_factory_rejected_when_pooled(self):
         runner = BatchRunner(lambda: build_browser(), workers=2)
@@ -590,10 +583,6 @@ class TestMerging:
         ])
         assert merged["a"] == {"hits": 1, "misses": 3, "hit_rate": 0.25}
         assert merged["b"]["hit_rate"] is None
-
-    def test_perf_observer_refuses_to_pickle(self):
-        with pytest.raises(TypeError, match="must not cross process"):
-            pickle.dumps(PerfCountersObserver())
 
 
 def _die_after_commands(count):
