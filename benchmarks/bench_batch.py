@@ -4,8 +4,9 @@ Batch replay has two backends and this bench sweeps both over the same
 batch of Sites editing sessions:
 
 - **serial** (``workers=1``) — the in-process baseline;
-- **warm pool** (``workers=N``) — N persistent worker processes serving
-  chunked traces with wire-encoded results. Workers are spawned and
+- **warm pool** (``workers=N``) — N persistent worker processes, each
+  handed its next trace as it answers the last, with wire-encoded
+  results. Workers are spawned and
   warmed before the clock starts, so the number is the steady-state
   throughput a replay farm would see, not cold spawn cost. Beating
   serial requires a second physical core; the assertion engages only

@@ -404,8 +404,9 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
     - ``drain`` — SIGTERM the running batch after its first finish; it
       must exit 75 with a resumable journal; the resume run completes.
     - ``kill-worker`` (pooled only) — run under the ``farm`` chaos
-      profile so worker processes die mid-chunk; containment, requeue,
-      and quarantine must keep the journal exactly-once.
+      profile so worker processes die between traces, holding their
+      next; containment, requeue, and quarantine must keep the journal
+      exactly-once.
     - ``crash-parent`` — SIGKILL the whole batch process tree mid-run
       (no drain, no cleanup); the resume run picks up from the torn
       journal and completes.

@@ -611,7 +611,8 @@ def build_parser():
                             "the journal and run only the remainder")
     batch.add_argument("--chaos", default=None, metavar="PROFILE",
                        help="run the batch under a fault profile (e.g. "
-                            "'farm' kills worker processes mid-chunk)")
+                            "'farm' kills worker processes between "
+                            "traces)")
     batch.add_argument("--chaos-seed", type=int, default=0, metavar="N",
                        help="seed for --chaos (fault schedule is "
                             "deterministic per (profile, seed))")

@@ -4,7 +4,8 @@ The model is a character grid: text advances ``CHAR_WIDTH`` px per
 character on ``LINE_HEIGHT`` px lines. Block-level elements stack
 vertically and span the available width; inline elements advance a
 horizontal cursor. Tables lay rows vertically and distribute cells
-horizontally. This is nowhere near CSS, but it is deterministic,
+horizontally; a table's other children stack between its rows as
+blocks. This is nowhere near CSS, but it is deterministic,
 monotonic, and gives every element a non-degenerate rectangle — all
 that coordinate-based replay needs.
 
@@ -335,35 +336,52 @@ class LayoutEngine:
         return frame_height
 
     def _layout_table(self, table, x, y, width, depth):
-        cursor_y = y + PADDING
-        for row in _table_rows(table):
-            # A row may sit inside a tbody (or any other wrapper).
-            row_depth = depth
-            node = row
-            while node is not table:
-                node = node.parent
-                row_depth += 1
-            cells = [
-                child for child in row.child_elements()
-                if child.tag in ("td", "th")
-            ]
-            if not cells:
-                self._register(row, Rect(x, cursor_y, width, LINE_HEIGHT),
-                               row_depth)
-                cursor_y += LINE_HEIGHT
-                continue
-            cell_width = max(width // len(cells), CHAR_WIDTH * 2)
-            row_height = 0
-            for index, cell in enumerate(cells):
-                cell_x = x + index * cell_width
-                height = self._layout_block(cell, cell_x, cursor_y, cell_width,
-                                            row_depth + 1)
-                row_height = max(row_height, height)
-            self._register(row, Rect(x, cursor_y, width, row_height), row_depth)
-            cursor_y += row_height
+        cursor_y = self._layout_table_children(table, x, y + PADDING, width,
+                                               depth + 1)
         height = max(cursor_y + PADDING - y, LINE_HEIGHT)
         self._register(table, Rect(x, y, width, height), depth)
         return height
+
+    def _layout_table_children(self, parent, x, cursor_y, width, depth):
+        """Stack the children of a table (or of a wrapper of its rows)
+        down from ``cursor_y``; returns the cursor below them.
+
+        A ``tr`` is a row. An element holding rows of this table (a
+        ``tbody``, or a ``div`` around a ``tr``) is a transparent
+        wrapper: its children stack the same way and it gets no box.
+        Any other visible element (a ``caption``, a ``div``, a nested
+        ``table``) is a block across the table's width.
+        """
+        for child in parent.child_elements():
+            if child.tag in INVISIBLE_ELEMENTS:
+                continue
+            if child.tag == "tr":
+                cursor_y += self._layout_row(child, x, cursor_y, width, depth)
+            elif child.tag != "table" and _holds_rows(child):
+                cursor_y = self._layout_table_children(child, x, cursor_y,
+                                                       width, depth + 1)
+            else:
+                cursor_y += self._layout_block(child, x, cursor_y, width,
+                                               depth)
+        return cursor_y
+
+    def _layout_row(self, row, x, y, width, depth):
+        """Lay a row's cells side by side; returns the row's height."""
+        cells = [
+            child for child in row.child_elements()
+            if child.tag in ("td", "th")
+        ]
+        if not cells:
+            self._register(row, Rect(x, y, width, LINE_HEIGHT), depth)
+            return LINE_HEIGHT
+        cell_width = max(width // len(cells), CHAR_WIDTH * 2)
+        row_height = 0
+        for index, cell in enumerate(cells):
+            height = self._layout_block(cell, x + index * cell_width, y,
+                                        cell_width, depth + 1)
+            row_height = max(row_height, height)
+        self._register(row, Rect(x, y, width, row_height), depth)
+        return row_height
 
     def _apply_drag_offsets(self):
         """Translate boxes of elements that carry drag offsets."""
@@ -395,20 +413,18 @@ def layout_document(document, viewport_width=DEFAULT_VIEWPORT_WIDTH):
     return LayoutEngine(document, viewport_width).relayout()
 
 
-def _table_rows(table):
-    """The ``tr`` elements whose nearest ``table`` ancestor is ``table``,
-    in document order.
+def _holds_rows(element):
+    """True when a ``tr`` sits below ``element`` outside any nested
+    ``table``: the element wraps rows of the table it is in.
 
-    A table nested in a cell lays out its own rows when the cell's
-    block layout reaches it, so the walk does not enter it.
+    A nested table lays out its own rows when block layout reaches it,
+    so the walk does not enter one.
     """
-    rows = []
-    stack = table.child_elements()[::-1]
+    stack = element.child_elements()
     while stack:
         node = stack.pop()
-        if node.tag == "table":
-            continue
         if node.tag == "tr":
-            rows.append(node)
-        stack.extend(node.child_elements()[::-1])
-    return rows
+            return True
+        if node.tag != "table":
+            stack.extend(node.child_elements())
+    return False

@@ -13,11 +13,12 @@ slice of the timeline is written to ``<label>.trace.json``, and the
 full merged batch timeline lands in ``batch.trace.json``.
 
 With ``workers=N`` (N > 1) the batch fans out across a
-:class:`~repro.session.pool.WorkerPool` of N processes: traces are
-pulled dynamically from a shared queue, per-trace reports and
-:mod:`repro.perf` counter deltas stream back and merge parent-side,
-and telemetry slices merge into one ``batch.trace.json`` timeline with
-each worker's browsers on their own pid tracks. The default ``workers=1`` runs the batch in-process.
+:class:`~repro.session.pool.WorkerPool` of N processes: the pool hands
+each worker its next trace as it answers the last, per-trace reports
+and :mod:`repro.perf` counter deltas stream back and merge
+parent-side, and telemetry slices merge into one ``batch.trace.json``
+timeline with each worker's browsers on their own pid tracks. The
+default ``workers=1`` runs the batch in-process.
 
 Either way one function replays one trace:
 :func:`~repro.session.pool.replay_trace` is called by the serial loop
@@ -481,13 +482,13 @@ class BatchRunner:
         if tracing_on:
             os.makedirs(trace_dir, exist_ok=True)
         # Journal every admission up front, in one commit, before any
-        # dispatch: the pool schedules chunks dynamically, so "started"
+        # dispatch: the pool schedules traces dynamically, so "started"
         # means "handed to the farm".
         hooks.start(range(len(labels)), labels)
         degraded = pool.stats["degraded"]
         try:
             # A borrowed pool keeps its workers warm for the caller's
-            # next batch; its chunks run under *this* runner's policies.
+            # next batch; its traces run under *this* runner's policies.
             outcomes, dropped = pool.run(
                 list(zip(labels, traces)),
                 tracing=(self.trace_categories or True) if tracing_on

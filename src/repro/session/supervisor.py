@@ -1,15 +1,9 @@
-"""Worker supervision: heartbeats, respawn backoff, breaker, drain.
+"""Worker supervision: respawn backoff, breaker, drain.
 
 The worker pool's first containment story handled *one* dead worker
 per trace; this layer makes the farm survive the failure modes a real
 deployment sees:
 
-- **heartbeats** — each worker runs a tiny daemon thread posting a
-  heartbeat message over the existing result pipe. The parent tracks
-  the last beat per worker, so a *process-level* freeze (SIGSTOP, a
-  wedged C call, a deadlocked interpreter) is detected even when no
-  per-trace deadline is configured — hang detection is a property of
-  the worker, the per-trace deadline a property of the trace.
 - **respawn backoff + circuit breaker** — a worker death schedules its
   slot's respawn after a capped-exponential delay (consecutive deaths
   back off; any completed trace resets the streak). When deaths keep
@@ -24,10 +18,14 @@ deployment sees:
   the journal and telemetry flush, and the process exits nonzero with
   a resumable journal instead of dying mid-write.
 
+A frozen worker (SIGSTOP, a wedged C call) is caught by the batch's
+per-trace deadline, which the pool enforces from the parent.
+
 Everything here is policy + book-keeping; the pool owns the processes
-and queues and calls in at its decision points.
+and their channels and calls in at its decision points.
 """
 
+import math
 import os
 import signal
 import threading
@@ -42,11 +40,16 @@ THROTTLE_ENV = "REPRO_SOAK_THROTTLE"
 
 
 def throttle_seconds():
-    """Real seconds to sleep per trace (soak/test plumbing; 0 = off)."""
+    """Real seconds to sleep per trace (soak/test plumbing; 0 = off).
+
+    Anything but a finite number >= 0 is off, not an error: a bad
+    value must not fail every trace of a batch.
+    """
     try:
-        return float(os.environ.get(THROTTLE_ENV, "") or 0.0)
+        seconds = float(os.environ.get(THROTTLE_ENV, "") or 0.0)
     except ValueError:
         return 0.0
+    return seconds if math.isfinite(seconds) and seconds >= 0 else 0.0
 
 
 #: First-respawn delay (seconds); doubles per consecutive death.
@@ -196,32 +199,6 @@ class GracefulDrain:
                 pass
         self._previous = {}
         return False
-
-
-# -- worker-side heartbeat ----------------------------------------------------
-
-
-def start_heartbeat(result_queue, worker_id, interval, stop_event=None):
-    """Start the worker's heartbeat thread; returns the stop event.
-
-    The thread posts ``("heartbeat", -1, worker_id)`` on the result
-    queue every ``interval`` seconds until the event is set. It is a
-    daemon thread, so a worker that exits abruptly never blocks on it —
-    and its silence is exactly the hang signal the parent watches for.
-    """
-    stop = stop_event if stop_event is not None else threading.Event()
-
-    def beat():
-        while not stop.wait(interval):
-            try:
-                result_queue.put(("heartbeat", -1, worker_id))
-            except (ValueError, OSError):
-                return  # queue closed under us: the pool is retiring
-
-    thread = threading.Thread(target=beat, name="pool-heartbeat",
-                              daemon=True)
-    thread.start()
-    return stop
 
 
 def tail_text(path, limit=2048):

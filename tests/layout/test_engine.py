@@ -152,6 +152,31 @@ class TestHitTest:
             assert cell.y <= rect.y and rect.bottom <= cell.bottom
 
 
+    def test_non_row_table_children_get_one_box_each(self):
+        doc, engine = lay("<table><caption id='cap'>c</caption>"
+                          "<div id='d'>hi</div>"
+                          "<tr id='row'><td>x</td></tr></table>"
+                          "<table><div id='wrap'><table><tr id='r'>"
+                          "<td id='c'>x</td></tr></table></div></table>")
+        elements = [doc.body] + [node for node in doc.body.descendants()
+                                 if isinstance(node, Element)]
+        assert sorted(map(id, engine._order)) == sorted(map(id, elements))
+        rect = {name: engine.box_for(doc.get_element_by_id(name)).rect
+                for name in ("cap", "d", "row", "wrap", "r", "c")}
+        # Caption, div and row stack in document order.
+        assert rect["cap"].bottom <= rect["d"].y
+        assert rect["d"].bottom <= rect["row"].y
+        for name in ("r", "c"):
+            assert rect["wrap"].x <= rect[name].x
+            assert rect[name].right <= rect["wrap"].right
+            assert rect["wrap"].y <= rect[name].y
+            assert rect[name].bottom <= rect["wrap"].bottom
+        for name in ("cap", "d", "row", "wrap", "r", "c"):
+            element = doc.get_element_by_id(name)
+            hit = engine.hit_test(*engine.click_point(element))
+            assert hit is element or element in hit.ancestors(), name
+
+
 class TestDragOffsets:
     def test_offset_translates_box(self):
         doc, engine = lay("<div id='w'>widget</div>")

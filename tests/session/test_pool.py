@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 
 import pytest
 
@@ -25,8 +26,8 @@ from repro.session.policies import TimingPolicy
 from repro.session.pool import (
     WorkerPool,
     WorkerSpec,
+    _BatchState,
     _TraceMemo,
-    plan_chunks,
     resolve_factory,
 )
 from repro.session.wire import _read_varint
@@ -95,8 +96,8 @@ def sigterm_masking_hang_factory():
 
 
 def sigstop_factory():
-    # Freezes the whole worker process: even the heartbeat thread stops
-    # beating — the process-level hang the heartbeat watch exists for.
+    # Freezes the whole worker process: it posts nothing and exits
+    # never, so only the parent's per-trace deadline can notice.
     # (SIGTERM is not delivered to a stopped process; only the SIGKILL
     # escalation reaps it.)
     if multiprocessing.parent_process() is not None:
@@ -300,27 +301,6 @@ class TestContainment:
         assert outcome.error_class == "AttributeError"
 
 
-class TestChunkPlanning:
-    def test_chunks_cover_every_index_exactly_once(self):
-        for count in (0, 1, 2, 5, 7, 16, 100):
-            for workers in (1, 2, 3, 8):
-                chunks = plan_chunks(count, workers)
-                flat = [i for chunk in chunks for i in chunk]
-                assert sorted(flat) == list(range(count)), (count, workers)
-
-    def test_tail_is_single_trace_chunks(self):
-        chunks = plan_chunks(40, 4)
-        # The final 2*workers chunks are singles: the finish line stays
-        # level even if one worker lags.
-        assert all(len(chunk) == 1 for chunk in chunks[-8:])
-        # The head amortizes queue round-trips: fewer chunks than traces.
-        assert len(chunks) < 40
-
-    def test_small_batches_degrade_to_singles(self):
-        assert plan_chunks(3, 4) == [[0], [1], [2]]
-        assert plan_chunks(0, 4) == []
-
-
 class TestWarmPool:
     def test_pool_persists_across_batches(self):
         traces = [record_trace("w%d" % i) for i in range(3)]
@@ -374,11 +354,9 @@ class TestWarmPool:
     def test_crash_mid_chunk_requeues_the_inflight_trace(self, flag_path):
         traces = [record_trace("m%d" % i) for i in range(5)]
         tasks = [(t.label, t) for t in traces]
-        # One worker, a two-trace head chunk: the crash lands on its
-        # first trace, mid-chunk; the unstarted chunk-mate is re-queued
-        # untouched (one attempt) and the in-flight trace is retried
-        # exactly once.
-        assert plan_chunks(5, 1) == [[0, 1], [2], [3], [4]]
+        # One worker holding two traces: the crash lands on the first;
+        # the unstarted second goes back untouched (one attempt) and
+        # the in-flight trace is retried exactly once.
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:crash_once_factory"),
                 workers=1) as pool:
@@ -438,21 +416,23 @@ class TestSupervision:
         assert outcome.error_class == "TimeoutError"
         assert elapsed < 15, "SIGTERM-masking worker wedged the reaper"
 
-    def test_lost_heartbeat_detected_without_a_trace_deadline(self):
-        # SIGSTOP freezes the whole process (heartbeat thread included);
-        # with no per-trace timeout configured, only the heartbeat watch
-        # can notice. The stopped process also ignores SIGTERM, so this
-        # exercises the kill() escalation too.
+    def test_stopped_worker_times_out_and_is_reaped_by_kill_escalation(
+            self):
+        # SIGSTOP freezes the whole process mid-trace; the per-trace
+        # deadline notices. The stopped process does not act on
+        # SIGTERM, so only the kill() escalation reaps it.
         trace = record_trace("frozen")
+        start = time.monotonic()
         with WorkerPool(
                 WorkerSpec("tests.session.test_pool:sigstop_factory"),
-                workers=1, heartbeat=0.1) as pool:
-            assert pool.hang_timeout == pytest.approx(0.6)
+                workers=1) as pool:
             (outcome,), _ = pool.run([(trace.label, trace)],
-                                     engine_config=NO_WAIT)
+                                     engine_config=NO_WAIT, trace_timeout=0.4)
         assert not outcome.ok
-        assert outcome.error_class == "WorkerHangError"
-        assert pool.stats["hangs"] >= 1
+        assert outcome.error_class == "TimeoutError"
+        assert outcome.attempts == 2
+        elapsed = time.monotonic() - start
+        assert elapsed < 15, "stopped worker wedged the reaper"
 
     def test_breaker_degrades_to_in_process_execution(self, fragile_breaker):
         reference = "tests.session.test_pool:crash_in_worker_factory"
@@ -514,16 +494,34 @@ class TestSupervision:
         assert not pool.supervisor.tripped
         assert all(o.ok and o.worker_id is not None for o in outcomes)
 
+    def test_trip_leaves_the_warm_pool_usable(self, flag_path,
+                                              monkeypatch):
+        # Regression: every worker read one shared task queue, holding
+        # its read lock while it waited for work. A trip stopped the
+        # idle worker mid-wait, the lock died held, and the next batch
+        # on the warm pool never started. The scenario runs in its own
+        # process group, so a hang fails the test instead of the suite.
+        monkeypatch.setattr(supervisor, "BREAKER_DEATHS", 1)
+        monkeypatch.setattr(SessionRun, "step", _die_while_flagged())
+        traces = [record_trace("k%d" % i) for i in range(2)]
+        child = multiprocessing.get_context("fork").Process(
+            target=_trip_then_run_again, args=(traces,))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            os.killpg(child.pid, signal.SIGKILL)
+            child.join()
+            pytest.fail("the batch after a breaker trip hung")
+        assert child.exitcode == 0
+
     def test_drain_cancels_queued_traces_but_finishes_inflight(self,
                                                                monkeypatch):
         monkeypatch.setenv("REPRO_SOAK_THROTTLE", "0.2")
         traces = [record_trace("g%d" % i) for i in range(6)]
         tasks = [(t.label, t) for t in traces]
         finished = []
-        # The drain fires while the worker is still inside its first
-        # chunk: the chunk-mate in flight finishes, the queued chunks
-        # are recalled.
-        assert plan_chunks(6, 1) == [[0, 1], [2, 3], [4], [5]]
+        # The drain fires after the first result: the traces the
+        # worker holds finish, the pending ones are cancelled.
         with WorkerPool(WorkerSpec(factory), workers=1) as pool:
             outcomes, _ = pool.run(
                 tasks, engine_config=NO_WAIT, on_outcome=finished.append,
@@ -541,19 +539,14 @@ class TestSupervision:
     def test_close_counts_abandoned_results(self):
         # Results a worker computed but the parent never collected must
         # be surfaced, not silently dropped by the close() drain.
-        from repro.session.pool import _BatchState
         traces = [record_trace("a%d" % i) for i in range(2)]
         tasks = [(t.label, t) for t in traces]
-        pool = WorkerPool(WorkerSpec(factory), workers=1)
-        pool.start()
-        batch = _BatchState(pool._next_batch_id, tasks,
-                            engine_config=NO_WAIT)
-        pool._next_batch_id += 1
-        pool._dispatch(batch, [0, 1])
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline \
-                and pool._result_queue.qsize() < 2:
-            time.sleep(0.05)
+        pool = WorkerPool(WorkerSpec(factory), workers=1).start()
+        batch = _BatchState(0, tasks, engine_config=NO_WAIT)
+        (handle,) = pool._handles.values()
+        pool._assign(batch, handle)
+        assert list(handle.assigned) == [0, 1] and not batch.pending
+        # The worker answers both before it reads the shutdown sentinel.
         pool.close()
         assert pool.stats["abandoned"] == 2, pool.stats
 
@@ -599,6 +592,38 @@ def _die_after_commands(count):
         finished[0] += 1
         return result
     return patched
+
+
+def _die_while_flagged():
+    """A ``SessionRun.step`` that kills the process replaying it while
+    the test flag file exists."""
+    step = SessionRun.step
+
+    def patched(self, command):
+        if os.path.exists(os.environ[FLAG_ENV]):
+            os._exit(9)
+        return step(self, command)
+    return patched
+
+
+def _trip_then_run_again(traces):
+    """The warm-pool trip scenario, run in a child process that leads
+    its own process group; only its pool workers ever replay."""
+    os.setpgid(0, 0)
+    tasks = [(t.label, t) for t in traces]
+    with WorkerPool(WorkerSpec(factory), workers=2) as pool:
+        first, _ = pool.run(tasks, engine_config=NO_WAIT)
+        assert all(o.ok for o in first)
+        # Both workers now wait for work. One takes this trace and
+        # dies; the breaker trips at once and stops the other.
+        open(os.environ[FLAG_ENV], "w").close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            (tripped,), _ = pool.run(tasks[:1], engine_config=NO_WAIT)
+        assert pool.stats["degraded"] == 1 and not tripped.ok
+        os.remove(os.environ[FLAG_ENV])
+        again, _ = pool.run(tasks, engine_config=NO_WAIT)
+        assert all(o.ok and o.worker_id is not None for o in again)
 
 
 def _admission_commit_end(data):
