@@ -108,7 +108,7 @@ def run_soak_matrix():
     if QUICK:
         return run_soak(mode=["serial"], scenarios=["drain"], traces=3,
                         throttle=0.1)
-    return run_soak(traces=6)
+    return run_soak()
 
 
 def test_resilience(benchmark, reporter, json_reporter, tmp_path):

@@ -394,7 +394,7 @@ def _kill_tree(proc):
             pass
 
 
-def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
+def run_soak(app="sites", mode=None, traces=12, seed=0, throttle=0.15,
              scenarios=None, journal_dir=None, verbose=False,
              progress=None):
     """Run the resilience soak matrix; returns a :class:`SoakReport`.
@@ -402,7 +402,8 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
     Scenarios (each per batch backend unless noted):
 
     - ``drain`` — SIGTERM the running batch after its first finish; it
-      must exit 75 with a resumable journal; the resume run completes.
+      must exit 75 with a resumable journal, leave at least one trace
+      unfinished, and the resume run completes.
     - ``kill-worker`` (pooled only) — run under the ``farm`` chaos
       profile so worker processes die between traces, holding their
       next; containment, requeue, and quarantine must keep the journal
@@ -493,12 +494,17 @@ def run_soak(app="sites", mode=None, traces=6, seed=0, throttle=0.15,
                     launch(journal, mode_name, resume=True, slow=False),
                     verbose, progress)
                 verdict = audit(journal)
-                passed = (resume_exit in (0, 1)
+                # A drain that finished every trace cancelled nothing,
+                # so the resume path it exists to test never ran.
+                passed = (partial < traces
+                          and resume_exit in (0, 1)
                           and verdict["exactly_once"]
                           and all_replayed(journal))
                 detail = ("drained at %d/%d, resumed %d, exactly-once=%s"
                           % (partial, traces, traces - partial,
                              verdict["exactly_once"]))
+                if partial >= traces:
+                    detail += ": nothing was left to resume"
             elif scenario == "crash-parent":
                 proc = launch(journal, mode_name)
                 _wait_for_finishes(journal, 1)

@@ -637,7 +637,7 @@ def build_parser():
     soak.add_argument("--scenario", nargs="*", default=None,
                       choices=["drain", "kill-worker", "crash-parent"],
                       help="failure scenario(s) to run (default: all)")
-    soak.add_argument("--traces", type=_positive_count, default=6,
+    soak.add_argument("--traces", type=_positive_count, default=12,
                       metavar="N",
                       help="traces per soak run")
     soak.add_argument("--seed", type=int, default=0)

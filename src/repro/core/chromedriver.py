@@ -25,7 +25,7 @@ all of them so the ablation benchmarks can demonstrate each failure.
 """
 
 from repro.browser.ipc import InputMessage
-from repro.events.dispatch import observable
+from repro.events.dispatch import observed_types
 from repro.events.event import KeyboardEvent, MouseEvent, DragEvent, InputEvent
 from repro.events.keys import (
     KEY_BACKSPACE,
@@ -152,35 +152,56 @@ class ChromeDriverClient:
         mutation, fires ``input``, then keyup. Without
         ``fix_text_input``, the mutation always goes through the
         ``value`` property — invisible on container elements like div.
-        An event no listener or tracer could observe (see
-        :func:`~repro.events.dispatch.observable`) is not built, and
-        counts as not prevented.
+
+        An element that already holds focus is not focused again, as
+        WebDriver's Element Send Keys does. An event no listener or
+        tracer could observe is not built, and counts as not prevented:
+        what can observe one is resolved once per keystroke
+        (:func:`~repro.events.dispatch.observed_types`) and each type is
+        tested against the document's live set, so a listener a handler
+        adds mid-keystroke is seen. Should a handler move ``element``
+        into another document, the rest of the keystroke treats every
+        type as observable.
         """
         engine = self.engine
+        if element is not engine.focused_element:
+            engine.set_focus(element if element.is_focusable() else None)
         developer_mode = self.master.browser.developer_mode
-        engine.set_focus(element if element.is_focusable() else None)
+        document = element.owner_document
+        observed = observed_types(element)
+        printable = is_printable(key)
 
         proceed = True
-        if observable(element, "keydown"):
+        if observed is None or "keydown" in observed:
             down = KeyboardEvent.synthetic("keydown", key, code,
                                            timestamp=self._now(),
                                            developer_mode=developer_mode)
             proceed = engine.dispatch(element, down)
-        if proceed and is_printable(key) and observable(element, "keypress"):
+            if element.owner_document is not document:
+                observed = None
+        if proceed and printable and (observed is None
+                                      or "keypress" in observed):
             press = KeyboardEvent.synthetic("keypress", key, code,
                                             timestamp=self._now(),
                                             developer_mode=developer_mode)
             proceed = engine.dispatch(element, press)
+            if element.owner_document is not document:
+                observed = None
         if proceed:
-            self._apply_key(element, key, code)
-        if observable(element, "keyup"):
+            self._apply_key(element, key, code, printable, observed)
+            if element.owner_document is not document:
+                observed = None
+        if observed is None or "keyup" in observed:
             keyup = KeyboardEvent.synthetic("keyup", key, code,
                                             timestamp=self._now(),
                                             developer_mode=developer_mode)
             engine.dispatch(element, keyup)
         engine.invalidate_layout()
 
-    def _apply_key(self, element, key, code):
+    def _apply_key(self, element, key, code, printable, observed):
+        """The keystroke's edit, then its ``input`` event if ``observed``
+        (the keystroke's :func:`~repro.events.dispatch.observed_types`)
+        admits one."""
         if code == KEY_ENTER:
             if element.tag == "input":
                 self.engine.event_handler.submit_enclosing_form(element)
@@ -192,10 +213,10 @@ class ChromeDriverClient:
                 element.delete_last_character()
             else:
                 element.value = element.value[:-1]
-            if observable(element, "input"):
+            if observed is None or "input" in observed:
                 self.engine.dispatch(element, InputEvent())
             return
-        if not is_printable(key):
+        if not printable:
             return
         if element.supports_value():
             element.value = element.value + key
@@ -207,7 +228,7 @@ class ChromeDriverClient:
             # Stock ChromeDriver: sets .value even on divs. The DOM text
             # never changes, so the keystroke is effectively lost.
             element.value = element.value + key
-        if observable(element, "input"):
+        if observed is None or "input" in observed:
             self.engine.dispatch(element, InputEvent(data=key))
 
     def drag(self, element, dx, dy):

@@ -191,12 +191,16 @@ def _observed_mask(expression):
 
 
 def _generations(document, mask):
-    """``document``'s (structure, attribute, text) counters under ``mask``."""
+    """``document``'s (structure, attribute, text) counters under ``mask``.
+
+    Every memo hit asks this, so it reads the counters behind the
+    ``Document`` properties directly.
+    """
     observes_attributes, observes_text = mask
     return (
-        document.structure_generation,
-        document.attribute_generation if observes_attributes else -1,
-        document.text_generation if observes_text else -1,
+        document._structure_generation,
+        document._attribute_generation if observes_attributes else -1,
+        document._text_generation if observes_text else -1,
     )
 
 
@@ -230,7 +234,7 @@ class RelaxationEngine:
         :meth:`resolve` counts it when it resolves the expression.
         Always None with relaxation or the fast path disabled.
         """
-        if not self.enabled or not perf.fast_path_enabled():
+        if not self.enabled or not perf._enabled:
             return None
         key = expression if isinstance(expression, str) else expression.to_xpath()
         entry = self._memo.get(key)

@@ -17,9 +17,10 @@ listened for (see ``Document._listened_types``) returns at once: no
 handler could run, so walking the propagation path would observe
 nothing. Detached targets without an owning document, traced dispatch
 and a disabled fast path (:func:`repro.perf.fast_path`) take the full
-walk. :func:`observable` is that condition; callers that synthesize
-events (the driver's and the event handler's keystrokes) ask it first
-and do not even build an event that could reach nobody.
+walk. :func:`observed_types` is that condition, and :func:`observable`
+asks it for one type. Callers that synthesize events ask first and do
+not even build an event that could reach nobody: the event handler's
+keystrokes per event, the driver's once per keystroke.
 """
 
 from repro import perf, telemetry
@@ -65,15 +66,31 @@ def observable(target, event_type):
     dispatch would return "not prevented" untouched. Callers that skip
     building such an event treat it as not prevented.
     """
+    observed = observed_types(target)
+    return observed is None or event_type in observed
+
+
+def observed_types(target):
+    """The event types dispatching at ``target`` can run anything for.
+
+    None when every type counts as observable: the target has no owning
+    document, a tracer records dispatches, or the fast path is off.
+    Otherwise the owning document's own ``_listened_types`` set, not a
+    copy, so a caller synthesizing several events can resolve this once
+    and test each type against the live set: a listener a handler adds
+    in between is seen.
+    """
     document = target.owner_document
-    return (document is None or event_type in document._listened_types
-            or telemetry._dispatch_tracer is not None
-            or not perf.fast_path_enabled())
+    if (document is None or telemetry._dispatch_tracer is not None
+            or not perf._enabled):
+        return None
+    return document._listened_types
 
 
 def _dispatch(target, event, on_error):
     event.target = target
-    if not observable(target, event.type):
+    observed = observed_types(target)
+    if observed is not None and event.type not in observed:
         return not event.default_prevented
     ancestors = _propagation_path(target)
     _capture_phase(ancestors, event, on_error)

@@ -250,6 +250,14 @@ class SessionRun:
         #: Crash-recovery resume point (last committed URL + commands).
         self.checkpoint = ReplayCheckpoint()
         self._backoff_seq = engine.retry.new_sequence()
+        # Facts fixed for the whole session, resolved once instead of
+        # on every step: the timing policy's due-time rule, the
+        # browser's clock and event loop, and whether commands heal.
+        self._fixed_delay, self._delay_scale = engine.timing.due_rule()
+        browser = engine.browser
+        self._clock = browser.clock
+        self._run_for = browser.event_loop.run_for
+        self._healing = engine.retry.enabled
 
     @property
     def halted(self):
@@ -303,21 +311,25 @@ class SessionRun:
         callers can keep iterating and simply observe ``self.halted``.
         """
         engine = self.engine
-        clock = engine.browser.clock
-        target = engine.timing.target(self._anchor, command)
-        wait_ms = max(0.0, target - clock.now())
-        tracer = telemetry.current()
+        clock = self._clock
+        delay = self._fixed_delay
+        if delay is None:
+            delay = command.elapsed_ms * self._delay_scale
+        target = self._anchor + delay
+        now = clock.now()
+        wait_ms = target - now if target > now else 0.0
+        tracer = telemetry._tracer
         if tracer is not self._tracer:
             self._retune(tracer)
         narrator = self._narrator
         phases = self._phases
         if phases is None:
-            self.driver.wait(wait_ms)
+            self._run_for(wait_ms)
         else:
             with tracer.span("session.schedule", track=SESSION_TRACK,
                              cat="session.phase",
                              args={"wait_ms": wait_ms, "due_vt_ms": target}):
-                self.driver.wait(wait_ms)
+                self._run_for(wait_ms)
         self._anchor = clock.now()
         # The command's record carries its start, read before the
         # locate span opens: a span inside the command must start
@@ -326,7 +338,7 @@ class SessionRun:
             started_at = perf_counter()
             if phases is not None:
                 phases.locating()
-        healing = engine.retry.enabled
+        healing = self._healing
         halt = None
         try:
             if healing:
@@ -345,7 +357,7 @@ class SessionRun:
         if halt is not None:
             self._halt(str(halt), halt)
             return result
-        if result.succeeded:
+        if result.status != CommandResult.FAILED:
             # Only crash recovery reads the checkpoint, and only the
             # healing loop recovers crashes.
             if healing:

@@ -66,6 +66,12 @@ class TimingPolicy:
             return self.value
         return command.elapsed_ms * self.value
 
+    def due_rule(self):
+        """:meth:`delay_for` as ``(fixed_delay, scale)``, for a caller
+        that schedules many commands: the delay is ``fixed_delay`` or,
+        when that is None, the recorded gap times ``scale``."""
+        return (self.value if self.kind == "fixed" else None), self.value
+
     def target(self, anchor, command):
         """Absolute due time for ``command`` given the previous action's
         timestamp ``anchor``."""

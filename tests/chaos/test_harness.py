@@ -10,6 +10,7 @@ from repro.chaos.harness import (
     _soak_env,
     default_workloads,
     run_chaos_matrix,
+    run_soak,
 )
 from repro.cli import APPS, main
 from repro.session.policies import RetryPolicy
@@ -87,6 +88,20 @@ class TestSoakEnv:
         monkeypatch.setenv(THROTTLE_ENV, "9")
         assert THROTTLE_ENV not in _soak_env(0.0, str(tmp_path))
         assert _soak_env(0.15, str(tmp_path))[THROTTLE_ENV] == "0.15"
+
+
+class TestSoakDrain:
+    def test_a_drain_that_resumed_nothing_fails(self, tmp_path):
+        # Two workers holding two traces each take all four at once, so
+        # the SIGTERM finds nothing left to cancel: the cell tested no
+        # resume and must say so, not pass.
+        report = run_soak(mode=["pooled"], scenarios=["drain"], traces=4,
+                          journal_dir=str(tmp_path))
+        (outcome,) = report.outcomes
+        assert not outcome.passed
+        assert outcome.verdict["exactly_once"]
+        assert outcome.detail.startswith("drained at 4/4, resumed 0")
+        assert outcome.detail.endswith("nothing was left to resume")
 
 
 class TestOutcomeScoring:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.core.chromedriver import (
     ChromeDriverConfig,
     ChromeDriverMaster,
@@ -158,6 +159,73 @@ class TestTextInput:
         box, _ = client.find('//div[@id="box"]')
         client.send_key(box, "H", 72)
         assert tab.engine.window.env.keys == [0]
+
+
+class TestKeystrokeFocus:
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "oracle"])
+    def test_typing_into_the_focused_element_fires_no_focus_events(
+            self, fast):
+        with perf.fast_path(fast):
+            browser, tab, master = make_driver()
+            client = master.active_client
+            box, _ = client.find('//div[@id="box"]')
+            seen = []
+            for kind in ("focus", "blur"):
+                box.add_event_listener(kind,
+                                       lambda event: seen.append(event.type))
+            for key, code in (("H", 72), ("i", 73), ("!", 49)):
+                client.send_key(box, key, code)
+        assert seen == ["focus"]
+        assert tab.engine.focused_element is box
+        assert box.text_content == "Hi!"
+
+    def test_focused_element_keeps_focus_after_losing_focusability(self):
+        # WebDriver's Element Send Keys focuses only an element that
+        # does not have focus: a keystroke does not blur the element it
+        # types into, even once the page made it non-focusable.
+        browser, tab, master = make_driver()
+        client = master.active_client
+        box, _ = client.find('//div[@id="box"]')
+        client.send_key(box, "a", 65)
+        seen = []
+        box.add_event_listener("blur", lambda event: seen.append("blur"))
+        box.remove_attribute("contenteditable")
+        client.send_key(box, "b", 66)
+        assert seen == []
+        assert tab.engine.focused_element is box
+
+
+#: A page with no listeners: only what a test adds is observable.
+PLAIN_HTML = ('<html><head><title>Plain</title></head><body>'
+              '<div id="pad" contenteditable></div></body></html>')
+
+
+class TestListenerAddedMidKeystroke:
+    """A listener a handler adds during a keystroke sees the rest of
+    that keystroke, whether or not its type was observable when the
+    keystroke began (DESIGN §4)."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "oracle"])
+    def test_keydown_handler_adds_a_keyup_listener_that_runs(self, fast):
+        with perf.fast_path(fast):
+            browser = build_browser(
+                developer_mode=True,
+                extra_routes={"/plain": lambda request: PLAIN_HTML})
+            tab = browser.new_tab(url("/plain"))
+            client = ChromeDriverMaster(browser).active_client
+            pad, _ = client.find('//div[@id="pad"]')
+            seen = []
+
+            def on_keydown(event):
+                seen.append(event.type)
+                pad.add_event_listener(
+                    "keyup", lambda event: seen.append(event.type))
+
+            pad.add_event_listener("keydown", on_keydown)
+            assert "keyup" not in tab.document._listened_types
+            client.send_key(pad, "a", 65)
+        assert seen == ["keydown", "keyup"]
+        assert pad.text_content == "a"
 
 
 class TestDrag:

@@ -10,7 +10,7 @@ and off requiring identical outcomes.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import chaos, perf
 from repro.apps.dashboard import DashboardApplication
@@ -451,13 +451,16 @@ def _locate_checked(driver, xpath):
 
 def _mutation_target(driver, index, located):
     """An element chosen by ``index``: negative picks one of the
-    ``located`` elements, others any element of any frame's document."""
+    ``located`` elements, others any element of any frame's document.
+    None once earlier steps have detached every element."""
     elements = [element for engine
                 in driver.tab.renderer.engine.all_engines()
                 for element in engine.document.all_elements()
                 if element.tag not in ("html", "head", "body", "iframe")]
     if index < 0 and located:
         return located[index % len(located)]
+    if not elements:
+        return None
     return elements[index % len(elements)]
 
 
@@ -476,6 +479,8 @@ def _apply(driver, step, located):
         driver.get(url(value))
         return
     target = _mutation_target(driver, index, located)
+    if target is None:
+        return  # nothing left to mutate: the locates still run
     document = target.owner_document
     if kind == "attribute":
         name, _, text = value.partition("=")
@@ -489,7 +494,8 @@ def _apply(driver, step, located):
     elif kind == "move":
         target.remove()
         destination = _mutation_target(driver, abs(index) + 1, located)
-        if not target.contains(destination) and destination.parent:
+        if destination is not None and not target.contains(destination) \
+                and destination.parent:
             destination.parent.append_child(target)
     else:
         target.remove()
@@ -521,6 +527,12 @@ class TestLocateMemo:
     @given(steps=st.lists(_MEMO_STEPS, max_size=12),
            locators=st.lists(st.sampled_from(MEMO_LOCATORS), min_size=1,
                              max_size=3, unique=True))
+    # /frame's elements all detached, then a move with none left: the
+    # mutation is a no-op and the locates still run.
+    @example(steps=[("navigate", None, "/frame"), ("detach", -1, None),
+                    ("detach", -1, None), ("detach", -1, None),
+                    ("move", -1, None)],
+             locators=['//span[@id="start"]'])
     @settings(max_examples=60, deadline=None)
     def test_memo_hits_equal_the_fast_path_off_answer(self, steps,
                                                       locators):

@@ -1,5 +1,7 @@
 """The session engine: pipeline, event stream, timing, halting."""
 
+import pytest
+
 from repro.core.commands import ClickCommand, SwitchFrameCommand, TypeCommand
 from repro import telemetry
 from repro.core.recorder import WarrRecorder
@@ -81,6 +83,61 @@ class TestRun:
         fast = build_browser(developer_mode=True)
         SessionEngine(fast, timing=TimingPolicy.no_wait()).run(trace)
         assert fast.clock.now() < slow.clock.now()
+
+
+class TestSchedule:
+    """The run resolves its timing rule once per session; at every step
+    it must still wait exactly what :meth:`TimingPolicy.target` asks."""
+
+    @staticmethod
+    def _trace():
+        box = '//div[@id="box"]'
+        return WarrTrace(start_url=url("/"), commands=[
+            TypeCommand(box, "a", 65, elapsed_ms=0),
+            TypeCommand(box, "b", 66, elapsed_ms=120),
+            TypeCommand(box, "c", 67, elapsed_ms=7.5),
+            ClickCommand('//a[text()="About"]', elapsed_ms=3000),
+            # The navigation's 50 ms fetch overruns these gaps, so the
+            # commands are due before the clock and wait nothing.
+            ClickCommand("//p", elapsed_ms=20),
+            ClickCommand("//p", elapsed_ms=95),
+        ])
+
+    @pytest.mark.parametrize("policy", [
+        TimingPolicy.recorded(), TimingPolicy.no_wait(),
+        TimingPolicy.scaled(0.5), TimingPolicy.fixed(25),
+    ], ids=repr)
+    def test_every_step_waits_until_the_policy_target(self, policy,
+                                                      monkeypatch):
+        trace = self._trace()
+        browser = build_browser(developer_mode=True)
+        loop, clock = browser.event_loop, browser.clock
+        waits = []
+        run_for = loop.run_for
+
+        def recording_run_for(duration_ms):
+            before = clock.now()
+            executed = run_for(duration_ms)
+            waits.append((before, duration_ms, clock.now()))
+            return executed
+
+        monkeypatch.setattr(loop, "run_for", recording_run_for)
+        # The timeline is anchored just before the start navigation.
+        anchor = clock.now()
+        run = SessionEngine(browser, timing=policy).start(trace)
+        overdue = 0
+        for command in trace:
+            del waits[:]
+            result = run.step(command)
+            assert result.status != CommandResult.FAILED, result
+            # The first wait in a step is its schedule stage.
+            before, waited, after = waits[0]
+            target = policy.target(anchor, command)
+            assert waited == max(0.0, target - before), command
+            overdue += target < before
+            anchor = after
+        run.finish()
+        assert overdue >= 1
 
 
 class TestFailureModes:
