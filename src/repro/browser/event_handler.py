@@ -10,7 +10,7 @@ link activation, form submission, text insertion, element dragging.
 
 from repro import telemetry
 from repro.dom.node import Element
-from repro.events.dispatch import observable
+from repro.events.dispatch import observed_types
 from repro.events.event import MouseEvent, KeyboardEvent, DragEvent, InputEvent
 from repro.events.keys import (
     KEY_BACKSPACE,
@@ -129,26 +129,37 @@ class EventHandler:
             return
 
         # Key events no listener or tracer could observe are not built
-        # (see repro.events.dispatch.observable); they count as not
-        # prevented.
+        # and count as not prevented. What can observe one is resolved
+        # once per keystroke, as the driver's send_key does: each type
+        # is tested against the document's live listened-type set, and
+        # should a handler move the target into another document, every
+        # later type of the keystroke counts as observable.
+        document = target.owner_document
+        observed = observed_types(target)
         proceed = True
-        if observable(target, "keydown"):
+        if observed is None or "keydown" in observed:
             down = KeyboardEvent.trusted("keydown", event.key,
                                          event.key_code, event.shift_key,
                                          event.ctrl_key, event.alt_key,
                                          event.timestamp)
             proceed = engine.dispatch(target, down)
+            if target.owner_document is not document:
+                observed = None
         if (proceed and is_printable(event.key) and not event.ctrl_key
-                and observable(target, "keypress")):
+                and (observed is None or "keypress" in observed)):
             press = KeyboardEvent.trusted("keypress", event.key,
                                           event.key_code, event.shift_key,
                                           event.ctrl_key, event.alt_key,
                                           event.timestamp)
             proceed = engine.dispatch(target, press)
+            if target.owner_document is not document:
+                observed = None
         if proceed:
-            self._default_key_action(target, event)
+            self._default_key_action(target, event, observed)
+            if target.owner_document is not document:
+                observed = None
 
-        if observable(target, "keyup"):
+        if observed is None or "keyup" in observed:
             keyup = KeyboardEvent.trusted("keyup", event.key,
                                           event.key_code, event.shift_key,
                                           event.ctrl_key, event.alt_key,
@@ -206,8 +217,10 @@ class EventHandler:
             if button_type == "submit":
                 self.submit_enclosing_form(element)
 
-    def _default_key_action(self, target, event):
-        """Text insertion / deletion / Enter-submits."""
+    def _default_key_action(self, target, event, observed):
+        """Text insertion / deletion / Enter-submits, then an ``input``
+        event if ``observed`` (the keystroke's
+        :func:`~repro.events.dispatch.observed_types`) admits one."""
         engine = self.engine
         if event.key_code == KEY_ENTER:
             if target.tag == "input":
@@ -217,13 +230,13 @@ class EventHandler:
             return
         if event.key_code == KEY_BACKSPACE:
             self._delete_backwards(target)
-            if observable(target, "input"):
+            if observed is None or "input" in observed:
                 engine.dispatch(target, InputEvent())
             return
         if not is_printable(event.key) or event.ctrl_key or event.alt_key:
             return
         self._insert_text(target, event.key)
-        if observable(target, "input"):
+        if observed is None or "input" in observed:
             engine.dispatch(target, InputEvent(data=event.key))
 
     def _insert_text(self, target, text):

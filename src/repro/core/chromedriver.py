@@ -78,6 +78,8 @@ class ChromeDriverClient:
         self.master = master
         self.engine = engine
         self.root_element = root_element
+        #: The browser's virtual clock, fixed when the browser is built.
+        self._clock = master.browser.clock
 
     # -- element lookup --------------------------------------------------------
 
@@ -115,13 +117,13 @@ class ChromeDriverClient:
         """Click via the engine's input path (WebDriver supports this)."""
         x, y = self.engine.layout.click_point(element)
         event = MouseEvent("mousepress", client_x=x, client_y=y, detail=1,
-                           timestamp=self._now())
+                           timestamp=self._clock.now())
         self._send_input(InputMessage.MOUSE, event)
 
     def click_at(self, x, y):
         """Coordinate click — the backup identification fallback."""
         event = MouseEvent("mousepress", client_x=x, client_y=y, detail=1,
-                           timestamp=self._now())
+                           timestamp=self._clock.now())
         self._send_input(InputMessage.MOUSE, event)
 
     def double_click(self, element):
@@ -137,10 +139,10 @@ class ChromeDriverClient:
         x, y = self.engine.layout.click_point(element)
         for event_type in ("mousedown", "mouseup", "mousedown", "mouseup"):
             event = MouseEvent(event_type, client_x=x, client_y=y, detail=2,
-                               timestamp=self._now())
+                               timestamp=self._clock.now())
             self.engine.dispatch(element, event)
         dbl = MouseEvent("dblclick", client_x=x, client_y=y, detail=2,
-                         timestamp=self._now())
+                         timestamp=self._clock.now())
         self.engine.dispatch(element, dbl)
         self.engine.invalidate_layout()
 
@@ -166,24 +168,25 @@ class ChromeDriverClient:
         engine = self.engine
         if element is not engine.focused_element:
             engine.set_focus(element if element.is_focusable() else None)
-        developer_mode = self.master.browser.developer_mode
+        clock = self._clock
+        # The events KeyboardEvent.synthetic builds, one call each: the
+        # key properties only in a developer-mode browser, then frozen.
+        props = (key, code) if self.master.browser.developer_mode else ()
         document = element.owner_document
         observed = observed_types(element)
         printable = is_printable(key)
 
         proceed = True
         if observed is None or "keydown" in observed:
-            down = KeyboardEvent.synthetic("keydown", key, code,
-                                           timestamp=self._now(),
-                                           developer_mode=developer_mode)
+            down = KeyboardEvent("keydown", *props, timestamp=clock.now())
+            down._frozen = True
             proceed = engine.dispatch(element, down)
             if element.owner_document is not document:
                 observed = None
         if proceed and printable and (observed is None
                                       or "keypress" in observed):
-            press = KeyboardEvent.synthetic("keypress", key, code,
-                                            timestamp=self._now(),
-                                            developer_mode=developer_mode)
+            press = KeyboardEvent("keypress", *props, timestamp=clock.now())
+            press._frozen = True
             proceed = engine.dispatch(element, press)
             if element.owner_document is not document:
                 observed = None
@@ -192,9 +195,8 @@ class ChromeDriverClient:
             if element.owner_document is not document:
                 observed = None
         if observed is None or "keyup" in observed:
-            keyup = KeyboardEvent.synthetic("keyup", key, code,
-                                            timestamp=self._now(),
-                                            developer_mode=developer_mode)
+            keyup = KeyboardEvent("keyup", *props, timestamp=clock.now())
+            keyup._frozen = True
             engine.dispatch(element, keyup)
         engine.invalidate_layout()
 
@@ -235,11 +237,8 @@ class ChromeDriverClient:
         """Drag an element by (dx, dy)."""
         x, y = self.engine.layout.click_point(element)
         event = DragEvent("rawdrag", dx=dx, dy=dy, client_x=x, client_y=y,
-                          timestamp=self._now())
+                          timestamp=self._clock.now())
         self._send_input(InputMessage.DRAG, event)
-
-    def _now(self):
-        return self.master.browser.clock.now()
 
     def __repr__(self):
         scope = " scoped" if self.root_element is not None else ""

@@ -99,7 +99,8 @@ class WarrRecorder(InputObserver):
     def on_key(self, engine, event, target):
         if not self.recording:
             return
-        if event.key_code == KEY_SHIFT:
+        code = event.key_code
+        if code == KEY_SHIFT:
             # Combined with the following printable key (paper, IV-B).
             return
         started = time.perf_counter()
@@ -107,8 +108,7 @@ class WarrRecorder(InputObserver):
         self._track_frame(engine, event.timestamp)
         xpath = str(xpath_for_element(target, engine.document))
         self.trace.append(
-            TypeCommand(xpath, key=event.key, code=event.key_code,
-                        elapsed_ms=elapsed)
+            TypeCommand(xpath, key=event.key, code=code, elapsed_ms=elapsed)
         )
         self._record_overhead(started)
 
@@ -164,7 +164,7 @@ class WarrRecorder(InputObserver):
 
     def _record_overhead(self, started):
         self.overhead_samples_us.append((time.perf_counter() - started) * 1e6)
-        tracer = telemetry.current()
+        tracer = telemetry._tracer
         if tracer is not None and tracer.wants("recorder"):
             # The span covers exactly the logging work the overhead
             # benchmark measures: frame tracking, XPath generation, and

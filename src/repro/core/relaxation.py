@@ -190,18 +190,34 @@ def _observed_mask(expression):
     return mask
 
 
-def _generations(document, mask):
-    """``document``'s (structure, attribute, text) counters under ``mask``.
+class _MemoEntry:
+    """One memoized resolution of an expression.
 
-    Every memo hit asks this, so it reads the counters behind the
-    ``Document`` properties directly.
+    ``context`` is the resolution context (a Document, or the root
+    Element of a src-less iframe) and ``document`` its owning Document.
+    The entry holds the document's structure, attribute and text
+    generations at resolution time, and the expression's predicate mask
+    (does it read attributes, text?), so a hit neither compiles the
+    expression nor walks its predicates: structure always counts (any
+    element insertion or removal, detaching the memoized element
+    included, ends the entry), attributes and text only when a
+    predicate reads them — an id-locator stays memoized across a burst
+    of keystrokes.
     """
-    observes_attributes, observes_text = mask
-    return (
-        document._structure_generation,
-        document._attribute_generation if observes_attributes else -1,
-        document._text_generation if observes_text else -1,
-    )
+
+    __slots__ = ("context", "document", "observes_attributes",
+                 "observes_text", "structure", "attributes", "text",
+                 "found", "relaxed")
+
+    def __init__(self, context, document, mask, element, description):
+        self.context = context
+        self.document = document
+        self.observes_attributes, self.observes_text = mask
+        self.structure = document._structure_generation
+        self.attributes = document._attribute_generation
+        self.text = document._text_generation
+        self.found = (element, description)
+        self.relaxed = description != "original"
 
 
 class RelaxationEngine:
@@ -209,42 +225,50 @@ class RelaxationEngine:
 
     def __init__(self, enabled=True):
         self.enabled = enabled
-        #: (expression, used_description) log for reporting/ablation.
-        self.resolutions = []
-        #: expression key -> (context, document, mask, generations,
-        #: element, description). ``mask`` is the expression's
-        #: (observes attributes, observes text) predicate mask and
-        #: ``document`` the context's owning Document, both stored so a
-        #: hit neither compiles the expression nor walks its predicates.
-        #: ``generations`` records the document's (structure, attribute,
-        #: text) counters at resolution time, masked down to the kinds
-        #: the expression's predicates can observe — so an id-locator
-        #: stays memoized across a burst of keystrokes, while any
-        #: element insertion/removal (including detaching the memoized
-        #: element) always invalidates the entry.
+        #: Resolutions answered, memo hits included, and how many of
+        #: them used a non-original candidate (:meth:`relaxed_count`).
+        self.resolution_count = 0
+        self._relaxed = 0
+        #: expression key -> :class:`_MemoEntry`.
         self._memo = {}
 
     def recall(self, expression, context):
         """The memoized (element, description) for ``expression``, or None.
 
         A hit needs the same resolution context (a Document, or the
-        root Element of a src-less iframe) and unchanged masked
-        generations of its document; it counts as a ``relax.resolve``
-        hit and is logged like any resolution. A miss records nothing:
-        :meth:`resolve` counts it when it resolves the expression.
-        Always None with relaxation or the fast path disabled.
+        root Element of a src-less iframe) and unchanged generations of
+        its document, as far as the expression observes them; it counts
+        as a ``relax.resolve`` hit and as a resolution. A miss records
+        nothing: :meth:`resolve` counts it when it resolves the
+        expression. Always None with relaxation or the fast path
+        disabled.
+
+        Every replayed command asks this, so the generations are read
+        behind the ``Document`` properties, and with no counter observer
+        installed the hit is counted in place, as :func:`perf.record`
+        would.
         """
         if not self.enabled or not perf._enabled:
             return None
         key = expression if isinstance(expression, str) else expression.to_xpath()
         entry = self._memo.get(key)
-        if entry is None or entry[0] is not context:
+        if entry is None or entry.context is not context:
             return None
-        if entry[3] != _generations(entry[1], entry[2]):
+        document = entry.document
+        if (document._structure_generation != entry.structure
+                or (entry.observes_attributes
+                    and document._attribute_generation != entry.attributes)
+                or (entry.observes_text
+                    and document._text_generation != entry.text)):
             return None
-        perf.record("relax.resolve", hit=True)
-        self.resolutions.append((expression, entry[5]))
-        return entry[4], entry[5]
+        if perf._counter_observer is None:
+            perf.stats.hits["relax.resolve"] += 1
+        else:
+            perf.record("relax.resolve", hit=True)
+        self.resolution_count += 1
+        if entry.relaxed:
+            self._relaxed += 1
+        return entry.found
 
     def resolve(self, expression, document):
         """Find the element ``expression`` points at in ``document``.
@@ -260,12 +284,12 @@ class RelaxationEngine:
                 raise ElementNotFoundError(
                     "no element matches %r (relaxation disabled)" % expression
                 )
-            self.resolutions.append((expression, "original"))
+            self._count("original")
             return matches[0], "original"
 
         if not perf.fast_path_enabled():
             element, description = self._resolve_by_scan(expression, document)
-            self.resolutions.append((expression, description))
+            self._count(description)
             return element, description
 
         found = self.recall(expression, document)
@@ -278,8 +302,6 @@ class RelaxationEngine:
         memoizable = isinstance(owner, Document)
         if memoizable:
             perf.record("relax.resolve", hit=False)
-            mask = _observed_mask(expression)
-            generations = _generations(owner, mask)
 
         # The common, DOM-stable case: the original expression still
         # matches uniquely — no relaxation ladder is built at all.
@@ -292,12 +314,20 @@ class RelaxationEngine:
                 expression, document, skip_original=True, fallback=fallback
             )
         if memoizable:
+            # Evaluation reads the DOM without mutating it, so these are
+            # the generations the answer was computed at.
             key = expression if isinstance(expression, str) \
                 else expression.to_xpath()
-            self._memo[key] = (document, owner, mask, generations, element,
-                               description)
-        self.resolutions.append((expression, description))
+            self._memo[key] = _MemoEntry(
+                document, owner, _observed_mask(expression), element,
+                description)
+        self._count(description)
         return element, description
+
+    def _count(self, description):
+        self.resolution_count += 1
+        if description != "original":
+            self._relaxed += 1
 
     def _resolve_by_scan(self, expression, document, skip_original=False,
                          fallback=None):
@@ -318,4 +348,4 @@ class RelaxationEngine:
 
     def relaxed_count(self):
         """How many resolutions needed a non-original candidate."""
-        return sum(1 for _, used in self.resolutions if used != "original")
+        return self._relaxed

@@ -170,12 +170,21 @@ class Node:
     # and a disabled fast path take the replace-all setter.
 
     def append_text(self, text):
-        """Append ``text`` to this node's text content, as typing does."""
+        """Append ``text`` to this node's text content, as typing does.
+
+        Every replayed character lands here, so the fast path rewrites
+        the Text node's data and counts the ``"text"`` mutation on its
+        document in place, as the ``data`` setter would.
+        """
         children = self.children
         if (len(children) == 1 and type(children[0]) is Text
-                and perf.fast_path_enabled()):
+                and perf._enabled):
             child = children[0]
-            child.data = child._data + text
+            child._data += text
+            document = child.owner_document
+            if document is not None:
+                document._generation += 1
+                document._text_generation += 1
         else:
             self.text_content = self.text_content + text
 

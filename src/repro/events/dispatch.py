@@ -9,18 +9,19 @@ console to detect page-script failures such as the Google Sites
 
 When tracing is enabled (:mod:`repro.telemetry`), each dispatch emits a
 span on the dispatching renderer's track with per-phase child spans, so
-slow handlers show up attributed to their propagation phase. With
-tracing off the only cost is one guard check per dispatch.
+slow handlers show up attributed to their propagation phase. Traced and
+untraced dispatch share one body; with tracing off the spans cost a
+None test between phases.
 
 Untraced dispatch of a type no node of the target's document has ever
 listened for (see ``Document._listened_types``) returns at once: no
 handler could run, so walking the propagation path would observe
 nothing. Detached targets without an owning document, traced dispatch
 and a disabled fast path (:func:`repro.perf.fast_path`) take the full
-walk. :func:`observed_types` is that condition, and :func:`observable`
-asks it for one type. Callers that synthesize events ask first and do
-not even build an event that could reach nobody: the event handler's
-keystrokes per event, the driver's once per keystroke.
+walk. :func:`observed_types` is that condition. Callers that synthesize
+a keystroke's events resolve it once per keystroke and do not even
+build an event that could reach nobody: the event handler's recorded
+keystrokes and the driver's replayed ones.
 """
 
 from repro import perf, telemetry
@@ -46,28 +47,90 @@ def dispatch_event(target, event, on_error=None, track=None):
     was not ``prevent_default()``-ed), matching ``dispatchEvent``.
     ``track`` anchors trace spans (the engine passes itself).
 
-    The guard reads ``telemetry._dispatch_tracer`` — pre-resolved at
-    tracer install time to None unless the tracer records the
-    ``dispatch`` category — so this hottest guard site costs one
-    attribute load whether tracing is off or filtered.
+    One body serves traced and untraced dispatch. The guard reads
+    ``telemetry._dispatch_tracer`` — pre-resolved at tracer install time
+    to None unless the tracer records the ``dispatch`` category — so
+    untraced dispatch pays one attribute load for it and a None test
+    between phases.
+
+    The propagation path is computed once, when dispatch starts: a
+    handler that detaches the target does not shorten it. Each node's
+    listener list for the event's type and phase is read when
+    propagation reaches that node, so a listener added to a later node
+    runs in this dispatch, and is copied before its handlers run, so a
+    handler added or removed by a handler of the same list takes effect
+    from the next dispatch.
     """
     tracer = telemetry._dispatch_tracer
+    event.target = target
     if tracer is None:
-        return _dispatch(target, event, on_error)
-    return _dispatch_traced(tracer, target, event, on_error, track)
+        observed = observed_types(target)
+        if observed is not None and event.type not in observed:
+            return not event.default_prevented
+    else:
+        start = tracer.now_us()
+    ancestors = _propagation_path(target)
+    capture_key = (event.type, True)
+    bubble_key = (event.type, False)
+    if tracer is not None:
+        phase_start = tracer.now_us()
 
+    # Capture: root → parent of the target, capture listeners only.
+    # Nodes without any listeners cannot observe the event or stop its
+    # propagation, so every phase skips them outright.
+    event.event_phase = CAPTURING_PHASE
+    for node in ancestors:
+        if event.propagation_stopped:
+            break
+        listeners = node._listeners
+        if listeners:
+            handlers = listeners.get(capture_key)
+            if handlers:
+                _invoke(node, handlers, event, on_error)
+    if tracer is not None:
+        tracer.complete("dispatch.capture", phase_start, track=track,
+                        cat="dispatch")
+        phase_start = tracer.now_us()
 
-def observable(target, event_type):
-    """Whether dispatching ``event_type`` at ``target`` can run anything.
+    # Target: capture listeners first, then bubble listeners.
+    listeners = target._listeners
+    if listeners and not event.propagation_stopped:
+        event.event_phase = AT_TARGET
+        handlers = listeners.get(capture_key)
+        if handlers:
+            _invoke(target, handlers, event, on_error)
+        if not event.propagation_stopped:
+            handlers = listeners.get(bubble_key)
+            if handlers:
+                _invoke(target, handlers, event, on_error)
+    if tracer is not None:
+        tracer.complete("dispatch.target", phase_start, track=track,
+                        cat="dispatch")
+        phase_start = tracer.now_us()
 
-    False only when the target's document is set and no node of it has
-    ever listened for the type, no tracer records dispatches, and the
-    fast path is on: then no handler runs, nothing is traced, and the
-    dispatch would return "not prevented" untouched. Callers that skip
-    building such an event treat it as not prevented.
-    """
-    observed = observed_types(target)
-    return observed is None or event_type in observed
+    # Bubble: parent of the target → root, bubble listeners only.
+    if event.bubbles and not event.propagation_stopped:
+        event.event_phase = BUBBLING_PHASE
+        for node in reversed(ancestors):
+            if event.propagation_stopped:
+                break
+            listeners = node._listeners
+            if listeners:
+                handlers = listeners.get(bubble_key)
+                if handlers:
+                    _invoke(node, handlers, event, on_error)
+
+    event.event_phase = None
+    event.current_target = None
+    proceed = not event.default_prevented
+    if tracer is not None:
+        tracer.complete("dispatch.bubble", phase_start, track=track,
+                        cat="dispatch")
+        tracer.complete("dispatch %s" % event.type, start, track=track,
+                        cat="dispatch",
+                        args={"type": event.type, "depth": len(ancestors),
+                              "default_prevented": not proceed})
+    return proceed
 
 
 def observed_types(target):
@@ -87,84 +150,10 @@ def observed_types(target):
     return document._listened_types
 
 
-def _dispatch(target, event, on_error):
-    event.target = target
-    observed = observed_types(target)
-    if observed is not None and event.type not in observed:
-        return not event.default_prevented
-    ancestors = _propagation_path(target)
-    _capture_phase(ancestors, event, on_error)
-    _target_phase(target, event, on_error)
-    _bubble_phase(ancestors, event, on_error)
-    event.event_phase = None
-    event.current_target = None
-    return not event.default_prevented
-
-
-def _dispatch_traced(tracer, target, event, on_error, track):
-    start = tracer.now_us()
-    event.target = target
-    ancestors = _propagation_path(target)
-
-    phase_start = tracer.now_us()
-    _capture_phase(ancestors, event, on_error)
-    tracer.complete("dispatch.capture", phase_start, track=track,
-                    cat="dispatch")
-    phase_start = tracer.now_us()
-    _target_phase(target, event, on_error)
-    tracer.complete("dispatch.target", phase_start, track=track,
-                    cat="dispatch")
-    phase_start = tracer.now_us()
-    _bubble_phase(ancestors, event, on_error)
-    tracer.complete("dispatch.bubble", phase_start, track=track,
-                    cat="dispatch")
-
-    event.event_phase = None
-    event.current_target = None
-    proceed = not event.default_prevented
-    tracer.complete("dispatch %s" % event.type, start, track=track,
-                    cat="dispatch",
-                    args={"type": event.type, "depth": len(ancestors),
-                          "default_prevented": not proceed})
-    return proceed
-
-
-# Nodes without any listeners cannot observe the event or stop its
-# propagation, so phases skip them outright — most of a deep path is
-# silent, and the per-node invoke machinery is the dispatch hot path.
-
-def _capture_phase(ancestors, event, on_error):
-    """Capture phase: root → parent of target, capture listeners only."""
-    event.event_phase = CAPTURING_PHASE
-    for node in ancestors:
-        if event.propagation_stopped:
-            break
-        if node._listeners:
-            _invoke(node, event, capture=True, on_error=on_error)
-
-
-def _target_phase(target, event, on_error):
-    """Target phase: capture listeners first, then bubble listeners."""
-    if not event.propagation_stopped and target._listeners:
-        event.event_phase = AT_TARGET
-        _invoke(target, event, capture=True, on_error=on_error)
-        if not event.propagation_stopped:
-            _invoke(target, event, capture=False, on_error=on_error)
-
-
-def _bubble_phase(ancestors, event, on_error):
-    """Bubble phase: parent of target → root, bubble listeners only."""
-    if event.bubbles and not event.propagation_stopped:
-        event.event_phase = BUBBLING_PHASE
-        for node in reversed(ancestors):
-            if event.propagation_stopped:
-                break
-            if node._listeners:
-                _invoke(node, event, capture=False, on_error=on_error)
-
-
-def _invoke(node, event, capture, on_error):
-    for handler in node.listeners_for(event.type, capture):
+def _invoke(node, handlers, event, on_error):
+    """Run a non-empty listener list of ``node`` on ``event``, over a
+    copy of it."""
+    for handler in handlers[:]:
         event.current_target = node
         try:
             handler(event)

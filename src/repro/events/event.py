@@ -113,10 +113,15 @@ class KeyboardEvent(Event):
 
     def __init__(self, event_type, key="", key_code=0, shift_key=False,
                  ctrl_key=False, alt_key=False, timestamp=0.0):
-        # The event is not frozen yet, so the protected fields go
-        # straight into their descriptor slots: the per-keystroke hot
-        # path skips five ``__set__`` freeze checks that cannot fail.
-        super().__init__(event_type, timestamp=timestamp)
+        # Event.__init__'s fields are written here, not through a
+        # super() call: a replayed keystroke builds its events one call
+        # each. The event is not frozen yet, so the protected fields go
+        # straight into their descriptor slots, skipping five ``__set__``
+        # freeze checks that cannot fail.
+        self.type = event_type
+        self.bubbles = True
+        self.cancelable = True
+        self.timestamp = timestamp
         slots = self.__dict__
         slots["_key"] = key
         slots["_key_code"] = key_code

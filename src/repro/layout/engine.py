@@ -151,7 +151,7 @@ class LayoutEngine:
         lazily by the next hit test or box query. With the fast path
         off it recomputes eagerly (the original behaviour).
         """
-        if not perf.fast_path_enabled():
+        if not perf._enabled:
             self.relayout()
             return
         self._dirty = True

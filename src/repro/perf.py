@@ -15,6 +15,7 @@ snapshots the counters around a replay and attaches the delta to its
 report, so cache effectiveness is visible per trace.
 """
 
+from collections import defaultdict
 from contextlib import contextmanager
 
 _enabled = True
@@ -26,28 +27,30 @@ _cache_clearers = []
 
 
 class PerfStats:
-    """Hit/miss counters keyed by cache name."""
+    """Hit/miss counters keyed by cache name.
+
+    ``hits`` and ``misses`` read 0 for a name never counted, so a count
+    is one in-place increment: :func:`record` makes it, and a cache hit
+    on the per-command path may make it itself, ``stats.hits[name] +=
+    1``, when no counter observer is installed.
+    """
 
     def __init__(self):
-        self._hits = {}
-        self._misses = {}
-
-    def record(self, name, hit):
-        table = self._hits if hit else self._misses
-        table[name] = table.get(name, 0) + 1
+        self.hits = defaultdict(int)
+        self.misses = defaultdict(int)
 
     def counter(self, name):
         """(hits, misses) for one cache (zeros if never touched)."""
-        return (self._hits.get(name, 0), self._misses.get(name, 0))
+        return (self.hits.get(name, 0), self.misses.get(name, 0))
 
     def snapshot(self):
         """Plain {name: (hits, misses)} copy of the current counters."""
-        names = set(self._hits) | set(self._misses)
+        names = set(self.hits) | set(self.misses)
         return {name: self.counter(name) for name in names}
 
     def reset(self):
-        self._hits.clear()
-        self._misses.clear()
+        self.hits.clear()
+        self.misses.clear()
 
 
 #: The process-wide stats instance every cache reports into.
@@ -69,7 +72,7 @@ def set_counter_observer(hook):
 
 def record(name, hit):
     """Count one hit (``hit=True``) or miss on the named cache."""
-    stats.record(name, hit)
+    (stats.hits if hit else stats.misses)[name] += 1
     if _counter_observer is not None:
         hits, misses = stats.counter(name)
         _counter_observer(name, hits, misses)

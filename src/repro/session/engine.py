@@ -31,6 +31,7 @@ from repro.telemetry.observer import TracingNarrator
 from repro.telemetry.tracks import SESSION_TRACK
 from repro.session.policies import (
     FailurePolicy,
+    Location,
     LocatorPolicy,
     RetryPolicy,
     TimingPolicy,
@@ -161,7 +162,7 @@ class SessionEngine:
             return _failed(command, error)
         if phases is not None:
             phases.acted(location.detail)
-        if location.relaxed:
+        if location.strategy == Location.RELAXED:
             return CommandResult(command, CommandResult.RELAXED,
                                  detail=location.detail)
         return CommandResult(command, CommandResult.OK)

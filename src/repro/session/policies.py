@@ -94,10 +94,6 @@ class Location:
         #: The relaxation heuristic description (e.g. ``"dropped id"``).
         self.detail = detail
 
-    @property
-    def relaxed(self):
-        return self.strategy == self.RELAXED
-
     def __repr__(self):
         return "Location(%s, %r)" % (self.strategy, self.detail or "original")
 
@@ -132,9 +128,14 @@ class LocatorPolicy:
         relaxation ladder matches nothing. Without an implicit wait, a
         locator whose frame and observed DOM generations are unchanged
         since its last resolution is answered from the relaxation memo
-        alone (:meth:`~repro.core.relaxation.RelaxationEngine.recall`).
+        alone (:meth:`~repro.core.relaxation.RelaxationEngine.recall`),
+        asked with the client's context resolved here, as
+        :attr:`~repro.core.chromedriver.ChromeDriverClient.context` would.
         """
-        client = driver.master.active_client
+        master = driver.master
+        client = master._active
+        if client is None:
+            client = master.active_client  # raises ReplayHaltedError
         found = None
         if self.implicit_wait_ms > 0:
             try:
@@ -160,7 +161,9 @@ class LocatorPolicy:
                 except ElementNotFoundError:
                     continue
         else:
-            found = driver.relaxation.recall(xpath, client.context)
+            root = client.root_element
+            found = driver.relaxation.recall(
+                xpath, root if root is not None else client.engine.document)
         element, description = found or client.find(xpath, driver.relaxation)
         if description != "original":
             return Location(client, element, Location.RELAXED,

@@ -85,9 +85,11 @@ def absolute_xpath(element):
 
 def _generations(document, observes_text):
     """The counters a memoized result depends on; an unobserved text
-    generation reads -1, so ``entry[1][2] >= 0`` says it was observed."""
-    return (document.structure_generation, document.attribute_generation,
-            document.text_generation if observes_text else -1)
+    generation reads -1, so ``entry[1][2] >= 0`` says it was observed.
+    Every recorded action asks this, so it reads the counters behind
+    the ``Document`` properties."""
+    return (document._structure_generation, document._attribute_generation,
+            document._text_generation if observes_text else -1)
 
 
 def xpath_for_element(element, document=None):
@@ -109,7 +111,7 @@ def xpath_for_element(element, document=None):
             document = root if isinstance(root, Document) else None
     if document is None:
         return absolute_xpath(element)
-    if document is not element.owner_document or not perf.fast_path_enabled():
+    if document is not element.owner_document or not perf._enabled:
         return _generate(element, document)[0]
 
     entry = getattr(element, "_xpath_memo", None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.core.commands import (
     ClickCommand,
     DoubleClickCommand,
@@ -183,3 +184,40 @@ class TestFrames:
                     if isinstance(c, SwitchFrameCommand)]
         assert len(switches) == 2
         assert switches[1].is_default
+
+
+#: A page with no listeners: only what a test adds is observable.
+PLAIN_HTML = ('<html><head><title>Plain</title></head><body>'
+              '<div id="pad" contenteditable></div></body></html>')
+
+
+class TestListenerAddedMidKeystroke:
+    """A listener a handler adds during a recorded keystroke sees the
+    rest of that keystroke, whether or not its type was observable when
+    the keystroke began (the event handler resolves what is observable
+    once per keystroke, against the document's live set)."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "oracle"])
+    def test_keydown_handler_adds_a_keyup_listener_that_runs(self, fast):
+        with perf.fast_path(fast):
+            browser = build_browser(
+                extra_routes={"/plain": lambda request: PLAIN_HTML})
+            recorder = WarrRecorder().attach(browser)
+            recorder.begin(url("/plain"))
+            tab = browser.new_tab(url("/plain"))
+            pad = tab.find('//div[@id="pad"]')
+            tab.click_element(pad)
+            seen = []
+
+            def on_keydown(event):
+                seen.append(event.type)
+                pad.add_event_listener(
+                    "keyup", lambda event: seen.append(event.type))
+
+            pad.add_event_listener("keydown", on_keydown)
+            assert "keyup" not in tab.document._listened_types
+            tab.type_key("a")
+        assert seen == ["keydown", "keyup"]
+        assert pad.text_content == "a"
+        assert isinstance(recorder.trace[-1], TypeCommand)
+        assert recorder.trace[-1].key == "a"

@@ -118,7 +118,7 @@ class TestResolution:
         engine = RelaxationEngine()
         engine.resolve('//td/div[@id="w2"]', doc)
         engine.resolve('//td/div[@id="stale"]', doc)
-        assert len(engine.resolutions) == 2
+        assert engine.resolution_count == 2
         assert engine.relaxed_count() == 1
 
     def test_dom_free_to_change_around_target(self):

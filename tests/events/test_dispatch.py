@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.dom.parser import parse_html
 from repro.events.dispatch import dispatch_event
 from repro.events.event import Event
@@ -138,3 +139,80 @@ def test_multiple_handlers_same_node_run_in_order(tree):
     inner.add_event_listener("click", lambda e: order.append(2))
     dispatch_event(inner, Event("click"))
     assert order == [1, 2]
+
+
+# -- semantics pinned across the fast path -----------------------------------
+# Each runs with the fast path on and off (the unspecialised oracle).
+
+fast_and_oracle = pytest.mark.parametrize(
+    "fast", [True, False], ids=["fast", "oracle"])
+
+
+@fast_and_oracle
+def test_target_handler_adds_ancestor_bubble_listener_that_runs(tree, fast):
+    _, outer, _, inner = tree
+    order = []
+
+    def at_target(event):
+        order.append("target")
+        outer.add_event_listener("click", lambda e: order.append("outer"))
+
+    inner.add_event_listener("click", at_target)
+    assert not outer._listeners
+    with perf.fast_path(fast):
+        dispatch_event(inner, Event("click"))
+    assert order == ["target", "outer"]
+
+
+@fast_and_oracle
+def test_removed_later_handler_still_runs_this_dispatch(tree, fast):
+    _, _, _, inner = tree
+    order = []
+
+    def later(event):
+        order.append("later")
+
+    def first(event):
+        order.append("first")
+        inner.remove_event_listener("click", later)
+
+    inner.add_event_listener("click", first)
+    inner.add_event_listener("click", later)
+    with perf.fast_path(fast):
+        dispatch_event(inner, Event("click"))
+        assert order == ["first", "later"]
+        dispatch_event(inner, Event("click"))
+    assert order == ["first", "later", "first"]
+
+
+@fast_and_oracle
+def test_detaching_the_target_keeps_the_bubble_path(tree, fast):
+    _, outer, mid, inner = tree
+    order = []
+
+    def detach(event):
+        order.append("target")
+        inner.remove()
+
+    inner.add_event_listener("click", detach)
+    mid.add_event_listener("click", lambda e: order.append("mid"))
+    outer.add_event_listener("click", lambda e: order.append("outer"))
+    with perf.fast_path(fast):
+        dispatch_event(inner, Event("click"))
+    assert inner.parent is None
+    assert order == ["target", "mid", "outer"]
+
+
+@fast_and_oracle
+def test_listeners_for_returns_a_copy(tree, fast):
+    _, _, _, inner = tree
+
+    def handler(event):
+        pass
+
+    inner.add_event_listener("click", handler)
+    with perf.fast_path(fast):
+        handlers = inner.listeners_for("click", False)
+        handlers.append(print)
+        assert inner.listeners_for("click", False) == [handler]
+        assert inner.listeners_for("click", True) == []

@@ -1,7 +1,13 @@
 """The session engine: pipeline, event stream, timing, halting."""
 
+import cProfile
+import gc
+import pstats
+
 import pytest
 
+from repro.apps.framework import make_browser
+from repro.apps.sites import SitesApplication
 from repro.core.commands import ClickCommand, SwitchFrameCommand, TypeCommand
 from repro import telemetry
 from repro.core.recorder import WarrRecorder
@@ -16,6 +22,7 @@ from repro.session.policies import (
 from repro.session.report import CommandResult
 from repro.telemetry.tracks import SESSION_TRACK
 from repro.util.errors import XPathSyntaxError
+from repro.workloads.sessions import SITES_URL, sites_edit_session
 from tests.browser.helpers import build_browser, url
 
 
@@ -280,3 +287,54 @@ class TestStepping:
         document = engine.current_document()
         assert document is not None
         assert document.url == url("/")
+
+
+class TestCallsPerCommand:
+    """Python calls per replayed command, counted by cProfile.
+
+    The replay hot path's cost, checked without timing noise: the count
+    is a property of the code, the same on any host and for any
+    ``PYTHONHASHSEED``. The trace is the Sites edit session with a fixed
+    390-character text (the shape of the benchmark's ``sites-long``
+    traces); it replays once to warm the page-template, XPath and
+    layout caches, then once under cProfile, the tracer and chaos off
+    and the garbage collector paused (a collection runs whatever GC
+    callbacks other modules installed). Run after other tests it reads
+    slightly more, about 0.2 in the full suite: the session's perf
+    snapshots walk every cache name the process has counted.
+
+    ``BUDGET`` is the count measured when it was last lowered (49.31),
+    plus 3. To re-measure, run this test alone with ``-s``: it prints
+    the count. Lower the budget to the new count plus 3 after a change
+    that cuts calls.
+    """
+
+    TEXT = ("replay the recorded trace one keystroke at a time " * 8)[:390]
+    BUDGET = 52.3
+
+    def test_calls_per_replayed_command(self):
+        browser, _ = make_browser([SitesApplication])
+        recorder = WarrRecorder().attach(browser)
+        recorder.begin(SITES_URL + "/edit/home")
+        sites_edit_session(browser, text=self.TEXT)
+        trace = recorder.trace
+
+        def engine():
+            browser, _ = make_browser([SitesApplication], developer_mode=True)
+            return SessionEngine(browser)
+
+        assert engine().run(trace).complete
+        replay = engine()
+        profile = cProfile.Profile()
+        gc.disable()
+        profile.enable()
+        try:
+            report = replay.run(trace)
+        finally:
+            profile.disable()
+            gc.enable()
+        assert report.complete
+        assert len(report.results) == len(trace) == 392
+        calls = pstats.Stats(profile).total_calls / len(report.results)
+        print("calls per replayed command: %.2f" % calls)
+        assert calls <= self.BUDGET
