@@ -73,6 +73,7 @@ from repro.net.tape import Tape, TapeError
 from repro.net.transport import PLAYBACK, RECORD, TapeConfig
 from repro.session.batch import BatchRunner
 from repro.session.journal import JournalError
+from repro.session.pool import WorkerSpec
 from repro.session.wire import WireError
 from repro.util.errors import TraceFormatError
 from repro.weberr.runner import WebErr
@@ -306,16 +307,10 @@ def cmd_batch(args, out):
     _check_playback_tapes(tape, args.traces)
     playback = tape is not None and tape.mode == PLAYBACK
 
-    if args.workers > 1:
-        from repro.session.pool import WorkerSpec
-
-        factory = WorkerSpec("repro.cli:batch_browser_factory",
-                             factory_args=(args.app,),
-                             factory_kwargs={"seed": args.seed,
-                                             "client_only": playback})
-    else:
-        factory = batch_browser_factory(args.app, seed=args.seed,
-                                        client_only=playback)
+    factory = WorkerSpec("repro.cli:batch_browser_factory",
+                         factory_args=(args.app,),
+                         factory_kwargs={"seed": args.seed,
+                                         "client_only": playback})
     runner = BatchRunner(factory, timing=_timing_from_args(args),
                          workers=args.workers,
                          trace_timeout=args.trace_timeout, tape=tape,
@@ -327,7 +322,7 @@ def cmd_batch(args, out):
                                trace_dir=args.trace_dir, drain=drain)
     if args.trace_dir:
         print("traces: wrote %d per-session trace(s) + batch.trace.json "
-              "to %s" % (batch.trace_count, args.trace_dir), file=out)
+              "to %s" % (batch.trace_files, args.trace_dir), file=out)
     for run in batch.runs:
         resumed = " (resumed from journal)" if run.resumed else ""
         print("[%s] %s%s" % (run.label, run.report.summary(), resumed),

@@ -66,30 +66,26 @@ class MouseEvent(Event):
 
 
 class _ProtectedKeyProperty:
-    """Data descriptor for a key property that is read-only once frozen.
+    """Write guard for a key property that is read-only once frozen.
 
-    Implemented as a descriptor (rather than a ``__setattr__`` override)
-    so only the five protected fields pay the freeze check — dispatch
+    Only ``__set__`` is defined: the value lives under the field's own
+    name in the instance dict, so a read is a plain dict lookup, while
+    every assignment still goes through the freeze check (a descriptor
+    with ``__set__`` outranks the instance dict on writes). Dispatch
     bookkeeping writes like ``event.target`` keep the default fast path.
     """
 
-    __slots__ = ("name", "slot")
+    __slots__ = ("name",)
 
     def __set_name__(self, owner, name):
         self.name = name
-        self.slot = "_" + name
-
-    def __get__(self, event, owner=None):
-        if event is None:
-            return self
-        return event.__dict__[self.slot]
 
     def __set__(self, event, value):
         if event._frozen:
             raise ReadOnlyPropertyError(
                 "KeyboardEvent.%s is read-only in this browser" % self.name
             )
-        event.__dict__[self.slot] = value
+        event.__dict__[self.name] = value
 
 
 class KeyboardEvent(Event):
@@ -116,18 +112,18 @@ class KeyboardEvent(Event):
         # Event.__init__'s fields are written here, not through a
         # super() call: a replayed keystroke builds its events one call
         # each. The event is not frozen yet, so the protected fields go
-        # straight into their descriptor slots, skipping five ``__set__``
+        # straight into the instance dict, skipping five ``__set__``
         # freeze checks that cannot fail.
         self.type = event_type
         self.bubbles = True
         self.cancelable = True
         self.timestamp = timestamp
-        slots = self.__dict__
-        slots["_key"] = key
-        slots["_key_code"] = key_code
-        slots["_shift_key"] = shift_key
-        slots["_ctrl_key"] = ctrl_key
-        slots["_alt_key"] = alt_key
+        fields = self.__dict__
+        fields["key"] = key
+        fields["key_code"] = key_code
+        fields["shift_key"] = shift_key
+        fields["ctrl_key"] = ctrl_key
+        fields["alt_key"] = alt_key
 
     @classmethod
     def trusted(cls, event_type, key, key_code, shift_key=False,

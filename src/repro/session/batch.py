@@ -7,38 +7,43 @@ errors, cache state). Per-trace reports are aggregated into a
 :class:`BatchReport`, whose perf counters sum every session's
 fast-path cache activity.
 
-With ``trace_dir`` set, the whole batch runs under one telemetry
-tracer: every session's browser gets its own pid track, each trace's
-slice of the timeline is written to ``<label>.trace.json``, and the
-full merged batch timeline lands in ``batch.trace.json``.
-
 With ``workers=N`` (N > 1) the batch fans out across a
 :class:`~repro.session.pool.WorkerPool` of N processes: the pool hands
-each worker its next trace as it answers the last, per-trace reports
-and :mod:`repro.perf` counter deltas stream back and merge
-parent-side, and telemetry slices merge into one ``batch.trace.json``
-timeline with each worker's browsers on their own pid tracks. The
-default ``workers=1`` runs the batch in-process.
+each worker its next trace as it answers the last, and per-trace
+reports and :mod:`repro.perf` counter deltas stream back and merge
+parent-side. The default ``workers=1`` runs the batch in-process.
 
-Either way one function replays one trace:
-:func:`~repro.session.pool.replay_trace` is called by the serial loop
-and by every pool worker. When the pool's circuit breaker trips, the
-pool hands the traces it did not finish back, and the same serial loop
-runs them in-process. Everything around a replay lives once, in
-:class:`BatchRunner`: admission (halt and drain), the journal's status
-mapping and WR3 encoding (:meth:`_RunHooks.finish`), and report
-assembly.
+A batch is one flow. A pooled batch goes to the pool first; then one
+serial loop runs, in-process, every trace that has no final outcome:
+the whole of a serial batch, or whatever a tripped circuit breaker
+handed back. Either way one function replays one trace,
+:func:`~repro.session.pool.replay_trace`, and everything around a
+replay lives once, in :class:`BatchRunner`: the admission gate (drain,
+and a halt under ``FailurePolicy.halt``), the journal's status mapping
+and WR3 encoding (:meth:`_RunHooks.finish`), report assembly, and the
+trace writer.
+
+With ``trace_dir`` set, every session is traced (in its worker or in
+this process) and :func:`replay_trace` returns its telemetry slice.
+One writer merges the slices: each trace's lands in
+``<label>.trace.json`` and the whole timeline in ``batch.trace.json``,
+every session's browser on its own pid track.
 """
 
 import os
-from functools import partial
+from contextlib import nullcontext
 
 from repro import telemetry
 from repro.session import journal as run_journal
 from repro.session import wire
 from repro.session.observers import PerfCountersObserver
 from repro.session.policies import FailurePolicy
-from repro.session.pool import PoolOutcome, WorkerPool, replay_trace
+from repro.session.pool import (
+    PoolOutcome,
+    WorkerPool,
+    WorkerSpec,
+    replay_trace,
+)
 from repro.session.report import RemoteError, ReplayReport
 
 
@@ -67,9 +72,13 @@ class BatchReport:
         #: Quarantine diagnosis bundles for poison traces (each a dict:
         #: label, attempts, workers, stderr tail, chaos stamp, ...).
         self.quarantined = []
-        #: True when a graceful drain stopped admission mid-run; the
-        #: journal (if any) is resumable.
+        #: True when a graceful drain was requested during the run:
+        #: admission stopped there, and the journal (if any) is
+        #: resumable.
         self.drained = False
+        #: ``<label>.trace.json`` files written to the run's
+        #: ``trace_dir``.
+        self.trace_files = 0
 
     def add(self, run):
         self.runs.append(run)
@@ -131,18 +140,22 @@ class BatchReport:
 
 
 class _RunHooks:
-    """Per-trace journaling and drain threading for one ``run()`` call.
+    """Per-trace journaling and the admission gate for one ``run()``.
 
     ``positions`` maps each *executed* trace's position in the
     (possibly resume-filtered) sub-batch back to its original index in
     the submitted batch, so journal records always speak in submission
     indexes and a resumed run appends to the same address space.
+    ``halt`` is True under ``FailurePolicy.halt``: a halted session
+    then closes the gate.
     """
 
-    def __init__(self, journal, positions, drain):
+    def __init__(self, journal, positions, drain, halt):
         self.journal = journal
         self.positions = positions
         self.drain = drain
+        self.halt = halt
+        self.halted = False
         self.drain_seen = False
 
     def start(self, positions, labels):
@@ -159,9 +172,11 @@ class _RunHooks:
         worker's outcome carries the WR3 blob it shipped; a report made
         in this process is encoded here, once.
         """
+        report = outcome.report
+        if self.halt and report is not None and report.halted:
+            self.halted = True
         if self.journal is None or outcome.cancelled:
             return
-        report = outcome.report
         error, error_class, blob = outcome.error, outcome.error_class, None
         if report is not None:
             status = run_journal.REPLAYED if report.complete \
@@ -183,16 +198,14 @@ class _RunHooks:
             diagnosis=outcome.quarantined)
 
     def drain_requested(self):
-        """The admission gate; journals the first drain request."""
-        if self.drain is None:
-            return False
-        if not self.drain():
-            return False
-        if not self.drain_seen:
+        """The admission gate, asked before each trace is admitted
+        (by the serial loop or the pool): True once the drain flag is
+        raised or a session halted under ``FailurePolicy.halt``. Only a
+        real drain is journaled, once."""
+        if not self.drain_seen and self.drain is not None and self.drain():
             self.drain_seen = True
-            if self.journal is not None:
-                self.journal.event("drain")
-        return True
+            self.event("drain")
+        return self.drain_seen or self.halted
 
     def event(self, kind, **payload):
         if self.journal is not None:
@@ -204,12 +217,11 @@ class BatchRunner:
 
     ``browser_factory()`` must return a fresh browser wired to a fresh
     application environment — the same contract WebErr's campaigns use.
-    For ``workers > 1`` it may also be a
-    :class:`~repro.session.pool.WorkerSpec` (or any picklable factory
-    reference the spec accepts), since worker processes rebuild the
-    factory on their side of the boundary. Engine policies (timing,
-    locator, failure, driver config) apply to every session in the
-    batch.
+    It may also be a :class:`~repro.session.pool.WorkerSpec` (or any
+    factory reference the spec accepts): worker processes rebuild the
+    factory on their side of the boundary, and the serial loop builds
+    it in this process. Engine policies (timing, locator, failure,
+    driver config) apply to every session in the batch.
 
     ``trace_timeout`` (seconds, pooled only) bounds any single trace:
     an over-deadline trace gets its worker killed and is re-queued once
@@ -278,7 +290,9 @@ class BatchRunner:
         :class:`~repro.session.supervisor.GracefulDrain`): once it
         returns True, admission stops, in-flight traces finish, and the
         report comes back with ``drained=True`` — with a journal, the
-        run is resumable from exactly that point.
+        run is resumable from exactly that point. A session that halts
+        under ``FailurePolicy.halt`` stops admission the same way, and
+        the report ends at the first such trace in submission order.
         """
         traces = list(traces)
         if labels is None:
@@ -291,14 +305,20 @@ class BatchRunner:
             journal, finished, texts = self._open_journal(traces, labels)
         remaining = [index for index in range(len(traces))
                      if index not in finished]
-        hooks = _RunHooks(journal, remaining, drain)
+        halt = self.failure is not None \
+            and self.failure.on_failure == FailurePolicy.HALT
+        hooks = _RunHooks(journal, remaining, drain, halt)
         outcomes = []
         try:
             if remaining:
                 outcomes = self._execute(
                     [traces[i] for i in remaining],
-                    [labels[i] for i in remaining], trace_dir, hooks,
+                    [labels[i] for i in remaining], trace_dir is not None,
+                    hooks,
                     None if texts is None else [texts[i] for i in remaining])
+            # A drain raised after the last admission still counts,
+            # though no admission was left to ask the gate.
+            hooks.drain_requested()
         finally:
             if journal is not None:
                 journal.close()
@@ -307,8 +327,10 @@ class BatchRunner:
         batch = self._assemble(traces, labels, finished,
                                {remaining[outcome.index]: outcome
                                 for outcome in outcomes
-                                if outcome.ok or outcome.error_class})
+                                if outcome.ok or outcome.error_class}, halt)
         batch.drained = hooks.drain_seen
+        if trace_dir is not None:
+            batch.trace_files = _write_traces(trace_dir, outcomes)
         return batch
 
     def _open_journal(self, traces, labels):
@@ -344,24 +366,27 @@ class BatchRunner:
                     if index < len(traces)}
         return journal, finished, texts
 
-    def _assemble(self, traces, labels, finished, outcomes):
+    def _assemble(self, traces, labels, finished, outcomes, halt):
         """The BatchReport, in submission order.
 
         ``finished`` holds journal finish records (resumed traces) and
         ``outcomes`` the final outcomes of traces executed now, both by
         submission index. A trace in neither was never admitted (halt or
         drain): it is absent from the report, unfinished in the journal,
-        and re-run on resume. Perf counters sum over executed traces.
+        and re-run on resume. With ``halt``, the report ends at the
+        first session executed now that halted; the pool may have
+        finished traces past it, and their finishes stay journaled.
+        Perf counters sum over the traces reported as executed.
         """
         batch = BatchReport()
         counters = []
         for index, (label, trace) in enumerate(zip(labels, traces)):
+            outcome = outcomes.get(index)
             if index in finished:
                 record = finished[index]
                 run = self._run_from_record(index, label, trace, record)
                 diagnosis = record.diagnosis
-            elif index in outcomes:
-                outcome = outcomes[index]
+            elif outcome is not None:
                 # No report: the worker died or the trace was killed on
                 # timeout. halt_error's type_name tells deadline kills
                 # (TimeoutError) from dead workers (WorkerCrashError).
@@ -376,6 +401,9 @@ class BatchRunner:
             batch.add(run)
             if diagnosis is not None:
                 batch.quarantined.append(diagnosis)
+            if halt and outcome is not None and outcome.ok \
+                    and outcome.report.halted:
+                break
         batch.perf_counters = PerfCountersObserver.merge(counters)
         return batch
 
@@ -409,78 +437,59 @@ class BatchRunner:
             "retry": self.retry,
         }
 
-    def _execute(self, traces, labels, trace_dir, hooks, texts=None):
-        """Run the batch serially or pooled; returns its PoolOutcomes.
+    def _execute(self, traces, labels, traced, hooks, texts=None):
+        """Run the batch; returns its PoolOutcomes.
 
-        ``texts`` (pooled only) are the traces' serialized texts when
-        the caller already made them.
+        A pooled batch goes to the pool first. Then the serial loop runs
+        every outcome with no final state: the whole of a serial batch,
+        or what a tripped breaker handed back (each of those traces'
+        START is in the pool's admission commit and is journaled again).
+        ``texts`` are the traces' serialized texts when the caller
+        already made them.
         """
         if self.mode == "pooled":
-            return self._run_pooled(traces, labels, trace_dir, hooks, texts)
-        outcomes = [PoolOutcome(position, label)
-                    for position, label in enumerate(labels)]
-        run = partial(self._run_serial, outcomes, traces, hooks,
-                      self.browser_factory)
-        if trace_dir is None:
-            return run()
-        os.makedirs(trace_dir, exist_ok=True)
-        if telemetry.enabled():
-            # A caller already installed a tracer (e.g. an outer
-            # tracing() block): record into it rather than nesting.
-            return run(telemetry.current(), trace_dir)
-        with telemetry.tracing(categories=self.trace_categories) as tracer:
-            run(tracer, trace_dir)
-            telemetry.write_trace(
-                os.path.join(trace_dir, "batch.trace.json"), tracer)
+            outcomes = self._run_pooled(traces, labels, traced, hooks, texts)
+        else:
+            outcomes = [PoolOutcome(position, label)
+                        for position, label in enumerate(labels)]
+        rest = [outcome for outcome in outcomes if not outcome.final]
+        if rest:
+            self._run_serial(rest, traces, hooks, traced)
         return outcomes
 
-    # -- serial (in-process) execution --------------------------------------
+    def _run_serial(self, outcomes, traces, hooks, traced):
+        """Fill in ``outcomes`` in order, replaying ``traces[index]`` in
+        this process; an outcome the admission gate stops stays empty.
 
-    def _run_serial(self, outcomes, traces, hooks, factory, tracer=None,
-                    trace_dir=None):
-        """Fill in ``outcomes`` in order, replaying ``traces[index]`` on
-        browsers from ``factory``; an outcome never admitted (drain,
-        halt) stays empty. Serial batches and the traces a tripped pool
-        hands back both run here."""
+        A traced loop records into the tracer a caller already
+        installed, or else into its own.
+        """
+        factory = self.browser_factory
+        if not isinstance(factory, WorkerSpec):
+            factory = WorkerSpec(factory)
+        factory = factory.make_factory()
         config = self._engine_config()
-        used_stems = set()
-        for outcome in outcomes:
-            if hooks.drain_requested():
-                # Graceful drain: stop admission; everything already
-                # finished is journaled, the rest resumes later.
-                break
-            hooks.start((outcome.index,), (outcome.label,))
-            report, mark = replay_trace(
-                factory, config, traces[outcome.index], label=outcome.label,
-                tape=self.tape, tracer=tracer)
-            outcome.report = report
-            outcome.worker_id = None
-            hooks.finish(outcome)
-            if trace_dir is not None:
-                stem = _unique(_safe_name(outcome.label), used_stems)
-                telemetry.write_trace(
-                    os.path.join(trace_dir, "%s.trace.json" % stem),
-                    tracer, events=tracer.events_since(mark))
-            if report.halted and self.failure is not None \
-                    and self.failure.on_failure == FailurePolicy.HALT:
-                # FailurePolicy.halt is the batch-level abort: stop
-                # dispatching the remaining traces. (stop/continue end
-                # at session scope; the batch carries on.)
-                break
-        return outcomes
+        if not traced:
+            scope = nullcontext()
+        elif telemetry.enabled():
+            scope = nullcontext(telemetry.current())
+        else:
+            scope = telemetry.tracing(categories=self.trace_categories)
+        with scope as tracer:
+            for outcome in outcomes:
+                if hooks.drain_requested():
+                    break
+                hooks.start((outcome.index,), (outcome.label,))
+                outcome.report, outcome.telemetry = replay_trace(
+                    factory, config, traces[outcome.index],
+                    label=outcome.label, tape=self.tape, tracer=tracer)
+                outcome.worker_id = None
+                hooks.finish(outcome)
 
-    # -- pooled (multiprocess) execution -------------------------------------
-
-    def _run_pooled(self, traces, labels, trace_dir, hooks, texts=None):
-        from repro.telemetry.merge import TraceMerger
-
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = WorkerPool(self.browser_factory, self.workers)
-        tracing_on = trace_dir is not None
-        if tracing_on:
-            os.makedirs(trace_dir, exist_ok=True)
+    def _run_pooled(self, traces, labels, traced, hooks, texts=None):
+        """Run the batch on the pool; returns its outcomes, some of them
+        handed back if the breaker tripped."""
+        pool = self.pool or WorkerPool(self.browser_factory, self.workers)
         # Journal every admission up front, in one commit, before any
         # dispatch: the pool schedules traces dynamically, so "started"
         # means "handed to the farm".
@@ -489,46 +498,47 @@ class BatchRunner:
         try:
             # A borrowed pool keeps its workers warm for the caller's
             # next batch; its traces run under *this* runner's policies.
-            outcomes, dropped = pool.run(
+            outcomes, _ = pool.run(
                 list(zip(labels, traces)),
-                tracing=(self.trace_categories or True) if tracing_on
-                else False,
+                tracing=traced and (self.trace_categories or True),
                 engine_config=self._engine_config(),
                 trace_timeout=self.trace_timeout, tape=self.tape,
-                on_outcome=hooks.finish,
-                drain=hooks.drain_requested if hooks.drain is not None
-                else None, texts=texts)
+                on_outcome=hooks.finish, drain=hooks.drain_requested,
+                texts=texts)
         finally:
-            if owned:
+            if pool is not self.pool:
                 pool.close()
         if pool.stats["degraded"] > degraded:
             hooks.event("degraded", deaths=pool.supervisor.deaths)
-        # What a tripped breaker handed back runs inline; each trace's
-        # START is in the admission commit and is journaled again here.
-        handed_back = [outcome for outcome in outcomes
-                       if not (outcome.ok or outcome.error_class
-                               or outcome.cancelled)]
-        if handed_back:
-            self._run_serial(handed_back, traces, hooks,
-                             pool.spec.make_factory())
-        if tracing_on:
-            merger = TraceMerger()
-            merger.dropped += dropped
-            used_stems = set()
-            for outcome in outcomes:
-                if outcome.events is None:
-                    continue
-                events, metadata = merger.add_session(
-                    outcome.worker_id, outcome.events,
-                    outcome.metadata or ())
-                stem = _unique(_safe_name(outcome.label), used_stems)
-                telemetry.write_trace_dict(
-                    os.path.join(trace_dir, "%s.trace.json" % stem),
-                    telemetry.to_trace_dict_raw(events, metadata=metadata))
-            telemetry.write_trace_dict(
-                os.path.join(trace_dir, "batch.trace.json"),
-                merger.trace_dict())
         return outcomes
+
+
+def _write_traces(trace_dir, outcomes):
+    """Write every traced outcome's slice to ``<label>.trace.json`` and
+    the merged timeline to ``batch.trace.json``; returns how many
+    per-trace files were written.
+
+    The one trace writer of a batch, serial or pooled. Slices merge in
+    submission order; a worker's tracks get a ``[wN]`` suffix, while
+    tracks recorded in this process keep their names.
+    """
+    os.makedirs(trace_dir, exist_ok=True)
+    merger = telemetry.TraceMerger()
+    used_stems = set()
+    for outcome in outcomes:
+        if outcome.telemetry is None:
+            continue
+        events, metadata, dropped = outcome.telemetry
+        merger.dropped += dropped
+        events, metadata = merger.add_session(outcome.worker_id, events,
+                                              metadata)
+        stem = _unique(_safe_name(outcome.label), used_stems)
+        telemetry.write_trace_dict(
+            os.path.join(trace_dir, "%s.trace.json" % stem),
+            telemetry.to_trace_dict_raw(events, metadata=metadata))
+    telemetry.write_trace_dict(os.path.join(trace_dir, "batch.trace.json"),
+                               merger.trace_dict())
+    return len(used_stems)
 
 
 def _dedupe_labels(labels):

@@ -29,7 +29,7 @@ keeps the containment semantics and deletes the overhead:
   varint-packed, no trace text, one byte per command the trace already
   holds); the pipe carries that blob, the run journal stores it
   verbatim, and the parent decodes it once, against its own trace
-  object, as it arrives. Workers keep a bounded memo of parsed traces,
+  object, as it arrives. Workers keep a bounded cache of parsed traces,
   so a campaign replaying the same traces parses each once per worker.
   Telemetry slices (tracing runs only) ride alongside as raw
   packed ring-buffer records plus the worker's string-intern tables
@@ -38,7 +38,7 @@ keeps the containment semantics and deletes the overhead:
   ``multiprocessing.connection.wait`` on every result pipe plus every
   worker's death sentinel; an idle parent burns no CPU and still wakes
   instantly for results *and* crashes. Only live deadlines (per-trace
-  timeout, respawn backoff, drain) force a polling cadence.
+  timeout, respawn backoff) force a polling cadence.
 
 Containment and supervision (see :mod:`repro.session.supervisor`):
 
@@ -64,20 +64,23 @@ Containment and supervision (see :mod:`repro.session.supervisor`):
   progress trip a circuit breaker: the pool stops its workers and
   hands the unfinished traces back (warning + ``stats["degraded"]``)
   to the batch runner's serial loop — the batch still finishes;
-- ``run(..., drain=flag)`` supports graceful drain: workers are no
-  longer topped up, pending traces are cancelled, assigned traces
-  finish, and cancelled outcomes are reported as such so a
-  journal-backed batch can resume them later.
+- ``run(..., drain=gate)`` is the batch's admission gate, asked before
+  every trace goes out: once it answers True, workers are no longer
+  topped up, pending traces are cancelled, assigned traces finish, and
+  cancelled outcomes are reported as such so a journal-backed batch
+  can resume them later.
 
 Every session, in a worker or in the parent's serial loop, runs
 through :func:`replay_trace`. The parent's
 :class:`~repro.session.batch.BatchRunner` assembles the outcomes into
 one :class:`~repro.session.batch.BatchReport`; counter deltas sum
 through :meth:`~repro.session.observers.PerfCountersObserver.merge`,
-and telemetry slices merge through :class:`~repro.telemetry.merge.TraceMerger`.
+and its one trace writer merges every telemetry slice through
+:class:`~repro.telemetry.merge.TraceMerger`.
 """
 
 import collections
+import functools
 import importlib
 import multiprocessing
 import os
@@ -97,8 +100,8 @@ from repro.session.supervisor import (
     throttle_seconds,
 )
 
-#: Parent-side polling cadence (seconds) while a deadline or drain
-#: flag is armed.
+#: Parent-side polling cadence (seconds) while a per-trace deadline is
+#: armed.
 POLL_INTERVAL = 0.05
 #: How long close() waits for workers to retire, and how long a
 #: SIGKILLed process may take to be reaped (seconds).
@@ -180,9 +183,9 @@ class WorkerSpec:
 class PoolOutcome:
     """One trace's result as it came back over its worker's pipe."""
 
-    __slots__ = ("index", "label", "report", "blob", "events", "metadata",
-                 "error", "error_class", "worker_id", "attempts",
-                 "quarantined", "cancelled")
+    __slots__ = ("index", "label", "report", "blob", "telemetry", "error",
+                 "error_class", "worker_id", "attempts", "quarantined",
+                 "cancelled")
 
     def __init__(self, index, label):
         self.index = index
@@ -195,10 +198,9 @@ class PoolOutcome:
         #: dropped as soon as that hook returns. None for a report
         #: made in this process (by the serial loop).
         self.blob = None
-        #: Telemetry event dicts for this session (tracing runs only).
-        self.events = None
-        #: The worker registry's track-naming metadata event dicts.
-        self.metadata = None
+        #: The session's telemetry slice from :func:`replay_trace`
+        #: (tracing runs only).
+        self.telemetry = None
         #: Worker-side traceback / containment reason when the trace
         #: never produced a report.
         self.error = None
@@ -218,6 +220,12 @@ class PoolOutcome:
     def ok(self):
         return self.report is not None
 
+    @property
+    def final(self):
+        """False while the trace still has to run: never admitted, or
+        handed back by a tripped breaker."""
+        return self.ok or self.error_class is not None or self.cancelled
+
     def __repr__(self):
         state = ("ok" if self.ok else
                  "cancelled" if self.cancelled else
@@ -228,33 +236,17 @@ class PoolOutcome:
 # -- worker side --------------------------------------------------------------
 
 
-class _TraceMemo:
-    """Parsed traces keyed by their exact text, for one worker.
+@functools.lru_cache(maxsize=256)
+def _parse_trace(text):
+    """The parsed trace for ``text``, cached per worker.
 
     Campaigns replay the same traces batch after batch on a warm pool;
-    the memo parses each text once per worker. It holds at most
-    :attr:`LIMIT` traces and is cleared outright when full. Sharing a
-    parsed trace between replays is safe because replay never mutates
-    a trace.
+    the cache parses each text once per worker. Sharing a parsed trace
+    between replays is safe because replay never mutates a trace.
     """
+    from repro.core.trace import WarrTrace
 
-    LIMIT = 256
-
-    def __init__(self):
-        self._traces = {}
-
-    def __len__(self):
-        return len(self._traces)
-
-    def parse(self, text):
-        trace = self._traces.get(text)
-        if trace is None:
-            from repro.core.trace import WarrTrace
-
-            if len(self._traces) >= self.LIMIT:
-                self._traces.clear()
-            trace = self._traces[text] = WarrTrace.from_text(text)
-        return trace
+    return WarrTrace.from_text(text)
 
 
 def replay_trace(factory, engine_config, trace, label=None, tape=None,
@@ -262,12 +254,14 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
     """Replay one trace on a fresh browser from ``factory``.
 
     The one per-trace path of every batch: the serial loop and the
-    pool worker call it. Returns
-    ``(report, mark)``, where ``mark`` is the tracer position before
-    the session (None without ``tracer``) so the caller can slice the
-    session's events out of the buffer. ``engine_config`` holds
-    :class:`SessionEngine` keyword arguments; None means its defaults.
-    ``on_step`` goes to :meth:`SessionEngine.run`. Exceptions propagate.
+    pool worker call it. Returns ``(report, telemetry)``: with a
+    ``tracer``, ``telemetry`` is the session's slice, ``(wire_slice,
+    metadata, dropped)`` (the packed events, the track-naming metadata
+    event dicts, and the events the ring buffer lost meanwhile), which
+    :class:`~repro.telemetry.merge.TraceMerger` reads; None without.
+    ``engine_config`` holds :class:`SessionEngine` keyword arguments;
+    None means its defaults. ``on_step`` goes to
+    :meth:`SessionEngine.run`. Exceptions propagate.
     """
     from repro.session.engine import SessionEngine
 
@@ -280,11 +274,10 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
     # is what makes pooled batch replay hermetic: no app-server state).
     tape_session = (tape.attach(browser.network, label)
                     if tape is not None else None)
-    mark = None
     if tracer is not None:
         # Virtual timestamps come from this session's own clock.
         tracer.clock = browser.clock
-        mark = tracer.mark()
+        mark, dropped = tracer.mark(), tracer.buffer.dropped
     try:
         engine = SessionEngine(browser, **(engine_config or {}))
         report = engine.run(trace, on_step=on_step)
@@ -295,7 +288,12 @@ def replay_trace(factory, engine_config, trace, label=None, tape=None,
             tracer.clock = None
         if tape_session is not None:
             tape_session.finish()
-    return report, mark
+    if tracer is None:
+        return report, None
+    return report, (tracer.wire_slice(mark),
+                    [event.to_dict()
+                     for event in tracer.registry.metadata_events],
+                    tracer.buffer.dropped - dropped)
 
 
 def _farm_kill_stream(worker_id):
@@ -326,16 +324,16 @@ def _worker_main(slot, worker_id, spec, tasks, results, progress,
     """Worker loop: replay each trace from ``tasks`` until the sentinel.
 
     The worker persists across batches: the browser factory is built
-    once (first task) and reused, parsed traces are memoized by text,
-    and a tracer is installed/uninstalled as batches toggle tracing.
+    once (first task) and reused, and parsed traces are cached by text.
     A task carries its batch's pickled ``(tracing, engine_config,
-    tape)``, loaded once per batch. Every result is one ``send`` of a
-    WR3 blob plus the tracer's drop-count delta, complete before the
-    next task is taken. ``stderr_path`` captures fd 2 (tracebacks,
-    native aborts) for post-mortem diagnosis.
+    tape)``, loaded once per batch; a traced batch gets a fresh tracer.
+    Every result is one ``send`` of a WR3 blob plus the session's
+    telemetry slice, complete before the next task is taken.
+    ``stderr_path`` captures fd 2 (tracebacks, native aborts) for
+    post-mortem diagnosis.
     """
     from repro import telemetry
-    from repro.telemetry.tracer import Tracer, resolve_categories
+    from repro.telemetry.tracer import Tracer
 
     try:
         fd = os.open(stderr_path, os.O_CREAT | os.O_WRONLY | os.O_TRUNC,
@@ -344,17 +342,9 @@ def _worker_main(slot, worker_id, spec, tasks, results, progress,
         os.close(fd)
     except OSError:
         pass
-    # A fork inherits the parent's installed tracer (if any); the worker
-    # records into its own private buffer instead. The chaos injector
-    # is deliberately *kept*: chaos.active around a pooled batch means
-    # chaos inside the workers too (including the farm's worker layer).
-    telemetry.uninstall()
     kill_rng, kill_rate = _farm_kill_stream(worker_id)
     tracer = None
-    tracer_cats = None
     factory = None
-    traces = _TraceMemo()
-    dropped_sent = 0
     config_batch = None
 
     def count_step():
@@ -371,18 +361,16 @@ def _worker_main(slot, worker_id, spec, tasks, results, progress,
         if batch_id != config_batch:
             config_batch = batch_id
             tracing, engine_config, tape = pickle.loads(config)
-            # ``tracing`` is False, True (all categories) or a category
-            # spec; a batch with a different spec gets a fresh tracer.
-            cats = (None if tracing is True or not tracing
-                    else resolve_categories(tracing))
-            if tracer is not None and (not tracing or cats != tracer_cats):
-                telemetry.uninstall()
-                tracer = None
-                dropped_sent = 0
-            if tracing and tracer is None:
-                tracer = Tracer(categories=cats)
-                tracer_cats = cats
-                telemetry.install(tracer)
+            # A fork inherits the parent's installed tracer (if any); the
+            # worker records into its own private buffer instead. The
+            # chaos injector is deliberately *kept*: chaos.active around
+            # a pooled batch means chaos inside the workers too
+            # (including the farm's worker layer). ``tracing`` is False,
+            # True (all categories) or a category spec.
+            telemetry.uninstall()
+            tracer = (telemetry.install(Tracer(
+                categories=None if tracing is True else tracing))
+                if tracing else None)
         progress[slot] = 0
         # Farm chaos: a live ``worker`` layer may kill this process
         # between traces, exactly like an OOM kill would — containment
@@ -392,22 +380,11 @@ def _worker_main(slot, worker_id, spec, tasks, results, progress,
         try:
             if factory is None:
                 factory = spec.make_factory()
-            report, mark = replay_trace(
-                factory, engine_config, traces.parse(trace_text),
+            report, trace_slice = replay_trace(
+                factory, engine_config, _parse_trace(trace_text),
                 label=label, tape=tape, tracer=tracer, on_step=count_step)
-            events = metadata = None
-            dropped = 0
-            if tracer is not None:
-                # Packed records + intern tables, not per-event dicts:
-                # the parent-side TraceMerger decodes and remaps the
-                # slice.
-                events = tracer.wire_slice(mark)
-                metadata = [event.to_dict() for event
-                            in tracer.registry.metadata_events]
-                dropped = tracer.buffer.dropped - dropped_sent
-                dropped_sent = tracer.buffer.dropped
             message = ("result", batch_id, wire.encode_report(report),
-                       events, metadata, dropped)
+                       trace_slice)
         except BaseException as exc:
             message = ("error", batch_id, traceback.format_exc(),
                        type(exc).__name__)
@@ -474,12 +451,12 @@ class _BatchState:
     """Book-keeping and dispatch parameters for one ``run()`` call."""
 
     __slots__ = ("batch_id", "tasks", "texts", "config", "trace_timeout",
-                 "on_outcome", "outcomes", "done", "pending", "dropped",
+                 "on_outcome", "drain", "outcomes", "done", "pending",
                  "failed_on")
 
     def __init__(self, batch_id, tasks, texts=None, tracing=False,
                  engine_config=None, trace_timeout=None, tape=None,
-                 on_outcome=None):
+                 on_outcome=None, drain=None):
         self.batch_id = batch_id
         #: ``(label, trace)`` pairs and each trace's text, in order.
         self.tasks = tasks
@@ -491,12 +468,13 @@ class _BatchState:
         #: Per-trace deadline (seconds) for this batch; None = none.
         self.trace_timeout = trace_timeout
         self.on_outcome = on_outcome
+        #: The admission gate (``run``'s ``drain``), or None.
+        self.drain = drain
         self.outcomes = [PoolOutcome(index, label)
                          for index, (label, _) in enumerate(tasks)]
         self.done = [False] * len(tasks)
         #: Task indexes no worker holds, in the order they go out.
         self.pending = collections.deque(range(len(tasks)))
-        self.dropped = 0
         #: index -> (worker_id, error_class, reason) of the first
         #: containment failure, for each trace given its second try.
         self.failed_on = {}
@@ -512,10 +490,16 @@ class _BatchState:
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
-    def cancel_pending(self):
+    def admitting(self):
+        """Ask the admission gate before a trace goes out; once it
+        closes, cancel every pending trace (the ones workers hold
+        finish: drain means *finish* in-flight work)."""
+        if self.drain is None or not self.drain():
+            return True
         for index in self.pending:
             self.outcomes[index].cancelled = True
         self.pending.clear()
+        return False
 
 
 class WorkerPool:
@@ -665,10 +649,10 @@ class WorkerPool:
         """Replay every ``(label, trace)`` task; returns
         ``(outcomes, dropped_events)`` with outcomes in input order.
 
-        An outcome with no report, no ``error_class`` and no
-        ``cancelled`` flag was *handed back*: the circuit breaker
-        tripped before the trace finished, and the caller must run it
-        (``BatchRunner``'s serial loop does). It keeps its ``attempts``.
+        An outcome that is not :attr:`~PoolOutcome.final` was *handed
+        back*: the circuit breaker tripped before the trace finished,
+        and the caller must run it (``BatchRunner``'s serial loop does).
+        It keeps its ``attempts``.
 
         Each outcome's report is decoded against the task's own trace
         object as its result arrives. ``texts`` supplies each trace's
@@ -688,12 +672,15 @@ class WorkerPool:
         True (every category), or a category spec for each worker's
         tracer. ``on_outcome`` is called once per task the moment its
         outcome is final (the crash-safe journaling hook). ``drain`` is
-        a zero-argument flag: once it returns True, pending traces are
-        cancelled, the traces workers hold finish, and ``run`` returns.
+        the admission gate, a zero-argument flag asked before each trace
+        goes out: once it returns True, pending traces are cancelled,
+        the traces workers hold finish, and ``run`` returns. It is not
+        polled: a flag raised while the parent waits is seen at the
+        next result, which the traces workers hold send anyway.
         """
         batch = _BatchState(self._next_batch_id, list(tasks), texts,
                             tracing, engine_config, trace_timeout, tape,
-                            on_outcome)
+                            on_outcome, drain)
         self._next_batch_id += 1
         if not batch.tasks:
             return batch.outcomes, 0
@@ -703,18 +690,12 @@ class WorkerPool:
         self._supervisor.rearm()
         self._replenish()
         self.stats["batches"] += 1
-        draining = False
         while not batch.complete:
-            if draining or (drain is not None and drain()):
-                # No trace goes out any more; the ones workers hold
-                # finish (drain means *finish* in-flight work).
-                draining = True
-                batch.cancel_pending()
-                if batch.complete:
-                    break
             self._spawn_due()
             self._top_up(batch)
-            self._collect(batch, drain)
+            if batch.complete:
+                break  # the gate closed with nothing in flight
+            self._collect(batch)
             self._reap(batch)
             if self._supervisor.tripped:
                 # Workers died repeatedly with no completed trace in
@@ -729,7 +710,9 @@ class WorkerPool:
                     self._retire(batch, handle)
                 self._handles = {}
                 break
-        return batch.outcomes, batch.dropped
+        return batch.outcomes, sum(outcome.telemetry[2]
+                                   for outcome in batch.outcomes
+                                   if outcome.telemetry is not None)
 
     def _top_up(self, batch):
         """Hand out pending traces breadth-first: every worker gets one
@@ -739,8 +722,10 @@ class WorkerPool:
                 self._assign(batch, handle, depth)
 
     def _assign(self, batch, handle, depth=ASSIGNED):
-        """Send pending traces to ``handle`` until it holds ``depth``."""
-        while batch.pending and len(handle.assigned) < depth:
+        """Send pending traces to ``handle`` until it holds ``depth``,
+        while the admission gate stays open."""
+        while batch.pending and len(handle.assigned) < depth \
+                and batch.admitting():
             index = batch.pending.popleft()
             if not handle.assigned:
                 handle.since = time.monotonic()
@@ -757,7 +742,7 @@ class WorkerPool:
                 self.stats["respawns"] += 1
                 self._spawn(slot)
 
-    def _collect(self, batch, drain=None):
+    def _collect(self, batch):
         """Sleep until a result arrives or a worker dies; take every
         result that has arrived.
 
@@ -765,12 +750,10 @@ class WorkerPool:
         us for every message and each worker's sentinel wakes us the
         instant that process exits, so no polling cadence is needed.
         Live deadlines force one: a per-trace timeout (a silent overrun
-        posts to neither channel), a pending respawn backoff, or an
-        armed drain flag (a signal handler sets a flag; it does not
-        write to a pipe).
+        posts to neither channel) or a pending respawn backoff.
         """
         candidates = []
-        if batch.trace_timeout is not None or drain is not None:
+        if batch.trace_timeout is not None:
             candidates.append(POLL_INTERVAL)
         due = self._supervisor.next_due_in()
         if due is not None:
@@ -814,9 +797,7 @@ class WorkerPool:
             outcome.blob = message[2]
             outcome.report = wire.decode_report(outcome.blob,
                                                 batch.tasks[index][1])
-            outcome.events = message[3]
-            outcome.metadata = message[4]
-            batch.dropped += message[5]
+            outcome.telemetry = message[3]
         else:
             outcome.error = message[2]
             outcome.error_class = message[3] or "WorkerError"

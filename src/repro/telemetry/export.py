@@ -65,28 +65,26 @@ def to_trace_dict_raw(event_dicts, metadata=(), dropped=0, total=None):
     }
 
 
-def tracer_to_dict(tracer, events=None):
-    """Trace object for ``tracer`` (optionally a pre-sliced event list).
+def tracer_to_dict(tracer):
+    """Trace object for every event ``tracer`` still holds.
 
-    The ``otherData`` counters are always the *tracer's* lifetime
-    totals, even for a pre-sliced event list — they answer "is this
-    file missing anything the tracer saw", not "how long is it".
+    The ``otherData`` counters are the tracer's lifetime totals: they
+    answer "is this file missing anything the tracer saw".
     """
-    if events is None:
-        events = list(tracer.buffer)
-    return to_trace_dict(events, metadata=tracer.registry.metadata_events,
+    return to_trace_dict(list(tracer.buffer),
+                         metadata=tracer.registry.metadata_events,
                          dropped=tracer.buffer.dropped,
                          total=tracer.buffer.total)
 
 
-def dumps(tracer, events=None):
+def dumps(tracer):
     """The trace as a JSON string."""
-    return json.dumps(tracer_to_dict(tracer, events=events))
+    return json.dumps(tracer_to_dict(tracer))
 
 
-def write_trace(path, tracer, events=None):
+def write_trace(path, tracer):
     """Write the trace JSON to ``path``; returns the path."""
-    return write_trace_dict(path, tracer_to_dict(tracer, events=events))
+    return write_trace_dict(path, tracer_to_dict(tracer))
 
 
 def write_trace_dict(path, trace_dict):

@@ -10,6 +10,8 @@ pair gets a fresh pid in the merged timeline, track-naming ``M``
 metadata follows along (suffixed with the worker id, so trace_viewer
 shows ``repro driver [w0]``, ``BrowserWindow 0 [w1]``, ...), and tids
 pass through unchanged (they are already unique within their pid).
+Sessions recorded in the batch's own process come with worker id None:
+their pids are remapped the same way and their track names are kept.
 
 The merger works on exported event *dicts* (what
 :meth:`~repro.telemetry.events.TraceEvent.to_dict` produces). What
@@ -92,7 +94,8 @@ class TraceMerger:
         remapped = dict(event)
         merged_pid = self.merged_pid(worker_id, event["pid"])
         remapped["pid"] = merged_pid
-        if event.get("ph") == "M" and event["name"] == "process_name":
+        if event.get("ph") == "M" and event["name"] == "process_name" \
+                and worker_id is not None:
             args = dict(event.get("args") or {})
             args["name"] = "%s [w%d]" % (args.get("name", "?"), worker_id)
             remapped["args"] = args

@@ -139,14 +139,17 @@ class TestFailurePolicyScope:
     def test_halt_policy_stops_the_batch(self):
         traces = [record_trace("first"), self._bad_trace(),
                   record_trace("never-runs")]
-        batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
-                            failure=FailurePolicy.halt_on_failure()
-                            ).run(traces)
-        # The failing session halts AND the remaining trace is never
-        # dispatched.
-        assert batch.trace_count == 2
-        assert [run.label for run in batch.runs] == ["first", "bad"]
-        assert batch.runs[1].report.halted
+        for workers in (1, 2):
+            batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                                failure=FailurePolicy.halt_on_failure(),
+                                workers=workers).run(traces)
+            # The failing session halts AND the report ends there: the
+            # remaining trace is never dispatched (serial), or whatever
+            # the pool already ran past it is left out.
+            assert batch.trace_count == 2, workers
+            assert [run.label for run in batch.runs] \
+                == ["first", "bad"], workers
+            assert batch.runs[1].report.halted
 
     def test_stop_policy_ends_only_the_session(self):
         traces = [self._bad_trace(), record_trace("still-runs")]
@@ -169,11 +172,12 @@ class TestFailurePolicyScope:
     def test_halt_without_halting_failure_runs_everything(self):
         # The halt policy only aborts when a session actually halts.
         traces = [record_trace("a"), record_trace("b")]
-        batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
-                            failure=FailurePolicy.halt_on_failure()
-                            ).run(traces)
-        assert batch.trace_count == 2
-        assert batch.complete
+        for workers in (1, 2):
+            batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                                failure=FailurePolicy.halt_on_failure(),
+                                workers=workers).run(traces)
+            assert batch.trace_count == 2, workers
+            assert batch.complete, workers
 
 
 class TestLabelDedup:

@@ -7,6 +7,7 @@ the module and the environment, and ``os.O_EXCL`` creation makes
 concurrently.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -22,17 +23,19 @@ from repro.session.batch import BatchRunner
 from repro.session.engine import SessionRun
 from repro.session.journal import read_journal, verify_exactly_once
 from repro.session.observers import PerfCountersObserver
-from repro.session.policies import TimingPolicy
+from repro.session.policies import FailurePolicy, TimingPolicy
 from repro.session.pool import (
     WorkerPool,
     WorkerSpec,
     _BatchState,
-    _TraceMemo,
+    _parse_trace,
     resolve_factory,
 )
+from repro.session.supervisor import GracefulDrain
 from repro.session.wire import _read_varint
 from tests.browser.helpers import build_browser
 from tests.session.test_batch import factory, record_trace
+from tests.telemetry.schema import validate_trace
 
 FLAG_ENV = "REPRO_TEST_POOL_FLAG"
 
@@ -450,6 +453,31 @@ class TestSupervision:
         assert batch.trace_count == 3 and batch.complete
         assert [run.report.trace for run in batch.runs] == traces
 
+    def test_traced_trip_writes_every_handed_back_trace(self, tmp_path,
+                                                        fragile_breaker):
+        # The traces a tripped breaker hands back run in the parent, and
+        # the batch's one trace writer emits their slices like any other:
+        # one file per trace, track names unsuffixed (no worker ran them).
+        reference = "tests.session.test_pool:crash_in_worker_factory"
+        traces = [record_trace("d%d" % i) for i in range(3)]
+        with WorkerPool(WorkerSpec(reference), workers=1) as pool:
+            with pytest.warns(RuntimeWarning, match="degraded"):
+                batch = BatchRunner(reference, pool=pool,
+                                    timing=TimingPolicy.no_wait()).run(
+                    traces, trace_dir=str(tmp_path))
+        assert batch.complete
+        assert sorted(os.listdir(tmp_path)) == [
+            "batch.trace.json", "d0.trace.json", "d1.trace.json",
+            "d2.trace.json"]
+        assert batch.trace_files == 3
+        merged = json.loads((tmp_path / "batch.trace.json").read_text())
+        validate_trace(merged)
+        names = [event["args"]["name"] for event in merged["traceEvents"]
+                 if event["ph"] == "M" and event["name"] == "process_name"]
+        assert len([name for name in names
+                    if name.startswith("BrowserWindow")]) == 3
+        assert not any("[w" in name for name in names)
+
     def test_tripped_breaker_hands_the_remainder_back(self, fragile_breaker):
         traces = [record_trace("d%d" % i) for i in range(3)]
         tasks = [(t.label, t) for t in traces]
@@ -564,6 +592,21 @@ class TestResultDrain:
             outcomes, _ = pool.run([(trace.label, trace)],
                                    engine_config=NO_WAIT)
         assert outcomes[0].ok
+        assert pool.stats["wakeups"] <= 5, pool.stats
+
+    def test_the_admission_gate_arms_no_poll_timer(self):
+        # The runner hands the pool its admission gate (a drain flag and
+        # the halt policy) on every batch; the gate is asked as the
+        # parent wakes, so it must not bring a poll timer back.
+        trace = record_trace("slow")
+        with WorkerPool(
+                WorkerSpec("tests.session.test_pool:slow_start_factory"),
+                workers=1) as pool:
+            batch = BatchRunner(
+                factory, pool=pool, timing=TimingPolicy.no_wait(),
+                failure=FailurePolicy.halt_on_failure()).run(
+                [trace], drain=GracefulDrain())
+        assert batch.complete and not batch.drained
         assert pool.stats["wakeups"] <= 5, pool.stats
 
 
@@ -702,21 +745,24 @@ class TestFarmPath:
         assert len(read_journal(path).starts) == 3
 
     def test_worker_trace_memo(self):
-        memo = _TraceMemo()
+        _parse_trace.cache_clear()
         text = record_trace("memo").to_text()
-        first = memo.parse(text)
-        assert memo.parse(text) is first
+        first = _parse_trace(text)
+        assert _parse_trace(text) is first
         assert first == WarrTrace.from_text(text)
         assert first.to_text() == text
         # The last character before the newline is the final command's
         # elapsed-time digit: flip it and the text must miss.
         other = text[:-2] + chr(ord(text[-2]) ^ 1) + "\n"
-        second = memo.parse(other)
+        second = _parse_trace(other)
         assert second is not first and second != first
-        assert len(memo) == 2
-        for index in range(_TraceMemo.LIMIT + 10):
-            memo.parse(text + "# %d\n" % index)
-            assert len(memo) <= _TraceMemo.LIMIT
+        assert _parse_trace.cache_info().currsize == 2
+        limit = _parse_trace.cache_info().maxsize
+        assert limit == 256
+        for index in range(limit + 10):
+            _parse_trace(text + "# %d\n" % index)
+            assert _parse_trace.cache_info().currsize <= limit
+        _parse_trace.cache_clear()
 
     def test_quarantine_counts_completed_commands(self, monkeypatch):
         monkeypatch.setattr(SessionRun, "step", _die_after_commands(3))

@@ -106,6 +106,26 @@ class TestBatchTraceDir:
         for name in written:
             validate_trace(json.loads((trace_dir / name).read_text()))
 
+    def test_resume_reports_the_files_it_wrote(self, recorded_trace,
+                                               tmp_path):
+        # A fully journaled batch executes nothing on resume: it writes
+        # no per-trace file, says so, and still writes batch.trace.json.
+        journal = str(tmp_path / "run.wj2")
+        argv = ["batch", str(recorded_trace), str(recorded_trace),
+                "--app", "sites", "--journal", journal]
+        code, output = run_cli(argv + ["--trace-dir",
+                                       str(tmp_path / "first")])
+        assert code == 0
+        assert "wrote 2 per-session trace(s)" in output
+        trace_dir = tmp_path / "resumed"
+        code, output = run_cli(argv + ["--resume",
+                                       "--trace-dir", str(trace_dir)])
+        assert code == 0
+        assert "wrote 0 per-session trace(s) + batch.trace.json" in output
+        assert [p.name for p in trace_dir.iterdir()] == ["batch.trace.json"]
+        validate_trace(json.loads((trace_dir / "batch.trace.json")
+                                  .read_text()))
+
     def test_pooled_batch_writes_merged_worker_tracks(self, recorded_trace,
                                                       tmp_path):
         trace_dir = tmp_path / "traces"

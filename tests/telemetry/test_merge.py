@@ -120,3 +120,19 @@ class TestPooledTraceFiles:
         BatchRunner(factory, timing=TimingPolicy.no_wait(), workers=2).run(
             traces, trace_dir=str(pooled_dir))
         assert sorted(os.listdir(serial_dir)) == sorted(os.listdir(pooled_dir))
+
+    def test_sampled_category_spec_reaches_the_workers(self, tmp_path):
+        # A ``name:rate`` term samples that category; it must not be
+        # taken for a category name (which would record none of it) on
+        # either backend.
+        traces = [record_trace("a"), record_trace("b")]
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                        workers=workers,
+                        trace_categories="session,dispatch:0.5").run(
+                traces, trace_dir=str(out))
+            with open(out / "batch.trace.json") as handle:
+                events = validate_trace(json.load(handle))
+            cats = {event.get("cat") for event in events}
+            assert {"session", "dispatch"} <= cats, (workers, cats)
