@@ -8,10 +8,12 @@ the packed ring buffer + category filtering keep a production trace
 This bench measures both and writes ``BENCH_telemetry.json``:
 
 1. **Guard micro-benchmark** — the DOM dispatch hot loop run through
-   the public guarded entry point (``dispatch_event``) vs. the
-   guard-free core (``_dispatch``). The relative gap IS the tracing-off
-   overhead, measured in-process back to back, and is asserted below
-   ``MAX_OFF_OVERHEAD`` (5%).
+   the public guarded entry point (``dispatch_event``) vs. a guard-free
+   reference body kept here (:func:`reference_dispatch`: the same
+   untraced dispatch with every tracer test removed, checked to give
+   ``dispatch_event``'s results on the bench's tree). The relative gap
+   IS the tracing-off overhead, measured in-process back to back, and
+   is asserted below ``MAX_OFF_OVERHEAD`` (5%).
 2. **End-to-end replays** — whole-session replay throughput with
    tracing off, tracing on in the production category set (asserted
    below ``MAX_ON_OVERHEAD``: cost < 0.10x, i.e. tracing-on under
@@ -33,14 +35,20 @@ import subprocess
 import sys
 import time
 
-from repro import telemetry
+from repro import perf, telemetry
 from repro.apps.framework import make_browser
 from repro.apps.sites import SitesApplication
 from repro.core.recorder import WarrRecorder
 from repro.core.replayer import TimingMode, WarrReplayer
 from repro.dom.parser import parse_html
-from repro.events.dispatch import _dispatch, dispatch_event
-from repro.events.event import Event
+from repro.events import dispatch as dispatch_module
+from repro.events.dispatch import dispatch_event
+from repro.events.event import (
+    AT_TARGET,
+    BUBBLING_PHASE,
+    CAPTURING_PHASE,
+    Event,
+)
 from repro.workloads.sessions import sites_edit_session
 
 #: Smoke-test mode: tiny workload, no timing assertion (for CI).
@@ -197,14 +205,107 @@ def check_export(tracer, categories):
     return len(trace_dict["traceEvents"])
 
 
-def dispatch_round(entry_point):
-    """Time ``DISPATCHES`` bubbling dispatches through ``entry_point``."""
+def reference_observed_types(target):
+    """``observed_types`` without its tracer test."""
+    document = target.owner_document
+    if document is None or not perf._enabled:
+        return None
+    return document._listened_types
+
+
+def reference_dispatch(target, event, on_error=None):
+    """``dispatch_event`` with tracing off and no tracer test at all.
+
+    The guard-free reference the guard micro-benchmark compares
+    against: the same calls in the same order (the skip of unobserved
+    types, the memoized propagation path, the per-phase listener
+    walk), minus every ``telemetry._dispatch_tracer`` load and None
+    test. :func:`check_reference` pins it to ``dispatch_event``'s
+    results.
+    """
+    event.target = target
+    observed = reference_observed_types(target)
+    if observed is not None and event.type not in observed:
+        return not event.default_prevented
+    ancestors = dispatch_module._propagation_path(target)
+    invoke = dispatch_module._invoke
+    capture_key = (event.type, True)
+    bubble_key = (event.type, False)
+    event.event_phase = CAPTURING_PHASE
+    for node in ancestors:
+        if event.propagation_stopped:
+            break
+        listeners = node._listeners
+        if listeners:
+            handlers = listeners.get(capture_key)
+            if handlers:
+                invoke(node, handlers, event, on_error)
+    listeners = target._listeners
+    if listeners and not event.propagation_stopped:
+        event.event_phase = AT_TARGET
+        handlers = listeners.get(capture_key)
+        if handlers:
+            invoke(target, handlers, event, on_error)
+        if not event.propagation_stopped:
+            handlers = listeners.get(bubble_key)
+            if handlers:
+                invoke(target, handlers, event, on_error)
+    if event.bubbles and not event.propagation_stopped:
+        event.event_phase = BUBBLING_PHASE
+        for node in reversed(ancestors):
+            if event.propagation_stopped:
+                break
+            listeners = node._listeners
+            if listeners:
+                handlers = listeners.get(bubble_key)
+                if handlers:
+                    invoke(node, handlers, event, on_error)
+    event.event_phase = None
+    event.current_target = None
+    return not event.default_prevented
+
+
+def bench_tree(listener):
+    """The bench's document and its leaf, with ``listener`` on the leaf
+    and its two nearest ancestors."""
     document = parse_html(HTML)
     (leaf,) = [node for node in document.descendants()
                if getattr(node, "tag", None) == "span"]
-    hops = []
     for node in (leaf, leaf.parent, leaf.parent.parent):
-        node.add_event_listener("ping", lambda event: hops.append(1))
+        node.add_event_listener("ping", listener)
+    return document, leaf
+
+
+def check_reference():
+    """The reference body must dispatch exactly as ``dispatch_event``:
+    the same listeners in the same order and phase, the same return
+    value, for a plain, a prevented, a stopped and an unobserved
+    event."""
+    def outcome(entry_point, event_type, stop_at=None):
+        seen = []
+
+        def listener(event):
+            seen.append((event.current_target.get_attribute("id"),
+                         event.event_phase))
+            if event.current_target.get_attribute("id") == stop_at:
+                event.prevent_default()
+                event.stop_propagation()
+
+        _, leaf = bench_tree(listener)
+        proceed = entry_point(leaf, Event(event_type, bubbles=True))
+        return proceed, seen
+
+    for event_type, stop_at in (("ping", None), ("ping", "c"),
+                                ("ping", "leaf"), ("pong", None)):
+        expected = outcome(dispatch_event, event_type, stop_at)
+        assert outcome(reference_dispatch, event_type, stop_at) \
+            == expected, (event_type, stop_at)
+
+
+def dispatch_round(entry_point):
+    """Time ``DISPATCHES`` bubbling dispatches through ``entry_point``."""
+    hops = []
+    _, leaf = bench_tree(lambda event: hops.append(1))
     start = time.perf_counter()
     for _ in range(DISPATCHES):
         entry_point(leaf, Event("ping", bubbles=True))
@@ -215,16 +316,16 @@ def measure_guard_overhead():
     """Tracing-off overhead of the guarded dispatch entry point.
 
     Interleaves best-of-N rounds of the public (guarded) entry point
-    and the guard-free core so both see the same machine state.
+    and the guard-free reference so both see the same machine state.
     """
     assert telemetry.current() is None
+    check_reference()
     guarded = None
     bare = None
     for _ in range(REPEATS):
         seconds = dispatch_round(dispatch_event)
         guarded = seconds if guarded is None else min(guarded, seconds)
-        seconds = dispatch_round(lambda target, event: _dispatch(
-            target, event, None))
+        seconds = dispatch_round(reference_dispatch)
         bare = seconds if bare is None else min(bare, seconds)
     return guarded, bare
 
@@ -257,7 +358,7 @@ def test_tracing_overhead(benchmark, reporter, json_reporter):
     lines = [
         "guarded dispatch hot loop (%d dispatches, best of %d):"
         % (DISPATCHES, REPEATS),
-        "  %-34s %.4fs" % ("guard-free core", bare_s),
+        "  %-34s %.4fs" % ("guard-free reference", bare_s),
         "  %-34s %.4fs" % ("guarded entry (tracing off)", guarded_s),
         "  overhead: %+.2f%% (budget < %.0f%%)"
         % (guard_overhead * 100.0, MAX_OFF_OVERHEAD * 100.0),

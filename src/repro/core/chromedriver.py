@@ -78,8 +78,12 @@ class ChromeDriverClient:
         self.master = master
         self.engine = engine
         self.root_element = root_element
-        #: The browser's virtual clock, fixed when the browser is built.
-        self._clock = master.browser.clock
+        # Facts fixed when the browser is built, resolved once per
+        # client: its virtual clock, and whether it is a developer-mode
+        # browser (synthetic key events carry key properties only there).
+        browser = master.browser
+        self._clock = browser.clock
+        self._developer_mode = browser.developer_mode
 
     # -- element lookup --------------------------------------------------------
 
@@ -113,11 +117,17 @@ class ChromeDriverClient:
         message = InputMessage(kind, event, target_engine=self.engine)
         renderer.send_input(message)
 
-    def click(self, element):
-        """Click via the engine's input path (WebDriver supports this)."""
+    def click(self, element, now=None):
+        """Click via the engine's input path (WebDriver supports this).
+
+        ``now``, when given, is the virtual time the caller has just
+        read: the click is stamped with it instead of a second read.
+        """
         x, y = self.engine.layout.click_point(element)
+        if now is None:
+            now = self._clock.now()
         event = MouseEvent("mousepress", client_x=x, client_y=y, detail=1,
-                           timestamp=self._clock.now())
+                           timestamp=now)
         self._send_input(InputMessage.MOUSE, event)
 
     def click_at(self, x, y):
@@ -146,7 +156,7 @@ class ChromeDriverClient:
         self.engine.dispatch(element, dbl)
         self.engine.invalidate_layout()
 
-    def send_key(self, element, key, code):
+    def send_key(self, element, key, code, now=None, printable=None):
         """Simulate one keystroke into ``element``.
 
         Dispatches synthetic keydown/keypress (whose key properties only
@@ -164,28 +174,41 @@ class ChromeDriverClient:
         adds mid-keystroke is seen. Should a handler move ``element``
         into another document, the rest of the keystroke treats every
         type as observable.
+
+        ``now``, when given, is the virtual time the caller has just
+        read; it stamps the first event built, provided no handler ran
+        before it (a handler may advance the clock), and every later
+        event reads the clock. ``printable`` is
+        :func:`~repro.events.keys.is_printable` of ``key`` when the
+        caller has it (a replayed :class:`~repro.core.commands.TypeCommand`
+        carries it).
         """
         engine = self.engine
         if element is not engine.focused_element:
             engine.set_focus(element if element.is_focusable() else None)
+            now = None
         clock = self._clock
         # The events KeyboardEvent.synthetic builds, one call each: the
         # key properties only in a developer-mode browser, then frozen.
-        props = (key, code) if self.master.browser.developer_mode else ()
+        props = (key, code) if self._developer_mode else ()
         document = element.owner_document
         observed = observed_types(element)
-        printable = is_printable(key)
+        if printable is None:
+            printable = is_printable(key)
 
         proceed = True
         if observed is None or "keydown" in observed:
-            down = KeyboardEvent("keydown", *props, timestamp=clock.now())
+            down = KeyboardEvent("keydown", *props, timestamp=(
+                now if now is not None else clock.now()))
             down._frozen = True
+            now = None
             proceed = engine.dispatch(element, down)
             if element.owner_document is not document:
                 observed = None
         if proceed and printable and (observed is None
                                       or "keypress" in observed):
-            press = KeyboardEvent("keypress", *props, timestamp=clock.now())
+            press = KeyboardEvent("keypress", *props, timestamp=(
+                now if now is not None else clock.now()))
             press._frozen = True
             proceed = engine.dispatch(element, press)
             if element.owner_document is not document:
@@ -233,11 +256,13 @@ class ChromeDriverClient:
         if observed is None or "input" in observed:
             self.engine.dispatch(element, InputEvent(data=key))
 
-    def drag(self, element, dx, dy):
-        """Drag an element by (dx, dy)."""
+    def drag(self, element, dx, dy, now=None):
+        """Drag an element by (dx, dy); ``now`` as for :meth:`click`."""
         x, y = self.engine.layout.click_point(element)
+        if now is None:
+            now = self._clock.now()
         event = DragEvent("rawdrag", dx=dx, dy=dy, client_x=x, client_y=y,
-                          timestamp=self._clock.now())
+                          timestamp=now)
         self._send_input(InputMessage.DRAG, event)
 
     def __repr__(self):

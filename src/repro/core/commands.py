@@ -23,6 +23,7 @@ explicit command so traces stay self-contained. The reserved name
 
 import re
 
+from repro.events.keys import is_printable
 from repro.util.errors import TraceFormatError, XPathSyntaxError
 from repro.xpath.parser import parse_xpath
 
@@ -31,9 +32,19 @@ DEFAULT_FRAME = "default"
 
 
 class WarrCommand:
-    """Base class; concrete commands define ``action`` and a payload."""
+    """Base class; concrete commands define ``action`` and a payload.
+
+    A command replayed on a located element also defines
+    ``act(client, element, now)``: the one ChromeDriver client call its
+    action makes, given the client and element the locate stage found
+    and ``now``, the virtual time if the caller has just read it (else
+    None). ``act`` is None for every other command (frame switches, and
+    actions no replayer knows), which the session engine handles or
+    rejects itself.
+    """
 
     action = None
+    act = None
 
     def __init__(self, xpath, elapsed_ms=0):
         self.xpath = str(xpath)
@@ -87,6 +98,9 @@ class ClickCommand(WarrCommand):
     def payload(self):
         return "%d,%d" % (self.x, self.y)
 
+    def act(self, client, element, now=None):
+        client.click(element, now)
+
     def _fields(self):
         return {"xpath": self.xpath, "x": self.x, "y": self.y,
                 "elapsed_ms": self.elapsed_ms}
@@ -96,6 +110,9 @@ class DoubleClickCommand(ClickCommand):
     """A double click (Google Docs-style interactions)."""
 
     action = "doubleclick"
+
+    def act(self, client, element, now=None):
+        client.double_click(element)
 
 
 class DragCommand(WarrCommand):
@@ -110,6 +127,9 @@ class DragCommand(WarrCommand):
 
     def payload(self):
         return "%d,%d" % (self.dx, self.dy)
+
+    def act(self, client, element, now=None):
+        client.drag(element, self.dx, self.dy, now)
 
     def _fields(self):
         return {"xpath": self.xpath, "dx": self.dx, "dy": self.dy,
@@ -152,9 +172,15 @@ class TypeCommand(WarrCommand):
         super().__init__(xpath, elapsed_ms)
         self.key = key
         self.code = int(code)
+        #: Whether the key produces a character, resolved once here
+        #: rather than on every replay of the keystroke.
+        self.printable = is_printable(key)
 
     def payload(self):
         return "[%s,%d]" % (_escape_key(self.key), self.code)
+
+    def act(self, client, element, now=None):
+        client.send_key(element, self.key, self.code, now, self.printable)
 
     def _fields(self):
         return {"xpath": self.xpath, "key": self.key, "code": self.code,

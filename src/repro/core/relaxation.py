@@ -232,13 +232,15 @@ class RelaxationEngine:
         #: expression key -> :class:`_MemoEntry`.
         self._memo = {}
 
-    def recall(self, expression, context):
-        """The memoized (element, description) for ``expression``, or None.
+    def recall(self, key, context):
+        """The memoized (element, description) for an expression, or None.
 
-        A hit needs the same resolution context (a Document, or the
-        root Element of a src-less iframe) and unchanged generations of
-        its document, as far as the expression observes them; it counts
-        as a ``relax.resolve`` hit and as a resolution. A miss records
+        ``key`` is the expression's XPath text (a replayed command's
+        ``xpath``, which needs no conversion). A hit needs the same
+        resolution context (a Document, or the root Element of a
+        src-less iframe) and unchanged generations of its document, as
+        far as the expression observes them; it counts as a
+        ``relax.resolve`` hit and as a resolution. A miss records
         nothing: :meth:`resolve` counts it when it resolves the
         expression. Always None with relaxation or the fast path
         disabled.
@@ -250,7 +252,6 @@ class RelaxationEngine:
         """
         if not self.enabled or not perf._enabled:
             return None
-        key = expression if isinstance(expression, str) else expression.to_xpath()
         entry = self._memo.get(key)
         if entry is None or entry.context is not context:
             return None
@@ -292,7 +293,9 @@ class RelaxationEngine:
             self._count(description)
             return element, description
 
-        found = self.recall(expression, document)
+        key = expression if isinstance(expression, str) \
+            else expression.to_xpath()
+        found = self.recall(key, document)
         if found is not None:
             return found
         owner = document if isinstance(document, Document) \
@@ -316,8 +319,6 @@ class RelaxationEngine:
         if memoizable:
             # Evaluation reads the DOM without mutating it, so these are
             # the generations the answer was computed at.
-            key = expression if isinstance(expression, str) \
-                else expression.to_xpath()
             self._memo[key] = _MemoEntry(
                 document, owner, _observed_mask(expression), element,
                 description)

@@ -458,6 +458,11 @@ class Document(Node):
         self._text_generation = 0
         self._indexes = None
         self._listened_types = set()
+        #: Event propagation paths of this document's elements, valid
+        #: while the structure generation is ``_paths_generation``
+        #: (:func:`repro.events.dispatch._propagation_path`).
+        self._paths = {}
+        self._paths_generation = None
         #: For a page-template clone (:mod:`repro.dom.parser`), the
         #: ``(PageTemplate, elements in document order)`` it came from:
         #: until the generation moves, its layout is the template's.

@@ -25,18 +25,43 @@ keystrokes and the driver's replayed ones.
 """
 
 from repro import perf, telemetry
+from repro.dom.node import Element
 from repro.events.event import CAPTURING_PHASE, AT_TARGET, BUBBLING_PHASE
 from repro.util.errors import ScriptError
 
 
 def _propagation_path(target):
-    """Nodes from the root down to (excluding) the target."""
+    """Nodes from the root down to (excluding) the target.
+
+    The path of an element with an owning document is memoized on that
+    document for one structure generation (``Document._paths``): an
+    element's ancestors change only when it or one of them is inserted
+    or removed, and each of those bumps the generation, so every
+    keystroke into the same field walks its ancestors once. Text nodes
+    are not memoized (moving one counts as a text mutation), nor is
+    anything with the fast path off. Callers must not mutate the list.
+    """
+    document = target.owner_document
+    memoized = (document is not None and type(target) is Element
+                and perf._enabled)
+    if memoized:
+        generation = document._structure_generation
+        if document._paths_generation == generation:
+            paths = document._paths
+            if target in paths:
+                return paths[target]
+        else:
+            # A new generation: the old paths may all be stale.
+            paths = document._paths = {}
+            document._paths_generation = generation
     path = []
     node = target.parent
     while node is not None:
         path.append(node)
         node = node.parent
     path.reverse()
+    if memoized:
+        paths[target] = path
     return path
 
 

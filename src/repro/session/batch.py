@@ -31,6 +31,7 @@ every session's browser on its own pid track.
 """
 
 import os
+import traceback
 from contextlib import nullcontext
 
 from repro import telemetry
@@ -462,7 +463,10 @@ class BatchRunner:
         this process; an outcome the admission gate stops stays empty.
 
         A traced loop records into the tracer a caller already
-        installed, or else into its own.
+        installed, or else into its own. An ``Exception`` out of one
+        replay is contained as a pool worker contains it: the trace's
+        outcome carries the traceback and the exception's type name,
+        and the loop goes on to the next trace.
         """
         factory = self.browser_factory
         if not isinstance(factory, WorkerSpec):
@@ -480,9 +484,13 @@ class BatchRunner:
                 if hooks.drain_requested():
                     break
                 hooks.start((outcome.index,), (outcome.label,))
-                outcome.report, outcome.telemetry = replay_trace(
-                    factory, config, traces[outcome.index],
-                    label=outcome.label, tape=self.tape, tracer=tracer)
+                try:
+                    outcome.report, outcome.telemetry = replay_trace(
+                        factory, config, traces[outcome.index],
+                        label=outcome.label, tape=self.tape, tracer=tracer)
+                except Exception as exc:
+                    outcome.error = traceback.format_exc()
+                    outcome.error_class = type(exc).__name__
                 outcome.worker_id = None
                 hooks.finish(outcome)
 

@@ -130,7 +130,8 @@ class SessionEngine:
         """
         if command.action == "switchframe":
             return self._execute_switch(driver, command, phases)
-        if command.action not in ("click", "doubleclick", "type", "drag"):
+        act = command.act
+        if act is None:
             raise ReplayError("cannot replay command %r" % (command,))
 
         # -- locate stage ---------------------------------------------------
@@ -154,7 +155,7 @@ class SessionEngine:
         # chaos that is a transient the retry loop must get to see as a
         # CommandResult, not an exception unwinding the session.
         try:
-            self._act(location, command)
+            act(location.client, location.element)
         except ReplayHaltedError:
             raise
         except (ElementNotFoundError, DriverError,
@@ -182,18 +183,6 @@ class SessionEngine:
         if phases is not None:
             phases.acted(detail)
         return CommandResult(command, CommandResult.COORDINATE, detail=detail)
-
-    @staticmethod
-    def _act(location, command):
-        client, element = location.client, location.element
-        if command.action == "doubleclick":
-            client.double_click(element)
-        elif command.action == "click":
-            client.click(element)
-        elif command.action == "type":
-            client.send_key(element, command.key, command.code)
-        else:
-            client.drag(element, command.dx, command.dy)
 
     def _execute_switch(self, driver, command, phases):
         try:
@@ -253,12 +242,19 @@ class SessionRun:
         self._backoff_seq = engine.retry.new_sequence()
         # Facts fixed for the whole session, resolved once instead of
         # on every step: the timing policy's due-time rule, the
-        # browser's clock and event loop, and whether commands heal.
+        # browser's clock, its event loop and that loop's task heap
+        # (the step peeks at the earliest task), and whether commands
+        # heal. :meth:`begin` adds the driver's ChromeDriver master and,
+        # when steps may act from the locate memo, its ``recall``.
         self._fixed_delay, self._delay_scale = engine.timing.due_rule()
         browser = engine.browser
         self._clock = browser.clock
-        self._run_for = browser.event_loop.run_for
+        loop = browser.event_loop
+        self._run_for = loop.run_for
+        self._queue = loop._queue
         self._healing = engine.retry.enabled
+        self._master = None
+        self._recall = None
 
     @property
     def halted(self):
@@ -274,7 +270,13 @@ class SessionRun:
         self._error_base = len(browser.page_errors)
         self._perf_base = perf.snapshot()
         self._net_base = self._net_snapshot()
-        self.driver = self.engine.new_driver()
+        driver = self.driver = self.engine.new_driver()
+        self._master = driver.master
+        # Without an implicit wait, the locator policy answers a command
+        # whose resolution is memoized from the memo alone, and so can
+        # a step that does not heal (:meth:`step`).
+        if self.engine.locator.implicit_wait_ms <= 0 and not self._healing:
+            self._recall = driver.relaxation.recall
         # Recording starts its timeline at begin(), i.e. just before the
         # initial navigation — anchor the replay timeline the same way.
         self._anchor = browser.clock.now()
@@ -310,8 +312,16 @@ class SessionRun:
         A driver halt (no active client left) is recorded on the report
         and marks the run halted; it is not re-raised, so stepping
         callers can keep iterating and simply observe ``self.halted``.
+
+        The step reads the virtual clock once. When no event-loop task
+        falls due by the command's due time, the clock moves straight
+        to it and the event loop is not run. A command whose locator
+        resolution is memoized (see
+        :meth:`~repro.core.relaxation.RelaxationEngine.recall`) goes
+        from the memo straight to its ``act``; every other command,
+        every healing step and every step under phase tracing takes the
+        whole locate chain (:meth:`SessionEngine.execute`).
         """
-        engine = self.engine
         clock = self._clock
         delay = self._fixed_delay
         if delay is None:
@@ -324,14 +334,23 @@ class SessionRun:
             self._retune(tracer)
         narrator = self._narrator
         phases = self._phases
-        if phases is None:
-            self._run_for(wait_ms)
-        else:
+        if phases is not None:
             with tracer.span("session.schedule", track=SESSION_TRACK,
                              cat="session.phase",
                              args={"wait_ms": wait_ms, "due_vt_ms": target}):
                 self._run_for(wait_ms)
-        self._anchor = clock.now()
+            now = clock.now()
+        else:
+            # The deadline as EventLoop.run_for computes it.
+            deadline = now + wait_ms
+            queue = self._queue
+            if queue and queue[0][0] <= deadline:
+                self._run_for(wait_ms)
+                now = clock.now()
+            elif wait_ms:
+                clock.advance_to(deadline)
+                now = deadline
+        self._anchor = now
         # The command's record carries its start, read before the
         # locate span opens: a span inside the command must start
         # inside it.
@@ -342,13 +361,34 @@ class SessionRun:
         healing = self._healing
         halt = None
         try:
-            if healing:
+            found = None
+            act = command.act
+            recall = self._recall
+            if recall is not None and act is not None and phases is None:
+                client = self._master._active
+                if client is not None:
+                    root = client.root_element
+                    found = recall(command.xpath, root if root is not None
+                                   else client.engine.document)
+            if found is not None:
+                element, detail = found
+                try:
+                    act(client, element, now)
+                except (ElementNotFoundError, DriverError,
+                        NavigationError, NetworkError) as error:
+                    result = _failed(command, error)
+                else:
+                    result = (CommandResult(command, CommandResult.OK)
+                              if detail == "original" else
+                              CommandResult(command, CommandResult.RELAXED,
+                                            detail=detail))
+            elif healing:
                 result = self._execute_healing(command)
             else:
-                result = engine.execute(self.driver, command, phases)
-                if narrator is not None \
-                        and result.status == CommandResult.FAILED:
-                    narrator.failed(result.error)
+                result = self.engine.execute(self.driver, command, phases)
+            if narrator is not None and not healing \
+                    and result.status == CommandResult.FAILED:
+                narrator.failed(result.error)
         except ReplayHaltedError as error:
             result = CommandResult(command, CommandResult.FAILED, error=error)
             halt = error
@@ -365,7 +405,7 @@ class SessionRun:
                 url = self.driver.tab.url if self.driver.has_session else None
                 self.checkpoint.advance(command, url)
             return result
-        decision = engine.failure.decide(result)
+        decision = self.engine.failure.decide(result)
         if decision == FailurePolicy.STOP:
             self.stopped = True
         elif decision == FailurePolicy.HALT:

@@ -39,6 +39,11 @@ class EventLoop:
     Tasks scheduled for the same instant run in scheduling order (FIFO),
     which matches how a single-threaded browser event loop drains its
     queue and keeps runs deterministic.
+
+    ``_queue`` is a heap of ``(when, task_id, task)`` and the one list
+    the loop ever holds: a replay session keeps a reference to it and
+    reads its head to tell whether any task falls due before its next
+    command (:meth:`repro.session.engine.SessionRun.step`).
     """
 
     def __init__(self, clock=None):

@@ -10,8 +10,8 @@ from repro.core.commands import ClickCommand, TypeCommand, WarrCommand
 from repro.core.recorder import WarrRecorder
 from repro.core.trace import WarrTrace
 from repro.session.batch import BatchReport, BatchRunner, _dedupe_labels
+from repro.session.journal import read_journal, verify_exactly_once
 from repro.session.policies import FailurePolicy, TimingPolicy
-from repro.util.errors import ReplayError
 from tests.browser.helpers import build_browser, url
 
 
@@ -28,6 +28,15 @@ def record_trace(label):
 
 def factory():
     return build_browser(developer_mode=True)
+
+
+class HoverCommand(WarrCommand):
+    """A command no replayer knows: replaying it raises ReplayError."""
+
+    action = "hover"
+
+    def payload(self):
+        return "-"
 
 
 class TestBatchRunner:
@@ -110,20 +119,43 @@ class TestBatchRunner:
     def test_tracer_clock_reset_when_engine_raises(self, tmp_path):
         # Regression: an engine error mid-batch used to leave the
         # tracer stamping events with the dead session's virtual clock.
-        class HoverCommand(WarrCommand):
-            action = "hover"
-
-            def payload(self):
-                return "-"
-
         bogus = WarrTrace(start_url=url("/"), label="bogus",
                           commands=[HoverCommand("//a")])
         runner = BatchRunner(factory, timing=TimingPolicy.no_wait())
         with telemetry.tracing() as tracer:
-            with pytest.raises(ReplayError):
-                runner.run([record_trace("ok"), bogus],
-                           trace_dir=str(tmp_path))
+            batch = runner.run([record_trace("ok"), bogus],
+                               trace_dir=str(tmp_path))
             assert tracer.clock is None
+        assert [run.report.complete for run in batch.runs] == [True, False]
+        assert batch.runs[1].report.halt_error.type_name == "ReplayError"
+
+    def test_an_engine_error_fails_its_trace_not_the_batch(self, tmp_path):
+        # Serial and pooled batches contain an exception from one
+        # replay the same way: that trace fails, the rest replay, and
+        # the journal holds one finish record per trace.
+        traces = [record_trace("ok"),
+                  WarrTrace(start_url=url("/"), label="bogus",
+                            commands=[HoverCommand("//a")]),
+                  record_trace("after")]
+        labels = ["ok", "bogus", "after"]
+        seen = []
+        for workers in (1, 2):
+            journal = str(tmp_path / ("run-%d.wj2" % workers))
+            batch = BatchRunner(factory, timing=TimingPolicy.no_wait(),
+                                workers=workers, journal=journal).run(traces)
+            assert [run.label for run in batch.runs] == labels
+            verdict = verify_exactly_once(journal, labels)
+            finishes = sorted((record.index, record.status,
+                               record.error_class is not None)
+                              for record in read_journal(journal).finishes)
+            seen.append((statuses(batch),
+                         [run.report.complete for run in batch.runs],
+                         verdict["exactly_once"], verdict["finished"],
+                         finishes))
+        assert seen[0] == seen[1]
+        assert seen[0][1:4] == ([True, False, True], True, 3)
+        assert [status for _, status, _ in seen[0][4]] \
+            == ["replayed", "failed", "replayed"]
 
 
 class TestFailurePolicyScope:

@@ -7,9 +7,15 @@ import pstats
 import pytest
 
 from repro.apps.framework import make_browser
+from repro.apps.gmail import GmailApplication
 from repro.apps.sites import SitesApplication
-from repro.core.commands import ClickCommand, SwitchFrameCommand, TypeCommand
-from repro import telemetry
+from repro.core.commands import (
+    ClickCommand,
+    SwitchFrameCommand,
+    TypeCommand,
+    WarrCommand,
+)
+from repro import perf, telemetry
 from repro.core.recorder import WarrRecorder
 from repro.core.trace import WarrTrace
 from repro.session.engine import SessionEngine
@@ -21,8 +27,13 @@ from repro.session.policies import (
 )
 from repro.session.report import CommandResult
 from repro.telemetry.tracks import SESSION_TRACK
-from repro.util.errors import XPathSyntaxError
-from repro.workloads.sessions import SITES_URL, sites_edit_session
+from repro.util.errors import ReplayError, XPathSyntaxError
+from repro.workloads.sessions import (
+    GMAIL_URL,
+    SITES_URL,
+    gmail_compose_session,
+    sites_edit_session,
+)
 from tests.browser.helpers import build_browser, url
 
 
@@ -116,33 +127,33 @@ class TestSchedule:
     ], ids=repr)
     def test_every_step_waits_until_the_policy_target(self, policy,
                                                       monkeypatch):
+        # A step may move the clock without running the event loop, so
+        # the wait is read where it ends: at the virtual time the
+        # command acts.
         trace = self._trace()
         browser = build_browser(developer_mode=True)
-        loop, clock = browser.event_loop, browser.clock
-        waits = []
-        run_for = loop.run_for
+        clock = browser.clock
+        acted = []
+        for command_type in (ClickCommand, TypeCommand):
+            def recording_act(command, client, element, now=None,
+                              act=command_type.act):
+                acted.append(clock.now())
+                return act(command, client, element, now)
 
-        def recording_run_for(duration_ms):
-            before = clock.now()
-            executed = run_for(duration_ms)
-            waits.append((before, duration_ms, clock.now()))
-            return executed
-
-        monkeypatch.setattr(loop, "run_for", recording_run_for)
+            monkeypatch.setattr(command_type, "act", recording_act)
         # The timeline is anchored just before the start navigation.
         anchor = clock.now()
         run = SessionEngine(browser, timing=policy).start(trace)
         overdue = 0
         for command in trace:
-            del waits[:]
+            del acted[:]
+            before = clock.now()
             result = run.step(command)
             assert result.status != CommandResult.FAILED, result
-            # The first wait in a step is its schedule stage.
-            before, waited, after = waits[0]
             target = policy.target(anchor, command)
-            assert waited == max(0.0, target - before), command
+            assert acted == [before + max(0.0, target - before)], command
             overdue += target < before
-            anchor = after
+            anchor = acted[0]
         run.finish()
         assert overdue >= 1
 
@@ -289,38 +300,162 @@ class TestStepping:
         assert document.url == url("/")
 
 
+MOVE_HTML = """<html><head><title>Move</title></head><body>
+<div id="a"><div id="field" contenteditable></div></div>
+<div id="b"></div>
+<script data-script="test.move"></script>
+</body></html>"""
+
+
+def move_script(window):
+    """Every keydown on ``#field`` moves it between ``#a`` and ``#b``;
+    every node on the way logs the key events it sees."""
+    window.env.log = []
+    field = window.get_element_by_id("field")
+    holders = [window.get_element_by_id("a"), window.get_element_by_id("b")]
+
+    def move(event):
+        holders.reverse()
+        holders[0].append_child(field)
+
+    def log(event):
+        window.env.log.append((event.type,
+                               event.current_target.get_attribute("id")))
+
+    field.add_event_listener("keydown", move)
+    for node in holders + [field, window.document.body]:
+        for event_type in ("keydown", "keypress", "keyup", "input"):
+            node.add_event_listener(event_type, log)
+
+
+class TestCompiledStep:
+    """What a step may resolve once per command or per session must
+    still follow the trace and the page as they are at that step."""
+
+    @staticmethod
+    def _replay(trace, extra_routes=None, extra_scripts=None):
+        """Replay on a fresh browser; returns the report, the page's
+        script environment and its document."""
+        browser = build_browser(extra_routes=extra_routes,
+                                extra_scripts=extra_scripts,
+                                developer_mode=True)
+        engine = SessionEngine(browser)
+        report = engine.run(trace)
+        return (report, browser.active_tab.renderer.engine.window.env,
+                engine.current_document())
+
+    def test_a_trace_edited_after_a_replay_replays_its_new_contents(self):
+        box = '//div[@id="box"]'
+        trace = WarrTrace(start_url=url("/"), commands=[
+            TypeCommand(box, "a", 65, elapsed_ms=5),
+            TypeCommand(box, "b", 66, elapsed_ms=5),
+        ])
+        report, env, document = self._replay(trace)
+        assert report.complete and env.keys == [65, 66]
+        assert document.get_element_by_id("box").text_content == "ab"
+        # A printable key replaced by a control key, then one appended.
+        trace.commands[1] = trace.commands[1].copy(key="Backspace", code=8)
+        trace.commands.append(TypeCommand(box, "q", 81, elapsed_ms=5))
+        report, env, document = self._replay(trace)
+        assert report.complete
+        assert [result.command for result in report.results] == list(trace)
+        assert env.keys == [65, 81]
+        assert document.get_element_by_id("box").text_content == "q"
+
+    def test_an_unknown_action_raises_at_its_own_step(self):
+        class HoverCommand(WarrCommand):
+            action = "hover"
+
+            def payload(self):
+                return "-"
+
+        box = '//div[@id="box"]'
+        trace = WarrTrace(start_url=url("/"), commands=[
+            TypeCommand(box, "a", 65), TypeCommand(box, "b", 66),
+            HoverCommand(box), TypeCommand(box, "c", 67),
+        ])
+        browser = build_browser(developer_mode=True)
+        run = SessionEngine(browser).start(trace)
+        assert run.step(trace[0]).status == CommandResult.OK
+        assert run.step(trace[1]).status == CommandResult.OK
+        with pytest.raises(ReplayError):
+            run.step(trace[2])
+        assert len(run.report.results) == 2
+        assert browser.active_tab.renderer.engine.window.env.keys \
+            == [65, 66]
+
+    def test_a_handler_that_reparents_the_target_mid_keystroke(self):
+        field = '//div[@id="field"]'
+        trace = WarrTrace(start_url=url("/move"), commands=[
+            TypeCommand(field, key, ord(key.upper()), elapsed_ms=3)
+            for key in "abcd"])
+        outcomes = []
+        for enabled in (True, False):
+            with perf.fast_path(enabled):
+                report, env, _ = self._replay(
+                    trace, extra_routes={"/move": lambda request: MOVE_HTML},
+                    extra_scripts={"test.move": move_script})
+            outcomes.append(([(result.status, result.detail)
+                              for result in report.results],
+                             report.complete, env.log))
+        assert outcomes[0] == outcomes[1]
+        # The keypress after each move bubbles through the new parent.
+        log = outcomes[0][2]
+        # Each keystroke's keydown bubbles through the field's holder at
+        # the time; its handler moves the field, so every later event of
+        # that keystroke bubbles through the other holder.
+        expected = []
+        for before, after in (("a", "b"), ("b", "a")) * 2:
+            expected.append(("keydown", before))
+            expected += [(event_type, after) for event_type
+                         in ("keypress", "input", "keyup")]
+        assert [entry for entry in log if entry[1] in ("a", "b")] \
+            == expected
+        assert len(log) == 3 * len(expected)
+
+
 class TestCallsPerCommand:
     """Python calls per replayed command, counted by cProfile.
 
     The replay hot path's cost, checked without timing noise: the count
     is a property of the code, the same on any host and for any
-    ``PYTHONHASHSEED``. The trace is the Sites edit session with a fixed
-    390-character text (the shape of the benchmark's ``sites-long``
-    traces); it replays once to warm the page-template, XPath and
-    layout caches, then once under cProfile, the tracer and chaos off
-    and the garbage collector paused (a collection runs whatever GC
-    callbacks other modules installed). Run after other tests it reads
-    slightly more, about 0.2 in the full suite: the session's perf
-    snapshots walk every cache name the process has counted.
+    ``PYTHONHASHSEED``. Each trace replays once to warm the
+    page-template, XPath and layout caches, then once under cProfile,
+    the tracer and chaos off and the garbage collector paused (a
+    collection runs whatever GC callbacks other modules installed). Run
+    after other tests a count reads slightly more, about 0.2 in the
+    full suite: the session's perf snapshots walk every cache name the
+    process has counted.
 
-    ``BUDGET`` is the count measured when it was last lowered (49.31),
-    plus 3. To re-measure, run this test alone with ``-s``: it prints
-    the count. Lower the budget to the new count plus 3 after a change
-    that cuts calls.
+    Two traces, two budgets:
+
+    - the Sites edit session with a fixed 390-character text (the shape
+      of the benchmark's ``sites-long`` traces): keystrokes into a
+      contenteditable element;
+    - a GMail compose session replayed without id churn: clicks, and
+      keystrokes that edit the ``value`` of input fields as well as a
+      contenteditable body.
+
+    Each budget is the count measured when it was last lowered, plus 3
+    (``BUDGET``: 30.43; ``GMAIL_BUDGET``: 39.98). To re-measure,
+    run this class alone with ``-s``: it prints the counts. Lower a
+    budget to the new count plus 3 after a change that cuts calls.
     """
 
     TEXT = ("replay the recorded trace one keystroke at a time " * 8)[:390]
-    BUDGET = 52.3
+    BUDGET = 33.43
+    GMAIL_BUDGET = 42.98
 
-    def test_calls_per_replayed_command(self):
-        browser, _ = make_browser([SitesApplication])
+    @staticmethod
+    def _calls_per_command(app, start_url, session, **kwargs):
+        browser, _ = make_browser([app])
         recorder = WarrRecorder().attach(browser)
-        recorder.begin(SITES_URL + "/edit/home")
-        sites_edit_session(browser, text=self.TEXT)
+        recorder.begin(start_url)
+        session(browser, **kwargs)
         trace = recorder.trace
 
         def engine():
-            browser, _ = make_browser([SitesApplication], developer_mode=True)
+            browser, _ = make_browser([app], developer_mode=True)
             return SessionEngine(browser)
 
         assert engine().run(trace).complete
@@ -334,7 +469,27 @@ class TestCallsPerCommand:
             profile.disable()
             gc.enable()
         assert report.complete
-        assert len(report.results) == len(trace) == 392
-        calls = pstats.Stats(profile).total_calls / len(report.results)
+        assert len(report.results) == len(trace)
+        return pstats.Stats(profile).total_calls / len(trace), report
+
+    def test_calls_per_replayed_command(self):
+        calls, report = self._calls_per_command(
+            SitesApplication, SITES_URL + "/edit/home", sites_edit_session,
+            text=self.TEXT)
+        assert len(report.results) == 392
         print("calls per replayed command: %.2f" % calls)
         assert calls <= self.BUDGET
+
+    def test_calls_per_replayed_gmail_command(self):
+        calls, report = self._calls_per_command(
+            GmailApplication, GMAIL_URL + "/", gmail_compose_session,
+            to="ada@example.com", subject="replay at measurement scale",
+            body=self.TEXT[:200])
+        actions = {}
+        for result in report.results:
+            assert result.status == CommandResult.OK, result
+            actions[result.command.action] = \
+                actions.get(result.command.action, 0) + 1
+        assert actions == {"click": 5, "type": 242}
+        print("calls per replayed GMail command: %.2f" % calls)
+        assert calls <= self.GMAIL_BUDGET
