@@ -41,6 +41,12 @@ class WarrCommand:
     None). ``act`` is None for every other command (frame switches, and
     actions no replayer knows), which the session engine handles or
     rejects itself.
+
+    Commands are values: nothing edits one after it is made (a changed
+    command is a :meth:`copy`). Traces rely on it — a
+    :class:`~repro.core.trace.WarrTrace` memoizes its text keyed on its
+    commands' identities, so a command edited in place would leave every
+    trace holding it with stale text and a stale digest.
     """
 
     action = None

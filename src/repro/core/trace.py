@@ -6,6 +6,8 @@ value objects — WebErr's injectors derive mutated copies, never edit in
 place.
 """
 
+import hashlib
+
 from repro.core.commands import WarrCommand, parse_command_line
 from repro.util.errors import TraceFormatError
 
@@ -13,7 +15,22 @@ _MAGIC = "#! warr-trace v1"
 
 
 class WarrTrace:
-    """An ordered sequence of WaRR Commands with a start URL."""
+    """An ordered sequence of WaRR Commands with a start URL.
+
+    The commands are values: a command is never edited in place (a
+    changed command is a new one, made with
+    :meth:`~repro.core.commands.WarrCommand.copy`). The trace itself may
+    be edited — its list appended to or replaced, its label or start URL
+    reassigned — but only through those three attributes. That is what
+    lets :meth:`to_text` memoize: its text (and :meth:`digest`) is kept
+    under the key ``(start_url, label, tuple(commands))``, so any edit
+    of the list, label or URL serializes afresh, while a campaign that
+    replays the same trace object batch after batch serializes it once.
+    """
+
+    #: ``(key, text, digest)`` of the last serialization; the digest is
+    #: None until :meth:`digest` is asked for.
+    _text_memo = None
 
     def __init__(self, start_url="", commands=None, label=""):
         self.start_url = start_url
@@ -84,14 +101,34 @@ class WarrTrace:
     # -- serialization -----------------------------------------------------------
 
     def to_text(self):
-        """Serialize to the trace file format."""
+        """Serialize to the trace file format (memoized; see the class)."""
+        return self._memo()[1]
+
+    def digest(self):
+        """SHA-256 hex digest of :meth:`to_text`'s UTF-8, memoized with
+        the text: what a run journal binds each of its entries to."""
+        memo = self._memo()
+        if memo[2] is None:
+            memo = self._text_memo = (
+                memo[0], memo[1],
+                hashlib.sha256(memo[1].encode("utf-8")).hexdigest())
+        return memo[2]
+
+    def _memo(self):
+        # Comparing the key is one C-level pass: each command compares
+        # by identity first, so an unedited list never calls __eq__.
+        key = (self.start_url, self.label, tuple(self.commands))
+        memo = self._text_memo
+        if memo is not None and memo[0] == key:
+            return memo
         lines = [_MAGIC]
         if self.start_url:
             lines.append("#! url %s" % self.start_url)
         if self.label:
             lines.append("#! label %s" % self.label)
         lines.extend(command.to_line() for command in self.commands)
-        return "\n".join(lines) + "\n"
+        memo = self._text_memo = (key, "\n".join(lines) + "\n", None)
+        return memo
 
     @classmethod
     def from_text(cls, text):

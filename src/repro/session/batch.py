@@ -301,9 +301,9 @@ class BatchRunner:
                                      for index, trace in enumerate(traces)])
         if len(labels) != len(traces):
             raise ValueError("need one label per trace")
-        journal, finished, texts = None, {}, None
+        journal, finished = None, {}
         if self.journal is not None:
-            journal, finished, texts = self._open_journal(traces, labels)
+            journal, finished = self._open_journal(traces, labels)
         remaining = [index for index in range(len(traces))
                      if index not in finished]
         halt = self.failure is not None \
@@ -315,8 +315,7 @@ class BatchRunner:
                 outcomes = self._execute(
                     [traces[i] for i in remaining],
                     [labels[i] for i in remaining], trace_dir is not None,
-                    hooks,
-                    None if texts is None else [texts[i] for i in remaining])
+                    hooks)
             # A drain raised after the last admission still counts,
             # though no admission was left to ask the gate.
             hooks.drain_requested()
@@ -337,35 +336,23 @@ class BatchRunner:
     def _open_journal(self, traces, labels):
         """Create or resume the run journal.
 
-        Returns ``(journal, finished, texts)``: the open journal, the
-        finish records of traces a resumed run already completed (by
-        submission index), and every trace's serialized text.
+        Returns ``(journal, finished)``: the open journal and the finish
+        records of traces a resumed run already completed (by
+        submission index). Each trace's digest comes from its text memo
+        (:meth:`~repro.core.trace.WarrTrace.digest`), so a campaign
+        replaying the same trace objects serializes and hashes each
+        once, and the pool's task text is the same string.
         """
-        # Each trace is serialized once per run: its digest and the
-        # pool's task text share the string. One trace object fanned
-        # out across many labels (the common stress-batch shape)
-        # serializes and hashes once, not once per label.
-        memo = {}
-        texts = []
-        digests = []
-        for trace in traces:
-            known = memo.get(id(trace))
-            if known is None:
-                text = trace.to_text()
-                known = memo[id(trace)] = (text,
-                                           run_journal.trace_digest(text))
-            texts.append(known[0])
-            digests.append(known[1])
+        digests = [trace.digest() for trace in traces]
         config = run_journal.batch_config(labels, digests, self.mode)
         if not (self.resume and os.path.exists(self.journal)):
-            return run_journal.RunJournal.create(self.journal, config), \
-                {}, texts
+            return run_journal.RunJournal.create(self.journal, config), {}
         journal, snapshot = run_journal.RunJournal.resume(
             self.journal, labels, digests, config=config)
         finished = {index: record for index, record
                     in snapshot.finish_by_index().items()
                     if index < len(traces)}
-        return journal, finished, texts
+        return journal, finished
 
     def _assemble(self, traces, labels, finished, outcomes, halt):
         """The BatchReport, in submission order.
@@ -438,18 +425,16 @@ class BatchRunner:
             "retry": self.retry,
         }
 
-    def _execute(self, traces, labels, traced, hooks, texts=None):
+    def _execute(self, traces, labels, traced, hooks):
         """Run the batch; returns its PoolOutcomes.
 
         A pooled batch goes to the pool first. Then the serial loop runs
         every outcome with no final state: the whole of a serial batch,
         or what a tripped breaker handed back (each of those traces'
         START is in the pool's admission commit and is journaled again).
-        ``texts`` are the traces' serialized texts when the caller
-        already made them.
         """
         if self.mode == "pooled":
-            outcomes = self._run_pooled(traces, labels, traced, hooks, texts)
+            outcomes = self._run_pooled(traces, labels, traced, hooks)
         else:
             outcomes = [PoolOutcome(position, label)
                         for position, label in enumerate(labels)]
@@ -494,7 +479,7 @@ class BatchRunner:
                 outcome.worker_id = None
                 hooks.finish(outcome)
 
-    def _run_pooled(self, traces, labels, traced, hooks, texts=None):
+    def _run_pooled(self, traces, labels, traced, hooks):
         """Run the batch on the pool; returns its outcomes, some of them
         handed back if the breaker tripped."""
         pool = self.pool or WorkerPool(self.browser_factory, self.workers)
@@ -511,8 +496,7 @@ class BatchRunner:
                 tracing=traced and (self.trace_categories or True),
                 engine_config=self._engine_config(),
                 trace_timeout=self.trace_timeout, tape=self.tape,
-                on_outcome=hooks.finish, drain=hooks.drain_requested,
-                texts=texts)
+                on_outcome=hooks.finish, drain=hooks.drain_requested)
         finally:
             if pool is not self.pool:
                 pool.close()

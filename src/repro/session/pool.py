@@ -29,8 +29,10 @@ keeps the containment semantics and deletes the overhead:
   varint-packed, no trace text, one byte per command the trace already
   holds); the pipe carries that blob, the run journal stores it
   verbatim, and the parent decodes it once, against its own trace
-  object, as it arrives. Workers keep a bounded cache of parsed traces,
-  so a campaign replaying the same traces parses each once per worker.
+  object, as it arrives. A task carries the trace's memoized
+  :meth:`~repro.core.trace.WarrTrace.to_text` and workers cache parsed
+  traces, so a campaign serializes each trace once and parses it once
+  per worker.
   Telemetry slices (tracing runs only) ride alongside as raw
   packed ring-buffer records plus the worker's string-intern tables
   (:meth:`~repro.telemetry.packed.PackedRingBuffer.wire_slice`).
@@ -450,18 +452,16 @@ class _WorkerHandle:
 class _BatchState:
     """Book-keeping and dispatch parameters for one ``run()`` call."""
 
-    __slots__ = ("batch_id", "tasks", "texts", "config", "trace_timeout",
+    __slots__ = ("batch_id", "tasks", "config", "trace_timeout",
                  "on_outcome", "drain", "outcomes", "done", "pending",
                  "failed_on")
 
-    def __init__(self, batch_id, tasks, texts=None, tracing=False,
+    def __init__(self, batch_id, tasks, tracing=False,
                  engine_config=None, trace_timeout=None, tape=None,
                  on_outcome=None, drain=None):
         self.batch_id = batch_id
-        #: ``(label, trace)`` pairs and each trace's text, in order.
+        #: ``(label, trace)`` pairs, in order.
         self.tasks = tasks
-        self.texts = (texts if texts is not None
-                      else [trace.to_text() for _, trace in tasks])
         #: The policies every task carries, pickled once (which also
         #: fails fast in the parent on an unpicklable one).
         self.config = pickle.dumps((tracing or False, engine_config, tape))
@@ -644,8 +644,7 @@ class WorkerPool:
     # -- batch execution -----------------------------------------------------
 
     def run(self, tasks, tracing=False, engine_config=None,
-            trace_timeout=None, tape=None, on_outcome=None, drain=None,
-            texts=None):
+            trace_timeout=None, tape=None, on_outcome=None, drain=None):
         """Replay every ``(label, trace)`` task; returns
         ``(outcomes, dropped_events)`` with outcomes in input order.
 
@@ -654,11 +653,9 @@ class WorkerPool:
         and the caller must run it (``BatchRunner``'s serial loop does).
         It keeps its ``attempts``.
 
-        Each outcome's report is decoded against the task's own trace
-        object as its result arrives. ``texts`` supplies each trace's
-        serialized text when the caller already holds it (the journaled
-        batch runner digests the same strings); otherwise the pool
-        serializes each trace once.
+        A trace goes out as its memoized ``to_text()``. Each outcome's
+        report is decoded against the task's own trace object as its
+        result arrives.
 
         May be called repeatedly on a live pool — workers, their
         imported modules, and their browser factories stay warm between
@@ -678,9 +675,9 @@ class WorkerPool:
         polled: a flag raised while the parent waits is seen at the
         next result, which the traces workers hold send anyway.
         """
-        batch = _BatchState(self._next_batch_id, list(tasks), texts,
-                            tracing, engine_config, trace_timeout, tape,
-                            on_outcome, drain)
+        batch = _BatchState(self._next_batch_id, list(tasks), tracing,
+                            engine_config, trace_timeout, tape, on_outcome,
+                            drain)
         self._next_batch_id += 1
         if not batch.tasks:
             return batch.outcomes, 0
@@ -730,8 +727,9 @@ class WorkerPool:
             if not handle.assigned:
                 handle.since = time.monotonic()
             handle.assigned.append(index)
-            handle.tasks.put((batch.batch_id, batch.tasks[index][0],
-                              batch.texts[index], batch.config))
+            label, trace = batch.tasks[index]
+            handle.tasks.put((batch.batch_id, label, trace.to_text(),
+                              batch.config))
 
     # -- event handling -----------------------------------------------------
 

@@ -24,6 +24,14 @@ Format (version tag ``WR3``):
   name-ref/hits/misses/rate records; hit rates are carried as raw IEEE
   doubles so decoded floats are bit-identical to the encoder's.
 
+Each side pays for a report's distinct content: the encoder writes a
+repeated error triple, and a repeat of the last clean five-byte result
+record, by copying its bytes; the decoder reads every
+result's fields inline, decodes a repeat of the last clean five-byte
+result record by one comparison, and builds one :class:`RemoteError`
+per distinct triple, shared by every field that repeats it (nothing
+raises or edits a decoded error).
+
 :func:`decode_report` is the inverse of :func:`encode_report` given the
 same trace: ``decode_report(encode_report(r), r.trace).to_dict() ==
 r.to_dict()`` — the oracle the wire tests check. Every malformed blob
@@ -31,6 +39,7 @@ raises :class:`WireError` with a message naming the defect.
 """
 
 import struct
+import sys
 
 from repro.session.report import CommandResult, RemoteError, ReplayReport
 from repro.util.errors import TraceFormatError, classify
@@ -71,20 +80,32 @@ def _write_varint(out, value):
             return
 
 
-def _read_varint(blob, pos):
-    result = 0
-    shift = 0
+def _varint(blob, pos):
+    """The varint at ``pos`` and the position after it (bounds are the
+    caller's ``IndexError``)."""
+    byte = blob[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    result = byte & 0x7F
+    shift = 7
     while True:
-        if pos >= len(blob):
-            raise WireError("truncated varint")
-        byte = blob[pos]
         pos += 1
+        byte = blob[pos]
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
-            return result, pos
+            return result, pos + 1
         shift += 7
         if shift > 63:
             raise WireError("varint too long")
+
+
+def _read_varint(blob, pos):
+    """:func:`_varint` for other decoders: a read past the end raises
+    ``WireError("truncated varint")``."""
+    try:
+        return _varint(blob, pos)
+    except IndexError:
+        raise WireError("truncated varint") from None
 
 
 class BodyReader:
@@ -173,27 +194,37 @@ class _StringTable:
 # -- encoding -----------------------------------------------------------------
 
 
-def _encode_error(out, ref, error):
-    """An error triple (type/message/severity) or the None marker."""
+def _encode_error(out, ref, error, chunks):
+    """An error triple (type/message/severity) or the None marker.
+
+    ``chunks`` maps each triple this report has encoded to its bytes, so
+    a repeated error (one page error per keystroke under a timing bug)
+    is three attribute reads and one copy.
+    """
     if error is None:
         out.append(0)
         return
-    out.append(1)
-    _write_varint(out, ref(getattr(error, "type_name", None)
-                           or type(error).__name__))
-    _write_varint(out, ref(str(error)))
-    _write_varint(out, ref(classify(error)))
+    key = (getattr(error, "type_name", None) or type(error).__name__,
+           str(error), classify(error))
+    chunk = chunks.get(key)
+    if chunk is None:
+        chunk = bytearray(b"\x01")
+        for text in key:
+            _write_varint(chunk, ref(text))
+        chunk = chunks[key] = bytes(chunk)
+    out += chunk
 
 
 def encode_report(report):
     """Pack a :class:`ReplayReport` into one WR3 blob (no trace text)."""
     table = _StringTable()
     ref = table.ref
+    chunks = {}
     body = bytearray()
     append = body.append
     append(1 if report.halted else 0)
     _write_varint(body, ref(report.halt_reason))
-    _encode_error(body, ref, report.halt_error)
+    _encode_error(body, ref, report.halt_error, chunks)
     _write_varint(body, ref(report.final_url))
     _write_varint(body, report.recoveries)
     fidelity = report.net_fidelity
@@ -205,22 +236,36 @@ def encode_report(report):
     _write_varint(body, len(results))
     status_code = _STATUS_CODE
     # One-byte varints are appended inline: this loop runs once per
-    # replayed command, and most of its fields are small.
+    # replayed command, and most of its fields are small. A clean
+    # replay's results repeat one five-byte record (the trace's own
+    # command, one status and detail, no retries, no error): ``record``
+    # is the last such record written, for the ``status``, ``detail``
+    # and ``retries`` it was written from, and a repeat is one copy.
+    record = status = detail = retries = None
     for position, result in enumerate(results):
         command = result.command
-        if position < count and command is commands[position]:
+        positional = position < count and command is commands[position]
+        if record is not None and positional and result.error is None \
+                and result.status == status and result.detail == detail \
+                and result.retries == retries:
+            body += record
+            continue
+        start = len(body)
+        if positional:
             append(0)
         else:
             _write_varint(body, ref(command.to_line()))
-        code = status_code.get(result.status, _STATUS_OTHER)
+        status = result.status
+        code = status_code.get(status, _STATUS_OTHER)
         append(code)
         if code == _STATUS_OTHER:
-            _write_varint(body, ref(result.status))
-        detail = ref(result.detail)
-        if detail < 0x80:
-            append(detail)
+            _write_varint(body, ref(status))
+        detail = result.detail
+        detail_ref = ref(detail)
+        if detail_ref < 0x80:
+            append(detail_ref)
         else:
-            _write_varint(body, detail)
+            _write_varint(body, detail_ref)
         retries = result.retries
         if retries < 0x80:
             append(retries)
@@ -228,12 +273,17 @@ def encode_report(report):
             _write_varint(body, retries)
         if result.error is None:
             append(0)
+            if positional and len(body) - start == 5:
+                record = body[start:]
+            else:
+                record = None
         else:
-            _encode_error(body, ref, result.error)
+            _encode_error(body, ref, result.error, chunks)
+            record = None
     page_errors = report.page_errors
     _write_varint(body, len(page_errors))
     for error in page_errors:
-        _encode_error(body, ref, error)
+        _encode_error(body, ref, error, chunks)
     counters = report.perf_counters
     _write_varint(body, len(counters))
     for name in sorted(counters):
@@ -267,9 +317,10 @@ def decode_report(blob, trace):
     ``trace`` is the trace the report was replayed from; positional
     command references resolve to its command objects. Decoding runs
     once per pooled trace as its result arrives, and once per journaled
-    trace on resume, so it is a flat loop over local state: varints take
-    a one-byte fast path, and bounds are enforced by the interpreter's
-    own ``IndexError`` on ``blob[pos]`` rather than a check per byte.
+    trace on resume, so it is a flat loop over local state: a result's
+    one-byte fields are read inline, repeated records and error triples
+    are decoded once, and bounds are enforced by the interpreter's own
+    ``IndexError`` on ``blob[pos]`` rather than a check per byte.
     """
     if not isinstance(blob, (bytes, bytearray, memoryview)):
         raise WireError("wire payload must be bytes, got %s"
@@ -292,88 +343,114 @@ def decode_report(blob, trace):
     return report
 
 
+def _string(blob, pos, strings):
+    """A string reference (0 is None, otherwise a 1-based index into
+    ``strings``) and the position after it."""
+    ref, pos = _varint(blob, pos)
+    if ref == 0:
+        return None, pos
+    if ref > len(strings):
+        raise WireError("string reference %d outside table of %d"
+                        % (ref, len(strings)))
+    return strings[ref - 1], pos
+
+
+def _flag(blob, pos, what):
+    byte = blob[pos]
+    if byte > 1:
+        raise WireError("bad %s flag %d" % (what, byte))
+    return byte, pos + 1
+
+
+def _error(blob, pos, strings, errors):
+    """The error flag, then (flag 1) the type/message/severity refs; and
+    the position after them.
+
+    A report's errors repeat (one page error per keystroke under a
+    timing bug), so each distinct triple is decoded once and its
+    :class:`RemoteError` shared by every field that repeats it.
+    ``errors`` holds the report's triples whose three refs are one byte
+    each, by those three bytes.
+    """
+    byte = blob[pos]
+    if byte == 0:
+        return None, pos + 1
+    if byte != 1:
+        raise WireError("bad error flag %d" % byte)
+    pos += 1
+    key = blob[pos:pos + 3]
+    if key in errors:
+        return errors[key], pos + 3
+    start = pos
+    type_name, pos = _string(blob, pos, strings)
+    message, pos = _string(blob, pos, strings)
+    severity, pos = _string(blob, pos, strings)
+    error = RemoteError(message, type_name=type_name, severity=severity)
+    if pos - start == 3:
+        errors[key] = error
+    return error, pos
+
+
 def _decode_payload(blob, pos, trace):
     strings = []
-
-    def varint():
-        nonlocal pos
-        byte = blob[pos]
-        pos += 1
-        if byte < 0x80:
-            return byte
-        result = byte & 0x7F
-        shift = 7
-        while True:
-            byte = blob[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise WireError("varint too long")
-
-    def string():
-        """A string reference: 0 is None, otherwise 1-based table index."""
-        ref = varint()
-        if ref == 0:
-            return None
-        if ref > len(strings):
-            raise WireError("string reference %d outside table of %d"
-                            % (ref, len(strings)))
-        return strings[ref - 1]
-
-    def flag(what):
-        nonlocal pos
-        byte = blob[pos]
-        pos += 1
-        if byte > 1:
-            raise WireError("bad %s flag %d" % (what, byte))
-        return byte
-
-    def error():
-        if not flag("error"):
-            return None
-        type_name = string()
-        message = string()
-        return RemoteError(message, type_name=type_name, severity=string())
-
-    for index in range(varint()):
-        length = varint()
-        if pos + length > len(blob):
+    count, pos = _varint(blob, pos)
+    for index in range(count):
+        length, pos = _varint(blob, pos)
+        end = pos + length
+        if end > len(blob):
             raise WireError("truncated payload")
         try:
-            strings.append(blob[pos:pos + length].decode("utf-8"))
+            strings.append(blob[pos:end].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise WireError("string %d is not valid UTF-8 (%s)"
                             % (index + 1, exc.reason))
-        pos += length
+        pos = end
 
+    errors = {}
     report = ReplayReport(trace)
-    report.halted = bool(flag("halted"))
-    report.halt_reason = string()
-    report.halt_error = error()
-    report.final_url = string()
-    report.recoveries = varint()
-    report.net_fidelity = {key: varint() for key in _NET_FIDELITY_KEYS}
+    halted, pos = _flag(blob, pos, "halted")
+    report.halted = bool(halted)
+    report.halt_reason, pos = _string(blob, pos, strings)
+    report.halt_error, pos = _error(blob, pos, strings, errors)
+    report.final_url, pos = _string(blob, pos, strings)
+    report.recoveries, pos = _varint(blob, pos)
+    fidelity = report.net_fidelity = {}
+    for key in _NET_FIDELITY_KEYS:
+        fidelity[key], pos = _varint(blob, pos)
     commands = trace.commands
-    count = len(commands)
+    n_commands = len(commands)
     n_strings = len(strings)
     statuses = _STATUSES
     n_statuses = len(statuses)
-    results = []
-    for position in range(varint()):
-        # Inline the command reference and the one-byte status code —
-        # per-result overhead is what decode time is made of.
-        byte = blob[pos]
-        pos += 1
-        ref = byte if byte < 0x80 else (byte & 0x7F) | (varint() << 7)
+    results = report.results
+    append = results.append
+    count, pos = _varint(blob, pos)
+    # Each result's fields are read inline, the way encode_report
+    # writes them: a one-byte varint is the byte itself, and only a
+    # longer one goes through _varint. A clean replay's results repeat
+    # one five-byte record (the trace's own command, one status and
+    # detail, no retries, no error); ``same`` holds the last such record
+    # decoded, whose status, detail and retries are still bound, so a
+    # repeat costs one comparison.
+    same = None
+    for position in range(count):
+        if blob[pos:pos + 5] == same and position < n_commands:
+            pos += 5
+            append(CommandResult(commands[position], status, detail, None,
+                                 retries))
+            continue
+        start = pos
+        ref = blob[pos]
+        if ref < 0x80:
+            pos += 1
+        else:
+            ref, pos = _varint(blob, pos)
         if ref == 0:
-            if position >= count:
+            if position >= n_commands:
                 raise WireError(
                     "result %d refers to the trace's command at its "
                     "position, but the trace has %d command(s)"
-                    % (position, count))
+                    % (position, n_commands))
             command = commands[position]
         else:
             if ref > n_strings:
@@ -385,24 +462,58 @@ def _decode_payload(blob, pos, trace):
         if code < n_statuses:
             status = statuses[code]
         elif code == _STATUS_OTHER:
-            status = string()
+            status, pos = _string(blob, pos, strings)
         else:
             raise WireError("unknown status code %d" % code)
-        results.append(CommandResult(command, status, detail=string(),
-                                     retries=varint(), error=error()))
-    report.results = results
-    report.page_errors = [error() for _ in range(varint())]
-    counters = {}
-    for _ in range(varint()):
-        name = string()
-        hits = varint()
-        misses = varint()
+        ref = blob[pos]
+        if ref < 0x80:
+            pos += 1
+        else:
+            ref, pos = _varint(blob, pos)
+        if ref == 0:
+            detail = None
+        elif ref > n_strings:
+            raise WireError("string reference %d outside table of %d"
+                            % (ref, n_strings))
+        else:
+            detail = strings[ref - 1]
+        retries = blob[pos]
+        if retries < 0x80:
+            pos += 1
+        else:
+            retries, pos = _varint(blob, pos)
+        if blob[pos] == 0:
+            pos += 1
+            append(CommandResult(command, status, detail, None, retries))
+            if pos - start == 5 and blob[start] == 0:
+                same = blob[start:pos]
+            else:
+                same = None
+        else:
+            error, pos = _error(blob, pos, strings, errors)
+            append(CommandResult(command, status, detail, error, retries))
+            same = None
+    page_errors = report.page_errors
+    count, pos = _varint(blob, pos)
+    for _ in range(count):
+        error, pos = _error(blob, pos, strings, errors)
+        page_errors.append(error)
+    counters = report.perf_counters
+    count, pos = _varint(blob, pos)
+    for _ in range(count):
+        name, pos = _string(blob, pos, strings)
+        if name is not None:
+            # Cache names are a small fixed set; interned, the decoded
+            # reports a campaign keeps share one copy of each.
+            name = sys.intern(name)
+        hits, pos = _varint(blob, pos)
+        misses, pos = _varint(blob, pos)
         rate = None
-        if flag("hit-rate"):
+        flag, pos = _flag(blob, pos, "hit-rate")
+        if flag:
             rate = _DOUBLE.unpack_from(blob, pos)[0]
             pos += 8
         counters[name] = {"hits": hits, "misses": misses, "hit_rate": rate}
-    report.perf_counters = counters
     return report, pos
 
 

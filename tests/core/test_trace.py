@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.commands import ClickCommand, TypeCommand
 from repro.core.trace import WarrTrace
+from repro.session.journal import trace_digest
 from repro.util.errors import TraceFormatError
+from repro.weberr.grammar import Grammar, Rule, Terminal
+from repro.weberr.navigation import NavigationErrorInjector
+from repro.weberr.timing import TimingErrorInjector
 
 
 def sample_trace():
@@ -140,3 +144,96 @@ class TestEquality:
     def test_relabelled_copy_is_equal(self):
         trace = sample_trace()
         assert trace.copy(label="renamed") == trace
+
+
+def fresh_text(trace):
+    """``trace`` serialized by a trace object that has no memo yet."""
+    return WarrTrace(trace.start_url, trace.commands, trace.label).to_text()
+
+
+class TestTextMemo:
+    """``to_text`` is memoized on the trace; no edit may see stale text."""
+
+    def check(self, trace):
+        text = trace.to_text()
+        assert text == fresh_text(trace)
+        assert WarrTrace.from_text(text) == trace
+        assert trace.digest() == trace_digest(text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda trace: trace.append(ClickCommand("//b", x=1, y=2)),
+        lambda trace: trace.commands.append(ClickCommand("//b", x=1, y=2)),
+        lambda trace: trace.commands.pop(),
+        lambda trace: trace.commands.__setitem__(
+            slice(1, 3), [TypeCommand("//p", key="x", code=88)]),
+        lambda trace: trace.commands.__setitem__(
+            0, trace.commands[0].copy(elapsed_ms=7)),
+        lambda trace: trace.commands.reverse(),
+        lambda trace: setattr(trace, "commands", []),
+        lambda trace: setattr(trace, "label", "renamed"),
+        lambda trace: setattr(trace, "label", ""),
+        lambda trace: setattr(trace, "start_url", "http://elsewhere/"),
+    ], ids=["append", "list-append", "pop", "slice-assign", "item-assign",
+            "reverse", "commands-replaced", "relabel", "unlabel", "url"])
+    def test_edit_reserializes(self, edit):
+        trace = sample_trace()
+        before = trace.to_text()
+        digest = trace.digest()
+        edit(trace)
+        self.check(trace)
+        assert trace.to_text() != before
+        assert trace.digest() != digest
+
+    def test_unedited_trace_serializes_once(self):
+        trace = sample_trace()
+        assert trace.to_text() is trace.to_text()
+        assert trace.digest() == trace_digest(trace.to_text())
+
+    def test_equal_commands_swapped_in_keep_the_text(self):
+        # A command replaced by an equal copy serializes the same.
+        trace = sample_trace()
+        before = trace.to_text()
+        trace.commands[0] = trace.commands[0].copy()
+        assert trace.to_text() == before == fresh_text(trace)
+
+    @pytest.mark.parametrize("derive", [
+        lambda trace: trace.copy(),
+        lambda trace: trace.copy(label="other"),
+        lambda trace: trace[1:],
+        lambda trace: trace.with_delays_scaled(0),
+        lambda trace: trace.with_delays_scaled(0.5),
+        lambda trace: trace.with_delays_fixed(3),
+        lambda trace: TimingErrorInjector(trace).no_wait()[1],
+        lambda trace: TimingErrorInjector(trace).rush_command(2)[1],
+    ], ids=["copy", "relabelled-copy", "slice", "no-wait", "half-delays",
+            "fixed-delays", "weberr-no-wait", "weberr-rush"])
+    def test_derived_trace_has_its_own_text(self, derive):
+        trace = sample_trace()
+        before = trace.to_text()
+        derived = derive(trace)
+        self.check(derived)
+        # Editing the derivation leaves the original's text alone.
+        derived.append(ClickCommand("//late", x=0, y=0))
+        derived.label = "derived"
+        self.check(derived)
+        assert trace.to_text() == before == fresh_text(trace)
+
+    def test_weberr_navigation_variants(self):
+        grammar = Grammar("Task", start_url="http://x/")
+        grammar.add_rule(Rule("Task", ["Click", "Type"]))
+        grammar.add_rule(Rule("Click", [
+            Terminal(ClickCommand("//one", x=0, y=0)),
+            Terminal(ClickCommand("//two", x=0, y=0))]))
+        grammar.add_rule(Rule("Type", [
+            Terminal(TypeCommand("//field", key="h", code=72)),
+            Terminal(TypeCommand("//field", key="i", code=73))]))
+        original = grammar.to_trace()
+        before = original.to_text()
+        injector = NavigationErrorInjector(grammar)
+        variants = (list(injector.forget_variants())
+                    + list(injector.reorder_variants())
+                    + list(injector.typo_variants()))
+        assert variants
+        for _, variant in variants:
+            self.check(variant.to_trace())
+        assert original.to_text() == before == fresh_text(original)

@@ -13,13 +13,20 @@ The durability story rests on three properties pinned here:
    the journal's exactly-once audit holding across the splice.
 """
 
+import cProfile
+import gc
 import os
+import pstats
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.framework import make_browser
+from repro.apps.gmail import GmailApplication
+from repro.apps.sites import SitesApplication
+from repro.core.recorder import WarrRecorder
 from repro.session import journal as run_journal
 from repro.session.batch import BatchRunner
 from repro.session.journal import (
@@ -39,6 +46,12 @@ from repro.core.trace import WarrTrace
 from repro.session.policies import TimingPolicy
 from repro.session.report import CommandResult, ReplayReport
 from repro.session.wire import encode_report
+from repro.workloads.sessions import (
+    GMAIL_URL,
+    SITES_URL,
+    gmail_compose_session,
+    sites_edit_session,
+)
 from tests.session.test_batch import factory, record_trace
 
 SMALL_TRACE = WarrTrace("http://x/", [parse_command_line("click //a 5,5 0")])
@@ -520,6 +533,19 @@ class TestJournaledBatch:
         assert all(result.command is command for result, command
                    in zip(run.report.results, traces[0]))
 
+    def test_trace_edited_in_place_between_batches_fails_resume(
+            self, tmp_path):
+        # The digest guard reads each trace's text memo; an edit of the
+        # very trace object the first batch ran must still be caught.
+        path = str(tmp_path / "run.wj2")
+        traces = [record_trace("one"), record_trace("two")]
+        labels = ["one", "two"]
+        self._runner(journal=path).run(traces, labels=labels)
+        traces[1].commands[1:2] = []
+        with pytest.raises(JournalError, match="'two'.*digest"):
+            self._runner(journal=path, resume=True).run(traces,
+                                                        labels=labels)
+
     def test_resume_without_existing_journal_starts_fresh(self, tmp_path):
         path = str(tmp_path / "run.wj2")
         traces = [record_trace("solo")]
@@ -565,3 +591,96 @@ class TestOldJournals:
         out = io.StringIO()
         main(["journal", path], out=out)
         assert "exactly-once: yes" in out.getvalue().splitlines()
+
+
+def _record(app, start_url, session, **kwargs):
+    browser, _ = make_browser([app])
+    recorder = WarrRecorder().attach(browser)
+    recorder.begin(start_url)
+    session(browser, **kwargs)
+    return recorder.trace
+
+
+def _sites_and_gmail():
+    browser, _ = make_browser([SitesApplication, GmailApplication],
+                              developer_mode=True)
+    return browser
+
+
+class TestCallsPerResume:
+    """Python calls per resumed trace, counted by cProfile.
+
+    Resume's cost, checked without timing noise: the count is a
+    property of the code, the same on any host and for any
+    ``PYTHONHASHSEED``. A serial batch journals the traces, one resume
+    warms the path, and a second resume runs under cProfile with the
+    garbage collector paused. The count covers everything resume does:
+    the journal read and its config check, each trace's digest (from
+    its text memo), and decoding every finish record's WR3 blob.
+
+    Two journal shapes, two budgets:
+
+    - the ``farm`` benchmark's: Sites edit and GMail compose traces
+      replayed with recorded timing, 12 of them (no page errors);
+    - ``bench_resilience``'s: 12 copies of a Sites edit trace replayed
+      under ``no_wait``, so each report holds 242 results and 242
+      ``editorState`` page errors.
+
+    Each budget is the count measured when it was last lowered, plus 20
+    (``FARM_BUDGET``: 581.67; ``ERRORS_BUDGET``: 1183.67), well under
+    one call per result. To re-measure, run this class alone with
+    ``-s``: it prints the counts. Lower a budget to the new count plus
+    20 after a change that cuts calls.
+    """
+
+    TEXT = ("replay the recorded trace one keystroke at a time " * 8)[:240]
+    FARM_BUDGET = 601.67
+    ERRORS_BUDGET = 1203.67
+
+    @staticmethod
+    def _calls_per_resume(tmp_path, traces, timing=None):
+        path = str(tmp_path / "resume.wj2")
+        labels = ["trace-%d" % index for index in range(len(traces))]
+
+        def runner(resume):
+            return BatchRunner(_sites_and_gmail, timing=timing, journal=path,
+                               resume=resume)
+
+        assert runner(False).run(traces, labels=labels).complete
+        assert runner(True).run(traces, labels=labels).resumed_count \
+            == len(traces)
+        resume = runner(True)
+        profile = cProfile.Profile()
+        gc.disable()
+        profile.enable()
+        try:
+            batch = resume.run(traces, labels=labels)
+        finally:
+            profile.disable()
+            gc.enable()
+        assert batch.complete and batch.resumed_count == len(traces)
+        return pstats.Stats(profile).total_calls / len(traces), batch
+
+    def test_calls_per_resumed_farm_trace(self, tmp_path):
+        sites = _record(SitesApplication, SITES_URL + "/edit/home",
+                        sites_edit_session, text=self.TEXT)
+        gmail = _record(GmailApplication, GMAIL_URL + "/",
+                        gmail_compose_session, to="ada@example.com",
+                        subject="resume", body=self.TEXT[:120])
+        calls, batch = self._calls_per_resume(tmp_path, [sites, gmail] * 6)
+        assert [len(run.report.results) for run in batch.runs[:2]] \
+            == [len(sites), len(gmail)]
+        assert batch.page_error_count == 0
+        print("calls per resumed farm trace: %.2f" % calls)
+        assert calls <= self.FARM_BUDGET
+
+    def test_calls_per_resumed_trace_with_page_errors(self, tmp_path):
+        sites = _record(SitesApplication, SITES_URL + "/edit/home",
+                        sites_edit_session, text="x" * 240)
+        calls, batch = self._calls_per_resume(
+            tmp_path, [sites] * 12, timing=TimingPolicy.no_wait())
+        report = batch.runs[0].report
+        assert len(report.results) == 242
+        assert len(report.page_errors) == 242
+        print("calls per resumed trace with 242 page errors: %.2f" % calls)
+        assert calls <= self.ERRORS_BUDGET

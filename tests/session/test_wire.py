@@ -177,6 +177,60 @@ class TestRoundTrip:
         assert [e.type_name for e in decoded.page_errors] \
             == ["ScriptError", "ValueError"]
 
+    def test_repeated_records_with_changes_between(self):
+        # Runs of one record, broken by records that differ in each
+        # field; every decoded result keeps its own values.
+        trace = WarrTrace("http://x/", [TRACE[i % 4] for i in range(12)])
+        fields = [("ok", ""), ("ok", ""), ("ok", "relaxed"), ("ok", ""),
+                  ("relaxed", ""), ("relaxed", ""), ("ok", None),
+                  ("ok", None), ("ok", ""), ("ok", ""), ("ok", ""),
+                  ("ok", "")]
+        results = [CommandResult(trace[i], status, detail)
+                   for i, (status, detail) in enumerate(fields)]
+        results[3].retries = 2
+        results[9] = CommandResult(trace[9], CommandResult.FAILED,
+                                   "no match", error=ReplayError("once"))
+        # Two equal records whose command is not the trace's own.
+        off_trace = parse_command_line("drag //div 3,4 0")
+        for index in (10, 11):
+            results[index] = CommandResult(off_trace, "ok", "")
+        decoded = round_trip(report_on(trace=trace, results=results))
+        assert [(r.status, r.detail, r.retries, r.error is None)
+                for r in decoded.results] \
+            == [(r.status, r.detail, r.retries, r.error is None)
+                for r in results]
+        assert all(mine.command is theirs for mine, theirs
+                   in zip(decoded.results[:10], trace))
+
+    def test_page_errors_repeating_one_triple(self):
+        # The timing-bug shape: one error per keystroke, all alike, plus
+        # a result error and a halt error with the same triple.
+        def bug():
+            return RemoteError("editorState is not defined",
+                               type_name="ReferenceError",
+                               severity="permanent")
+
+        report = report_on(
+            results=[CommandResult(TRACE[0], CommandResult.FAILED,
+                                   error=bug()),
+                     CommandResult(TRACE[1], CommandResult.OK)],
+            page_errors=[bug() for _ in range(5)] + [ValueError("other")]
+            + [bug()],
+            halted=True, halt_reason="boom", halt_error=bug())
+        blob = encode_report(report)
+        assert blob.count(b"editorState") == 1
+        decoded = round_trip(report)
+        assert encode_report(decoded) == blob
+        errors = decoded.page_errors
+        assert [str(error) for error in errors] \
+            == ["editorState is not defined"] * 5 + ["other"] \
+            + ["editorState is not defined"]
+        # Each distinct triple is decoded once and shared.
+        assert all(error is errors[0] for error in errors[1:5])
+        assert errors[6] is errors[0] is decoded.results[0].error \
+            is decoded.halt_error
+        assert errors[5].type_name == "ValueError"
+
     def test_command_not_the_trace_command_at_its_position(self):
         swapped = TRACE[3]
         lookalike = TRACE[1].copy()
@@ -309,6 +363,61 @@ class TestMalformedPayloads:
     def test_magic_is_versioned(self):
         assert MAGIC == b"WR3"
         assert encode_report(report_on()).startswith(MAGIC)
+
+    #: One positional result: command 0, status ok, then ``tail``.
+    @staticmethod
+    def one_result(tail, strings=()):
+        return frame(list(strings), HEAD + [1, 0, 0] + list(tail))
+
+    def test_result_error_flag_of_two(self):
+        blob = self.one_result([0, 0, 2, 0, 0])
+        with pytest.raises(WireError, match="bad error flag 2"):
+            decode_report(blob, TRACE)
+
+    def test_detail_reference_past_the_string_table(self):
+        blob = self.one_result([5, 0, 0, 0, 0], strings=[b"x"])
+        with pytest.raises(WireError,
+                           match="string reference 5 outside table of 1"):
+            decode_report(blob, TRACE)
+
+    def test_multibyte_detail_reference_past_the_string_table(self):
+        blob = self.one_result([0x80, 0x01, 0, 0, 0, 0])
+        with pytest.raises(WireError,
+                           match="string reference 128 outside table of 0"):
+            decode_report(blob, TRACE)
+
+    def test_repeated_record_past_the_trace_end(self):
+        # Five identical positional records on a four-command trace.
+        blob = frame([], HEAD + [5] + [0, 0, 0, 0, 0] * 5 + [0, 0])
+        with pytest.raises(WireError, match="result 4 refers to the "
+                           "trace's command at its position, but the "
+                           "trace has 4 command"):
+            decode_report(blob, TRACE)
+
+    def test_truncated_retries_varint(self):
+        blob = self.one_result([0, 0x80])
+        with pytest.raises(WireError, match="truncated payload"):
+            decode_report(blob, TRACE)
+
+    def test_bad_flag_inside_a_repeated_error_triple(self):
+        strings = [b"ScriptError", b"editorState is not defined",
+                   b"permanent"]
+        triple = [1, 1, 2, 3]
+        # A result's error, then page errors repeating its triple: the
+        # third repeat carries a bad flag and must not be served from
+        # the decoded triple.
+        blob = self.one_result([0, 0] + triple + [3] + triple + triple
+                               + [2, 1, 2, 3, 0], strings=strings)
+        with pytest.raises(WireError, match="bad error flag 2"):
+            decode_report(blob, TRACE)
+
+    def test_dangling_reference_in_a_repeated_error_triple(self):
+        strings = [b"E", b"m", b"permanent"]
+        blob = self.one_result([0, 0, 1, 1, 2, 3, 2, 1, 1, 2, 3,
+                                1, 1, 2, 9, 0], strings=strings)
+        with pytest.raises(WireError,
+                           match="string reference 9 outside table of 3"):
+            decode_report(blob, TRACE)
 
     def test_truncated_payload_rejected(self):
         # Every proper prefix, not just the halfway cut.
